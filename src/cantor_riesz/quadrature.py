@@ -4,7 +4,8 @@ atomize() replaces each generation-N leaf cube by refine_k^d equal-mass
 point atoms on a uniform sub-grid, ordered leaf-by-leaf (path-lexicographic)
 and row-major inside a leaf.  ball_mass() computes mu(closed ball) by tree
 descent, summing cubes fully inside and resolving straddling leaves with
-recursive dyadic subdivision of the Lebesgue density.
+recursive dyadic subdivision of the Lebesgue density; one descent answers
+a whole array of radii.
 """
 
 from __future__ import annotations
@@ -218,40 +219,56 @@ def _ball_box_volume(
 def ball_mass(
     params: CantorParams,
     x,
-    r: float,
+    r: float | np.ndarray,
     *,
     tol_ball: float = 1e-6,
     depth_cap: int = 40,
-) -> float:
-    """mu(closed ball B(x, r)) for the depth-N measure."""
-    if not r > 0.0:
+) -> float | np.ndarray:
+    """mu(closed ball B(x, r)) for the depth-N measure.
+
+    r may be one radius (a float is returned) or an array of radii (an
+    array of masses is returned).  All radii share one descent: a cube is
+    kept while the sphere of at least one radius straddles it, with a
+    per-radius live mask, and each radius reads exactly the cubes it alone
+    would have visited, so the masses equal radius-by-radius calls bit for bit.
+    """
+    radii = np.asarray(r, dtype=float)
+    scalar = radii.ndim == 0
+    radii = radii.reshape(-1)
+    if not np.all(radii > 0.0):
         raise ParameterError(f"ball radius must be positive, got {r}")
     d, n_gen = params.d, params.depth
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != d:
         raise ParameterError(f"point has {x.shape[0]} coordinates, expected {d}")
-    r2 = r * r
+    r2 = radii * radii
     codes = np.arange(1 << d)
     bits = ((codes[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
-    mass = 0.0
+    mass = np.zeros(radii.shape[0])
     boxes = np.zeros((1, d))
+    live = np.ones((1, radii.shape[0]), dtype=bool)  # (box, radius): straddled
     ell_prev = 1.0
     for g in range(n_gen + 1):
         side = ell_prev
         near2, far2 = _box_near_far_sq(boxes, side, x)
-        inside = far2 <= r2
-        straddle = ~inside & (near2 <= r2)
-        mass += float(inside.sum()) * 2.0 ** (-g * d)
-        boxes = boxes[straddle]
-        if boxes.shape[0] == 0:
-            return mass
-        if g == n_gen:
+        inside = live & (far2[:, None] <= r2)
+        live &= ~inside & (near2[:, None] <= r2)
+        mass += inside.sum(axis=0) * 2.0 ** (-g * d)
+        keep = live.any(axis=1)
+        boxes, live = boxes[keep], live[keep]
+        if boxes.shape[0] == 0 or g == n_gen:
             break
         child = ell_prev * params.lam[g]
         offsets = bits * (ell_prev - child)
         boxes = (boxes[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+        live = np.repeat(live, 1 << d, axis=0)
         ell_prev = child
-    leaf_side = ell_prev
-    density = 2.0 ** (-n_gen * d) / leaf_side**d
-    vol = _ball_box_volume(boxes, leaf_side, x, r, tol_ball, depth_cap)
-    return mass + density * vol
+    if boxes.shape[0]:
+        leaf_side = ell_prev
+        density = 2.0 ** (-n_gen * d) / leaf_side**d
+        for k in np.flatnonzero(live.any(axis=0)):
+            vol = _ball_box_volume(
+                boxes[live[:, k]], leaf_side, x, float(radii[k]), tol_ball, depth_cap
+            )
+            mass[k] += density * vol
+    return float(mass[0]) if scalar else mass

@@ -5,6 +5,12 @@ K(-x) = -K(x).  The eps-truncated transform at a target t sums
 m_a * K(p_a - t) over atoms with |p_a - t| > eps (strict).  Sums are
 accumulated by a balanced adjacent-pair cascade in atom-index order, which
 makes every result deterministic for a fixed atom ordering.
+
+Direct sums (eval_brute, and the tree code's leaves) share one pair kernel
+that takes target rows in chunks of about _CHUNK_ELEMS = 65 536 (target,
+atom) pairs, or one row when there are more atoms than that.  A chunk's
+temporaries hold at most (2d + 2) * max(_CHUNK_ELEMS, n_atoms) floats,
+4 MiB for d = 3 and up to 65 536 atoms, so they stay in cache.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ __all__ = [
     "square_function",
 ]
 
-_CHUNK_ELEMS = 2_000_000
+_CHUNK_ELEMS = 65_536
 
 
 @dataclass(frozen=True)
@@ -113,35 +119,58 @@ def _check_order(spec: KernelSpec, d: int) -> None:
         )
 
 
-def _chunk_terms(
+def _direct_field(
     points: np.ndarray,
     masses: np.ndarray,
-    tgt: np.ndarray,
+    tgts: np.ndarray,
     spec: KernelSpec,
-    self_base: int | None,
-    t_offset: int = 0,
+    tgt_ids: np.ndarray,
+    atom0: int = 0,
+    self_exclude: bool = False,
 ) -> np.ndarray:
-    """Kernel terms (chunk, n_atoms, d), zero where truncated or self-paired."""
-    diffs = points[None, :, :] - tgt[:, None, :]
-    nrm = np.sqrt((diffs**2).sum(axis=2))
-    include = nrm > spec.eps
-    c = tgt.shape[0]
-    rows = np.arange(c)
-    if self_base is not None:
-        include[rows, self_base + rows] = False
-    if spec.eps == 0.0:
-        hits = nrm == 0.0
-        if self_base is not None:
-            hits[rows, self_base + rows] = False
-        if hits.any():
-            ti, ai = np.argwhere(hits)[0]
-            raise SingularityError(
-                f"atom {int(ai)} coincides with target {int(ti) + t_offset} "
-                "and eps = 0; exclude it or truncate"
-            )
-    safe = np.where(include, nrm, 1.0)
-    w = np.where(include, masses[None, :] / safe ** (spec.s + 1.0), 0.0)
-    return diffs * w[:, :, None]
+    """Direct pair sums of a run of atoms at each target row, (m, d).
+
+    The atoms carry global indices atom0, atom0 + 1, ...; tgt_ids holds the
+    global index of each target row.  With self_exclude set, target t skips
+    the atom of global index t when that atom lies in the run.  Target rows
+    are taken in chunks of about _CHUNK_ELEMS pairs (see the module
+    docstring for the memory bound).
+    """
+    n, d = points.shape
+    u = spec.s + 1.0
+    out = np.empty((tgts.shape[0], d))
+    chunk = max(1, _CHUNK_ELEMS // max(n, 1))
+    for t0 in range(0, tgts.shape[0], chunk):
+        ids = tgt_ids[t0 : t0 + chunk]
+        diffs = points[None, :, :] - tgts[t0 : t0 + chunk, None, :]
+        # an explicit loop over coordinates rounds exactly like
+        # (diffs**2).sum(axis=2) for d <= 3, and is much faster
+        r2 = diffs[:, :, 0] * diffs[:, :, 0]
+        for k in range(1, d):
+            r2 += diffs[:, :, k] * diffs[:, :, k]
+        if self_exclude:
+            rows = np.flatnonzero((ids >= atom0) & (ids < atom0 + n))
+            cols = ids[rows] - atom0
+            r2[rows, cols] = 1.0  # keeps the self pair out of the hit test
+        nrm = np.sqrt(r2, out=r2)
+        if spec.eps == 0.0:
+            if not nrm.all():
+                ti, ai = np.argwhere(nrm == 0.0)[0]
+                raise SingularityError(
+                    f"atom {atom0 + int(ai)} coincides with target {int(ids[ti])} "
+                    "and eps = 0; exclude it or truncate"
+                )
+            w = np.divide(masses, np.power(nrm, u, out=nrm), out=nrm)
+        else:
+            drop = nrm <= spec.eps
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.divide(masses, np.power(nrm, u, out=nrm), out=nrm)
+            w[drop] = 0.0
+        if self_exclude:
+            w[rows, cols] = 0.0
+        diffs *= w[:, :, None]
+        out[t0 : t0 + chunk] = pairwise_sum(diffs, axis=1)
+    return out
 
 
 def eval_brute(
@@ -163,20 +192,12 @@ def eval_brute(
         raise ParameterError(
             "self_exclude requires one target per atom in atom order"
         )
-    out = np.empty((n_t, d))
-    chunk = max(1, _CHUNK_ELEMS // max(atoms.n, 1))
-    for t0 in range(0, n_t, chunk):
-        t1 = min(t0 + chunk, n_t)
-        terms = _chunk_terms(
-            atoms.points,
-            atoms.masses,
-            tgts[t0:t1],
-            spec,
-            t0 if self_exclude else None,
-            t_offset=t0,
+    return VecField(
+        _direct_field(
+            atoms.points, atoms.masses, tgts, spec, np.arange(n_t),
+            self_exclude=self_exclude,
         )
-        out[t0:t1] = pairwise_sum(terms, axis=1)
-    return VecField(out)
+    )
 
 
 def l2_norm_sq(field: VecField, atoms: AtomSet) -> float:

@@ -25,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SingularityError
+from .errors import ParameterError
 from .quadrature import AtomSet
-from .riesz import KernelSpec, VecField, _as_targets, _check_order, pairwise_sum
+from .riesz import KernelSpec, VecField, _as_targets, _check_order, _direct_field
 
 __all__ = ["TreeCodeConfig", "eval_treecode"]
-
-_BLOCK_ELEMS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -170,45 +168,6 @@ def _far_field(tree: _Tree, nid: int, sub: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _leaf_direct(
-    atoms: AtomSet,
-    a0: int,
-    a1: int,
-    tgts: np.ndarray,
-    idx: np.ndarray,
-    out: np.ndarray,
-    spec: KernelSpec,
-    self_exclude: bool,
-) -> None:
-    """Exact pair sums of one leaf block against the targets in idx."""
-    pts, ms = atoms.points, atoms.masses
-    b = a1 - a0
-    u = spec.s + 1.0
-    step = max(1, _BLOCK_ELEMS // b)
-    arange_block = np.arange(a0, a1)
-    for c0 in range(0, idx.size, step):
-        rows = idx[c0 : c0 + step]
-        sub = tgts[rows]
-        diffs = pts[a0:a1][None, :, :] - sub[:, None, :]
-        nrm = np.sqrt((diffs**2).sum(axis=2))
-        include = nrm > spec.eps
-        if self_exclude:
-            include &= arange_block[None, :] != rows[:, None]
-        if spec.eps == 0.0:
-            hits = nrm == 0.0
-            if self_exclude:
-                hits &= arange_block[None, :] != rows[:, None]
-            if hits.any():
-                ti, ai = np.argwhere(hits)[0]
-                raise SingularityError(
-                    f"atom {a0 + int(ai)} coincides with target "
-                    f"{int(rows[int(ti)])} and eps = 0; exclude it or truncate"
-                )
-        safe = np.where(include, nrm, 1.0)
-        w = np.where(include, ms[a0:a1][None, :] / safe**u, 0.0)
-        out[rows] += pairwise_sum(diffs * w[:, :, None], axis=1)
-
-
 def eval_treecode(
     atoms: AtomSet,
     targets,
@@ -223,7 +182,14 @@ def eval_treecode(
     n_t = tgts.shape[0]
     if self_exclude and n_t != atoms.n:
         raise ParameterError("self_exclude requires one target per atom in atom order")
-    if atoms.n == 0 or n_t == 0:
+    canonical = (1 << (d * atoms.params.depth)) * atoms.atoms_per_leaf
+    if atoms.n != canonical:
+        # _build_tree splits every cube into 2^d equal index ranges, which
+        # would silently drop atoms from any other count
+        raise ParameterError(
+            f"tree code needs the {canonical} atoms of atomize(); got {atoms.n}"
+        )
+    if n_t == 0:
         return VecField(np.zeros((n_t, d)))
 
     tree = _build_tree(atoms, config.leaf_cap)
@@ -252,8 +218,9 @@ def eval_treecode(
                 for c in reversed(children):
                     stack.append((c, near))
             else:
-                _leaf_direct(
-                    atoms, int(tree.start[nid]), int(tree.end[nid]),
-                    tgts, near, out, spec, self_exclude,
+                a0, a1 = int(tree.start[nid]), int(tree.end[nid])
+                out[near] += _direct_field(
+                    atoms.points[a0:a1], atoms.masses[a0:a1], tgts[near], spec,
+                    near, a0, self_exclude,
                 )
     return VecField(out)

@@ -124,7 +124,7 @@ def _shell_sum(
     r_hi = max(2.0 * math.sqrt(d), _cover_radius(d, x))
     r_min = ell_n * 2.0**-10
     mids, widths = _shell_grid(r_hi, r_min, shells_per_octave)
-    masses = np.array([ball_mass(params, x, float(r)) for r in mids])
+    masses = ball_mass(params, x, mids)
     integrand = (masses / mids**exponent) ** power
     return float(np.dot(integrand, widths)), r_hi, r_min
 
@@ -290,15 +290,34 @@ def _drop_near_atoms(grid: np.ndarray, atoms: AtomSet, cutoff: float) -> np.ndar
     atom, an artifact of atomization that the continuum field does not have,
     so points inside half an atom pitch carry no usable information (and an
     exact hit would be a genuine singularity).
+
+    Atoms are sorted by their first coordinate, and each grid point is tested
+    only against the atoms whose first coordinate lies in a window of about
+    +-cutoff around its own, found by binary search.  The window is padded a
+    little so rounding never hides an atom; the test itself is the full
+    squared distance against cutoff^2.  Cost O(grid * (log atoms + window)).
     """
-    keep = np.ones(grid.shape[0], dtype=bool)
+    if atoms.n == 0:
+        return grid
     cut2 = cutoff * cutoff
-    step = max(1, 2_000_000 // max(1, atoms.n))
-    for lo in range(0, grid.shape[0], step):
-        block = grid[lo : lo + step]
-        d2 = ((block[:, None, :] - atoms.points[None, :, :]) ** 2).sum(axis=2)
-        keep[lo : lo + step] = d2.min(axis=1) > cut2
-    return grid[keep]
+    pts = atoms.points[np.argsort(atoms.points[:, 0], kind="stable")]
+    pad = cutoff * (1.0 + 1e-6) + 1e-12 * max(1.0, float(np.abs(pts).max()))
+    lo = np.searchsorted(pts[:, 0], grid[:, 0] - pad, side="left")
+    counts = np.searchsorted(pts[:, 0], grid[:, 0] + pad, side="right") - lo
+    ends = np.cumsum(counts)  # candidate pairs are listed point by point
+    near = np.zeros(grid.shape[0], dtype=bool)
+    g0 = 0
+    while g0 < grid.shape[0]:
+        # the next grid points whose windows hold at most 2^20 pairs (or one)
+        base = ends[g0] - counts[g0]
+        g1 = int(np.searchsorted(ends, base + (1 << 20), side="right"))
+        g1 = max(g1, g0 + 1)
+        gi = np.repeat(np.arange(g0, g1), counts[g0:g1])
+        ai = lo[gi] + np.arange(gi.size) - (ends[gi] - counts[gi] - base)
+        d2 = ((grid[gi] - pts[ai]) ** 2).sum(axis=1)
+        near[gi[d2 <= cut2]] = True
+        g0 = g1
+    return grid[~near]
 
 
 def gamma_plus_lower_bound(

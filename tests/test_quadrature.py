@@ -16,6 +16,38 @@ from cantor_riesz import (
     ball_mass,
     containing_cube,
 )
+from cantor_riesz.quadrature import _ball_box_volume, _box_near_far_sq
+
+
+def legacy_ball_mass(params, x, r, tol_ball=1e-6, depth_cap=40):
+    """The one-radius descent that the radii descent replaced, kept verbatim."""
+    d, n_gen = params.d, params.depth
+    x = np.asarray(x, dtype=float).reshape(-1)
+    r2 = r * r
+    codes = np.arange(1 << d)
+    bits = ((codes[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
+    mass = 0.0
+    boxes = np.zeros((1, d))
+    ell_prev = 1.0
+    for g in range(n_gen + 1):
+        side = ell_prev
+        near2, far2 = _box_near_far_sq(boxes, side, x)
+        inside = far2 <= r2
+        straddle = ~inside & (near2 <= r2)
+        mass += float(inside.sum()) * 2.0 ** (-g * d)
+        boxes = boxes[straddle]
+        if boxes.shape[0] == 0:
+            return mass
+        if g == n_gen:
+            break
+        child = ell_prev * params.lam[g]
+        offsets = bits * (ell_prev - child)
+        boxes = (boxes[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+        ell_prev = child
+    leaf_side = ell_prev
+    density = 2.0 ** (-n_gen * d) / leaf_side**d
+    vol = _ball_box_volume(boxes, leaf_side, x, r, tol_ball, depth_cap)
+    return mass + density * vol
 
 
 class TestAtomize:
@@ -129,6 +161,43 @@ class TestBallMass:
             dist = np.abs(atoms_mixed.points - np.asarray(x)).ravel()
             approx = atoms_mixed.masses[dist <= r].sum()
             assert approx == pytest.approx(exact, abs=0.02)
+
+
+class TestRadiiDescent:
+    """One descent over an array of radii against the one-radius descent."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_legacy(self, d):
+        rng = np.random.default_rng(100 + d)
+        depth = {1: 6, 2: 3, 3: 2}[d]
+        params = CantorParams(d=d, s=0.5 * d, lam=tuple(rng.uniform(0.15, 0.45, depth)))
+        # radii from beyond the unit cube down below the leaf side, plus
+        # points inside leaves, on the set's edges and outside it
+        radii = 2.0 ** np.linspace(1.5, np.log2(math.prod(params.lam)) - 4, 37)
+        points = [rng.uniform(-0.2, 1.2, d) for _ in range(4)]
+        points += [np.zeros(d), np.full(d, params.lam[0] / 2)]
+        # the d = 3 leaf volume subdivides the sphere's surface cells, whose
+        # count grows 4x per halving: keep its tolerance coarse
+        tol = 0.05 if d == 3 else 1e-6
+        for x in points:
+            got = ball_mass(params, x, radii, tol_ball=tol)
+            want = [legacy_ball_mass(params, x, float(r), tol_ball=tol) for r in radii]
+            if d < 3:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_one_radius_is_a_float(self, params_mixed):
+        radii = np.array([0.01, 0.2, 0.7])
+        got = ball_mass(params_mixed, [0.3], radii)
+        assert got.shape == (3,)
+        for r, m in zip(radii, got):
+            one = ball_mass(params_mixed, [0.3], r)
+            assert isinstance(one, float) and one == m
+
+    def test_rejects_any_nonpositive_radius(self, params_mixed):
+        with pytest.raises(ParameterError):
+            ball_mass(params_mixed, [0.3], np.array([0.1, 0.0]))
 
 
 class TestAtomSetConstruction:

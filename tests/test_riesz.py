@@ -30,6 +30,43 @@ from cantor_riesz import (
 )
 
 
+def legacy_chunk_terms(points, masses, tgt, spec, self_base, t_offset=0):
+    """The pair kernel that _direct_field replaced, kept verbatim."""
+    diffs = points[None, :, :] - tgt[:, None, :]
+    nrm = np.sqrt((diffs**2).sum(axis=2))
+    include = nrm > spec.eps
+    c = tgt.shape[0]
+    rows = np.arange(c)
+    if self_base is not None:
+        include[rows, self_base + rows] = False
+    if spec.eps == 0.0:
+        hits = nrm == 0.0
+        if self_base is not None:
+            hits[rows, self_base + rows] = False
+        if hits.any():
+            ti, ai = np.argwhere(hits)[0]
+            raise SingularityError(
+                f"atom {int(ai)} coincides with target {int(ti) + t_offset} "
+                "and eps = 0; exclude it or truncate"
+            )
+    safe = np.where(include, nrm, 1.0)
+    w = np.where(include, masses[None, :] / safe ** (spec.s + 1.0), 0.0)
+    return diffs * w[:, :, None]
+
+
+def legacy_brute(atoms, tgts, spec, self_exclude=False, chunk_elems=2_000_000):
+    out = np.empty((tgts.shape[0], atoms.d))
+    chunk = max(1, chunk_elems // max(atoms.n, 1))
+    for t0 in range(0, tgts.shape[0], chunk):
+        t1 = min(t0 + chunk, tgts.shape[0])
+        terms = legacy_chunk_terms(
+            atoms.points, atoms.masses, tgts[t0:t1], spec,
+            t0 if self_exclude else None, t_offset=t0,
+        )
+        out[t0:t1] = pairwise_sum(terms, axis=1)
+    return out
+
+
 def single_atom(x=0.25, mass=1.0):
     return AtomSet(
         params=CantorParams(d=1, s=0.5),
@@ -186,6 +223,65 @@ class TestEvalBrute:
         f = eval_brute(atoms_small, [[2.0], [3.0], [4.0]], KernelSpec(s=0.5))
         with pytest.raises(ParameterError):
             l2_norm_sq(f, atoms_small)
+
+
+class TestPairKernelMatchesLegacy:
+    """The cache-blocked kernel against the previous one, bit for bit."""
+
+    @pytest.mark.parametrize("d,s", [(1, 0.5), (2, 1.0), (3, 1.7)])
+    @pytest.mark.parametrize("eps", [0.0, 0.03])
+    @pytest.mark.parametrize("self_exclude", [False, True])
+    def test_bitwise(self, d, s, eps, self_exclude):
+        rng = np.random.default_rng(7 * d)
+        params = CantorParams(d=d, s=s, lam=tuple(rng.uniform(0.15, 0.4, 3)))
+        atoms = atomize(params, refine_k=2)
+        if self_exclude:
+            tgts = atoms.points
+        else:
+            tgts = rng.uniform(-0.2, 1.2, size=(131, d))
+            if eps > 0.0:  # exact hits are legal once truncated
+                tgts = np.concatenate([tgts, atoms.points[::5]])
+        spec = KernelSpec(s=s, eps=eps)
+        want = legacy_brute(atoms, tgts, spec, self_exclude)
+        got = eval_brute(atoms, tgts, spec, self_exclude)
+        assert np.array_equal(got.values, want)
+
+    def test_large_set_one_target_per_chunk(self, monkeypatch):
+        # fewer pairs per chunk than atoms: every chunk is a single row
+        atoms = atomize(CantorParams(d=2, s=1.0, lam=(0.3,) * 3), refine_k=2)
+        monkeypatch.setattr(riesz_mod, "_CHUNK_ELEMS", atoms.n // 2)
+        spec = KernelSpec(s=1.0)
+        got = eval_brute(atoms, atoms.points, spec, self_exclude=True)
+        want = legacy_brute(atoms, atoms.points, spec, self_exclude=True)
+        assert np.array_equal(got.values, want)
+
+    def test_exact_hit_names_same_indices(self, atoms_small):
+        spec = KernelSpec(s=0.5)
+        tgts = np.concatenate([[[5.0]], atoms_small.points[6:9]])
+        with pytest.raises(SingularityError) as legacy:
+            legacy_brute(atoms_small, tgts, spec)
+        with pytest.raises(SingularityError) as new:
+            eval_brute(atoms_small, tgts, spec)
+        assert str(new.value) == str(legacy.value)
+        assert "atom 6 coincides with target 1" in str(new.value)
+
+    def test_exact_hit_beside_self_pair(self):
+        # two atoms share a position: with self pairs excluded, each still
+        # hits the other
+        atoms = AtomSet(
+            params=CantorParams(d=1, s=0.5),
+            refine_k=1,
+            points=np.array([[0.1], [0.4], [0.4]]),
+            masses=np.full(3, 1.0 / 3.0),
+            leaf_rank=np.zeros(3, dtype=np.int64),
+        )
+        spec = KernelSpec(s=0.5)
+        with pytest.raises(SingularityError) as legacy:
+            legacy_brute(atoms, atoms.points, spec, self_exclude=True)
+        with pytest.raises(SingularityError) as new:
+            eval_brute(atoms, atoms.points, spec, self_exclude=True)
+        assert str(new.value) == str(legacy.value)
+        assert "atom 2 coincides with target 1" in str(new.value)
 
 
 class TestSmoothstepPsi:

@@ -10,7 +10,9 @@ opening angle, checked against a measured budget.
 import numpy as np
 import pytest
 
+import cantor_riesz.riesz as riesz_mod
 from cantor_riesz import (
+    AtomSet,
     CantorParams,
     KernelSpec,
     ParameterError,
@@ -133,8 +135,31 @@ class TestContract:
         assert rel_err(got.values, want.values) < 1e-5
 
     def test_exact_hit_raises(self, deep_atoms):
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError, match="atom 7 coincides with target 0"):
             eval_treecode(deep_atoms, deep_atoms.points[7:8], KernelSpec(s=0.5))
+
+    def test_leaf_chunking_bitwise(self, deep_atoms, monkeypatch):
+        spec = KernelSpec(s=0.5)
+        want = eval_treecode(deep_atoms, deep_atoms.points, spec, self_exclude=True)
+        monkeypatch.setattr(riesz_mod, "_CHUNK_ELEMS", 3)
+        got = eval_treecode(deep_atoms, deep_atoms.points, spec, self_exclude=True)
+        assert np.array_equal(got.values, want.values)
+
+    def test_rejects_non_canonical_atom_set(self):
+        # 301 atoms cannot be split into equal halves down the tree; the
+        # tree used to drop atoms silently (max rel. error 0.19 on this set)
+        params = CantorParams(d=1, s=0.5, lam=(0.25,) * 4)
+        pts = np.linspace(0.0, 1.0, 301).reshape(-1, 1)
+        atoms = AtomSet(
+            params=params,
+            refine_k=1,
+            points=pts,
+            masses=np.full(301, 1.0 / 301),
+            leaf_rank=np.zeros(301, dtype=np.int64),
+        )
+        cfg = TreeCodeConfig(theta_open=0.01, leaf_cap=1)
+        with pytest.raises(ParameterError, match="301"):
+            eval_treecode(atoms, pts, KernelSpec(s=0.5), cfg, self_exclude=True)
 
     def test_self_exclude_needs_matching_targets(self, deep_atoms):
         with pytest.raises(ParameterError):

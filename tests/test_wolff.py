@@ -35,6 +35,12 @@ from cantor_riesz.geometry import cube_from_rank, cube_position
 from cantor_riesz.wolff import _drop_near_atoms
 
 
+def brute_drop_near_atoms(grid, atoms, cutoff):
+    """Keep the grid points whose nearest atom lies beyond cutoff."""
+    d2 = ((grid[:, None, :] - atoms.points[None, :, :]) ** 2).sum(axis=2)
+    return grid[d2.min(axis=1) > cutoff * cutoff]
+
+
 def leaf_centers(params, stride=1):
     """Centers of every stride-th deepest-generation cube."""
     n_leaves = params.num_cubes(params.depth)
@@ -221,6 +227,24 @@ class TestHaloGrid:
         grid = np.concatenate([atoms_small.points[:3], [[5.0]]])
         kept = _drop_near_atoms(grid, atoms_small, cutoff=1e-9)
         np.testing.assert_array_equal(kept, [[5.0]])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_drop_near_atoms_matches_brute(self, d):
+        rng = np.random.default_rng(40 + d)
+        params = CantorParams(d=d, s=0.5 * d, lam=(0.25,) * (4 - d))
+        atoms = atomize(params, refine_k=2)
+        cutoff = 2.0**-7  # dyadic, like the atoms: offsets below are exact
+        at_cut = atoms.points[::3] + cutoff * np.eye(d)[rng.integers(0, d, atoms.n)[::3]]
+        grid = np.concatenate([
+            halo_grid(params, HaloGridSpec(extent=0.1, spacing=2.0**-5)),
+            at_cut,
+            at_cut - 2.0**-30,  # just inside the cutoff
+            rng.uniform(-0.1, 1.1, size=(500, d)),
+        ])
+        want = brute_drop_near_atoms(grid, atoms, cutoff)
+        got = _drop_near_atoms(grid, atoms, cutoff)
+        np.testing.assert_array_equal(got, want)
+        assert not any((at_cut == row).all(axis=1).any() for row in got)
 
 
 class TestGammaPlusLowerBound:
