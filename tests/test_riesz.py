@@ -54,9 +54,9 @@ def legacy_chunk_terms(points, masses, tgt, spec, self_base, t_offset=0):
     return diffs * w[:, :, None]
 
 
-def legacy_brute(atoms, tgts, spec, self_exclude=False, chunk_elems=2_000_000):
+def legacy_brute(atoms, tgts, spec, self_exclude=False):
     out = np.empty((tgts.shape[0], atoms.d))
-    chunk = max(1, chunk_elems // max(atoms.n, 1))
+    chunk = max(1, 2_000_000 // max(atoms.n, 1))
     for t0 in range(0, tgts.shape[0], chunk):
         t1 = min(t0 + chunk, tgts.shape[0])
         terms = legacy_chunk_terms(
@@ -233,7 +233,8 @@ class TestPairKernelMatchesLegacy:
     @pytest.mark.parametrize("self_exclude", [False, True])
     def test_bitwise(self, d, s, eps, self_exclude):
         rng = np.random.default_rng(7 * d)
-        params = CantorParams(d=d, s=s, lam=tuple(rng.uniform(0.15, 0.4, 3)))
+        depth = 3 if d < 3 else 2
+        params = CantorParams(d=d, s=s, lam=tuple(rng.uniform(0.15, 0.4, depth)))
         atoms = atomize(params, refine_k=2)
         if self_exclude:
             tgts = atoms.points

@@ -234,9 +234,10 @@ class TestHaloGrid:
         params = CantorParams(d=d, s=0.5 * d, lam=(0.25,) * (4 - d))
         atoms = atomize(params, refine_k=2)
         cutoff = 2.0**-7  # dyadic, like the atoms: offsets below are exact
-        at_cut = atoms.points[::3] + cutoff * np.eye(d)[rng.integers(0, d, atoms.n)[::3]]
+        base = atoms.points[::3]
+        at_cut = base + cutoff * np.eye(d)[rng.integers(0, d, len(base))]
         grid = np.concatenate([
-            halo_grid(params, HaloGridSpec(extent=0.1, spacing=2.0**-5)),
+            halo_grid(params, HaloGridSpec(extent=0.1, spacing=2.0**-4)),
             at_cut,
             at_cut - 2.0**-30,  # just inside the cutoff
             rng.uniform(-0.1, 1.1, size=(500, d)),
