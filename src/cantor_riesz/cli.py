@@ -8,25 +8,29 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from ._version import __version__
 from .config import ExperimentConfig, LambdaSpec
 from .errors import ConfigError
 from .experiments import (
-    profile_csv_text,
     run_capacity_report,
     run_profile_report,
     run_ratio_experiment,
     run_stopping_report,
     run_sweep,
     run_wolff_report,
-    write_csv,
-    write_json,
-    write_ratio_outputs,
+    write_report,
 )
 
-_COMMANDS = ("profile", "ratio", "stopping", "wolff", "capacity", "sweep")
+# report commands: the runner whose table write_report saves under the name
+_RUNNERS = {
+    "profile": run_profile_report,
+    "ratio": run_ratio_experiment,
+    "stopping": run_stopping_report,
+    "wolff": run_wolff_report,
+    "capacity": run_capacity_report,
+}
+_COMMANDS = (*_RUNNERS, "sweep")
 
 
 def parse_lambda(text: str) -> LambdaSpec:
@@ -118,24 +122,18 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _dispatch(command: str, cfg: ExperimentConfig, workers: int) -> int:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     status = 0
-    if command == "ratio":
-        table = run_ratio_experiment(cfg, workers=workers)
-        written = write_ratio_outputs(table, cfg, out_dir)
-    elif command == "profile":
-        table = run_profile_report(cfg, workers=workers)
-        if "json" in cfg.formats:
-            written.append(write_json(table, out_dir / "profile.json"))
-        if "csv" in cfg.formats:
-            written.append(write_csv(profile_csv_text(table), out_dir / "profile.csv"))
-    elif command == "stopping":
-        table = run_stopping_report(cfg, workers=workers)
-        if "json" in cfg.formats:
-            written.append(write_json(table, out_dir / "stopping.json"))
-        if not table["all_hard_pass"]:
+    if command == "sweep":
+        result = run_sweep(cfg, workers=workers)
+        written = result["written"]
+        if not result["manifest"]["all_hard_pass"]:
+            print("hard check failed during sweep (see stopping.json)",
+                  file=sys.stderr)
+            status = 1
+    else:
+        table = _RUNNERS[command](cfg, workers=workers)
+        written = write_report(command, table, cfg, cfg.out_dir)
+        if command == "stopping" and not table["all_hard_pass"]:
             for rec in table["cases"]:
                 if not rec["hard_pass"]:
                     print(
@@ -143,21 +141,6 @@ def _dispatch(command: str, cfg: ExperimentConfig, workers: int) -> int:
                         f"({', '.join(rec['failures'])})",
                         file=sys.stderr,
                     )
-            status = 1
-    elif command == "wolff":
-        table = run_wolff_report(cfg, workers=workers)
-        if "json" in cfg.formats:
-            written.append(write_json(table, out_dir / "wolff.json"))
-    elif command == "capacity":
-        table = run_capacity_report(cfg, workers=workers)
-        if "json" in cfg.formats:
-            written.append(write_json(table, out_dir / "capacity.json"))
-    elif command == "sweep":
-        result = run_sweep(cfg, workers=workers)
-        written = result["written"]
-        if not result["manifest"]["all_hard_pass"]:
-            print("hard check failed during sweep (see stopping.json)",
-                  file=sys.stderr)
             status = 1
     for path in written:
         print(f"wrote {path}")

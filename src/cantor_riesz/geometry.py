@@ -79,6 +79,11 @@ class CantorParams:
     def cube_mass(self, gen: int) -> float:
         return 2.0 ** (-gen * self.d)
 
+    @property
+    def leaf_side(self) -> float:
+        """Side ell_N = lam_1 * ... * lam_N of a final-generation cube."""
+        return math.prod(self.lam, start=1.0)
+
 
 @dataclass(frozen=True)
 class CubeId:
@@ -152,23 +157,22 @@ class DensityProfile:
         hi = self.depth if hi is None else hi
         return math.fsum(float(t) ** 2 for t in self.theta[lo : hi + 1])
 
+    @classmethod
+    def from_densities(cls, ell, theta) -> "DensityProfile":
+        """Profile of given side lengths and densities; p by direct summation."""
+        ell = np.asarray(ell, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        p = np.array([math.fsum(theta[k] * ell[j] / ell[k] for k in range(j + 1))
+                      for j in range(ell.size)])
+        return cls(ell=ell, theta=theta, p=p)
+
 
 def build_profile(params: CantorParams) -> DensityProfile:
     """Compute (ell_n, theta_n, p_n) for n = 0..N by direct summation."""
-    n = params.depth
-    ell = np.empty(n + 1)
-    ell[0] = 1.0
-    for i, lam in enumerate(params.lam, start=1):
-        ell[i] = ell[i - 1] * lam
-    gens = np.arange(n + 1)
+    ell = np.cumprod((1.0,) + params.lam)
+    gens = np.arange(params.depth + 1)
     theta = 2.0 ** (-gens * params.d) / ell**params.s
-    p = np.array(
-        [
-            math.fsum(theta[k] * ell[j] / ell[k] for k in range(j + 1))
-            for j in range(n + 1)
-        ]
-    )
-    return DensityProfile(ell=ell, theta=theta, p=p)
+    return DensityProfile.from_densities(ell, theta)
 
 
 def p_between(profile: DensityProfile, q: int, r: int) -> float:

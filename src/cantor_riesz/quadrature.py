@@ -102,9 +102,7 @@ def atomize(
             f"atomize would create {n_atoms} atoms, exceeding budget {budget}"
         )
     corners = _leaf_corners(params)
-    side = 1.0
-    for lam in params.lam:
-        side *= lam
+    side = params.leaf_side
     grids = np.meshgrid(*([np.arange(refine_k)] * d), indexing="ij")
     sub_idx = np.stack(grids, axis=-1).reshape(-1, d)  # row-major, last axis fastest
     sub_off = (sub_idx + 0.5) * (side / refine_k)
@@ -184,7 +182,9 @@ def _ball_box_volume(
 
     Closed forms in one and two dimensions; higher dimensions fall back to
     recursive dyadic subdivision with a midpoint estimate for the cells the
-    sphere still straddles at depth_cap.
+    sphere still straddles at depth_cap.  The straddled cells grow about
+    2^(d-1)-fold per halving, so a subdivision that would hold more than
+    DEFAULT_ATOM_BUDGET boxes raises BudgetError instead of allocating them.
     """
     d = x.shape[0]
     if d == 1:
@@ -208,6 +208,9 @@ def _ball_box_volume(
         uncertain = boxes.shape[0] * side**d
         if uncertain <= tol * v0:
             return vol + 0.5 * uncertain
+        if boxes.shape[0] << d > DEFAULT_ATOM_BUDGET:
+            raise BudgetError(f"ball volume to tolerance {tol} needs over "
+                              f"{DEFAULT_ATOM_BUDGET} boxes; pass a coarser tol_ball")
         half = side / 2.0
         boxes = (boxes[:, None, :] + (bits * half)[None, :, :]).reshape(-1, d)
         side = half
@@ -264,7 +267,7 @@ def ball_mass(
         live = np.repeat(live, 1 << d, axis=0)
         ell_prev = child
     if boxes.shape[0]:
-        leaf_side = ell_prev
+        leaf_side = params.leaf_side
         density = 2.0 ** (-n_gen * d) / leaf_side**d
         for k in np.flatnonzero(live.any(axis=0)):
             vol = _ball_box_volume(

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .martingale import decompose, project
+from .riesz import KernelSpec, _direct_field
 
 __all__ = [
     "KIND_DD",
@@ -595,7 +596,9 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
 
     Checks reported:
       lemnab      oscillation, over each cube, of the field generated outside
-                  the cube, against (ell_j/ell_{j-1}) * p_{j-1}
+                  the cube, against (ell_j/ell_{j-1}) * p_{j-1}; the field a
+                  cube generates inside itself comes from the shared pair
+                  kernel riesz._direct_field, so memory stays at one chunk
       lemdes11    parent-to-child jump of cube means against p_j
       lemfa1      squared norm of the deepest projection against the
                   squared-density sum over 0..N-1
@@ -625,7 +628,7 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
             "classification/profile depth does not match the atom set"
         )
     d = atoms.d
-    order = atoms.params.s
+    spec = KernelSpec(s=atoms.params.s)
     th, pr, el = profile.theta, profile.p, profile.ell
     cfg = classification.config
     rep = decompose(values, atoms)
@@ -658,12 +661,9 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
         pts = atoms.points.reshape(-1, bs, d)
         ms = atoms.masses.reshape(-1, bs)
         for q in range(pts.shape[0]):
-            sub = pts[q]
-            diffs = sub[None, :, :] - sub[:, None, :]
-            nrm = np.sqrt((diffs**2).sum(axis=-1))
-            np.fill_diagonal(nrm, np.inf)
-            w = ms[q] / nrm ** (order + 1.0)
-            inside = np.einsum("tac,ta->tc", diffs, w)
+            inside = _direct_field(
+                pts[q], ms[q], pts[q], spec, np.arange(bs), self_exclude=True
+            )
             outside = values[q * bs : (q + 1) * bs] - inside
             osc = float(np.sqrt(((outside.max(axis=0) - outside.min(axis=0)) ** 2).sum()))
             ratio = _ratio(osc, denom)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .geometry import CantorParams, containing_cube
+from .geometry import CantorParams, build_profile, containing_cube
 from .quadrature import DEFAULT_ATOM_BUDGET, AtomSet, ball_mass
 from .riesz import KernelSpec, eval_brute
 
@@ -120,9 +120,8 @@ def _shell_sum(
     analytic tails.
     """
     d = params.d
-    ell_n = math.prod(params.lam) if params.lam else 1.0
     r_hi = max(2.0 * math.sqrt(d), _cover_radius(d, x))
-    r_min = ell_n * 2.0**-10
+    r_min = params.leaf_side * 2.0**-10
     mids, widths = _shell_grid(r_hi, r_min, shells_per_octave)
     masses = ball_mass(params, x, mids)
     integrand = (masses / mids**exponent) ** power
@@ -130,12 +129,25 @@ def _shell_sum(
 
 
 def _leaf_density(params: CantorParams) -> float:
-    ell_n = math.prod(params.lam) if params.lam else 1.0
-    return 2.0 ** (-params.depth * params.d) / ell_n**params.d
+    return 2.0 ** (-params.depth * params.d) / params.leaf_side**params.d
 
 
 def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+
+
+def _potential(
+    params: CantorParams, x, exponent: float, power: float, shells_per_octave: int
+) -> float:
+    """int (mu(B(x,r))/r^exponent)^power dr/r: shell sum plus analytic tails."""
+    pt = _point(x, params.d)
+    total, r_hi, r_min = _shell_sum(params, pt, exponent, power, shells_per_octave)
+    total += r_hi ** (-exponent * power) / (exponent * power)
+    if containing_cube(params, pt, params.depth) is not None:
+        rho = _leaf_density(params) * _unit_ball_volume(params.d)
+        grow = (params.d - exponent) * power
+        total += rho**power * r_min**grow / grow
+    return total
 
 
 def wolff_potential(
@@ -151,28 +163,12 @@ def wolff_potential(
     """
     if w.d != params.d:
         raise ParameterError(f"dimension mismatch: set is {params.d}-d, params are {w.d}-d")
-    pt = _point(x, params.d)
-    q = w.pprime - 1.0
-    total, r_hi, r_min = _shell_sum(params, pt, w.e, q, shells_per_octave)
-    total += r_hi ** (-w.e * q) / (w.e * q)
-    if containing_cube(params, pt, params.depth) is not None:
-        rho = _leaf_density(params) * _unit_ball_volume(params.d)
-        grow = (params.d - w.e) * q
-        total += rho**q * r_min**grow / grow
-    return total
+    return _potential(params, x, w.e, w.pprime - 1.0, shells_per_octave)
 
 
 def wolff_potential_s(params: CantorParams, x, shells_per_octave: int = 4) -> float:
     """Same shells, s-specialized integrand (mu(B(x,r))/r^s)^2."""
-    pt = _point(x, params.d)
-    s = params.s
-    total, r_hi, r_min = _shell_sum(params, pt, s, 2.0, shells_per_octave)
-    total += r_hi ** (-2.0 * s) / (2.0 * s)
-    if containing_cube(params, pt, params.depth) is not None:
-        rho = _leaf_density(params) * _unit_ball_volume(params.d)
-        grow = (params.d - s) * 2.0
-        total += rho**2 * r_min**grow / grow
-    return total
+    return _potential(params, x, params.s, 2.0, shells_per_octave)
 
 
 def wolff_discrete_s(params: CantorParams, x) -> float:
@@ -185,39 +181,21 @@ def wolff_discrete_s(params: CantorParams, x) -> float:
     pt = _point(x, params.d)
     if containing_cube(params, pt, params.depth) is None:
         raise ParameterError("point lies outside every final-generation cube")
-    n = params.depth
-    ell = 1.0
-    acc = []
-    for gen in range(n + 1):
-        if gen > 0:
-            ell *= params.lam[gen - 1]
-        acc.append((params.cube_mass(gen) / ell**params.s) ** 2)
-    theta_n_sq = acc[-1]
-    return math.fsum(acc) + theta_n_sq / (2.0 * (params.d - params.s))
+    profile = build_profile(params)
+    theta_n_sq = float(profile.theta[-1]) ** 2
+    return profile.sum_theta_sq() + theta_n_sq / (2.0 * (params.d - params.s))
 
 
 def capacity_wolff(params: CantorParams) -> float:
     """(sum of theta_n^2 over generations 1..N)^(-1/2)."""
-    n = params.depth
-    if n < 1:
+    if params.depth < 1:
         raise ParameterError("capacity formula sums generations 1..N; need N >= 1")
-    ell = 1.0
-    acc = []
-    for gen in range(1, n + 1):
-        ell *= params.lam[gen - 1]
-        acc.append((params.cube_mass(gen) / ell**params.s) ** 2)
-    return math.fsum(acc) ** -0.5
+    return build_profile(params).sum_theta_sq(1) ** -0.5
 
 
 def capacity_wolff_from0(params: CantorParams) -> float:
     """Variant including the generation-0 term (theta_0 = 1)."""
-    n = params.depth
-    ell = 1.0
-    acc = [1.0]
-    for gen in range(1, n + 1):
-        ell *= params.lam[gen - 1]
-        acc.append((params.cube_mass(gen) / ell**params.s) ** 2)
-    return math.fsum(acc) ** -0.5
+    return build_profile(params).sum_theta_sq() ** -0.5
 
 
 @dataclass(frozen=True)
@@ -241,8 +219,7 @@ class HaloGridSpec:
 
 def halo_grid(params: CantorParams, spec: HaloGridSpec) -> np.ndarray:
     """Materialize the halo grid points, budget-checked."""
-    ell_n = math.prod(params.lam) if params.lam else 1.0
-    spacing = spec.spacing if spec.spacing is not None else ell_n / 2.0
+    spacing = spec.spacing if spec.spacing is not None else params.leaf_side / 2.0
     span = 1.0 + 2.0 * spec.extent
     per_axis = math.ceil(span / spacing)
     if per_axis**params.d > DEFAULT_ATOM_BUDGET:
@@ -336,9 +313,8 @@ def gamma_plus_lower_bound(
     at_atoms = eval_brute(atoms, atoms.points, kspec, self_exclude=True)
     sup_atoms = float(at_atoms.magnitudes().max())
     grid = halo_grid(params, spec_h)
-    side = math.prod(params.lam)
     per_axis = round(atoms.atoms_per_leaf ** (1.0 / params.d))
-    grid = _drop_near_atoms(grid, atoms, 0.5 * side / max(1, per_axis))
+    grid = _drop_near_atoms(grid, atoms, 0.5 * params.leaf_side / max(1, per_axis))
     if grid.shape[0]:
         at_halo = eval_brute(atoms, grid, kspec)
         sup_halo = float(at_halo.magnitudes().max())

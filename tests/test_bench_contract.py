@@ -1,0 +1,65 @@
+"""What the benchmark in bench/ relies on from the package.
+
+bench/spans.py times calls by replacing public functions at their module
+bindings, and bench/workloads.py calls the runners with workers=1 and
+replaces ``experiments.eval_treecode`` to sample the tree field.  A rename
+or a change of binding would break the benchmark without failing any other
+test, so these checks pin the names and bindings it uses.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+from cantor_riesz import experiments as ex
+from cantor_riesz.config import ExperimentConfig, LambdaSpec, TreeSettings
+
+SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
+
+
+def load_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def tiny_config(**kw):
+    base = dict(d=1, s=0.5, depths=(2,), lam=LambdaSpec.constant(0.25),
+                refine_k=2, wolff_samples=2)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def test_traced_names_resolve_to_functions(monkeypatch):
+    for name in load_spans(monkeypatch).TRACED:
+        mod_name, fn_name = name.split(".")
+        fn = getattr(importlib.import_module(f"cantor_riesz.{mod_name}"), fn_name)
+        assert inspect.isfunction(fn), name
+
+
+def test_runners_accept_one_worker(tmp_path):
+    sweep = ex.run_sweep(tiny_config(), out_dir=tmp_path, workers=1)
+    assert sweep["manifest"]["all_hard_pass"]
+    table = ex.run_ratio_experiment(tiny_config(), workers=1, transform_lemmas=True)
+    assert not table["cases"][0]["skipped"]
+
+
+def test_ratio_runner_calls_the_module_tree_binding(monkeypatch):
+    calls = []
+    inner = ex.eval_treecode
+
+    def probe(*args, **kwargs):
+        calls.append(args[0].n)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "eval_treecode", probe)
+    table = ex.run_ratio_experiment(
+        tiny_config(tree=TreeSettings(enabled=True)), workers=1
+    )
+    assert calls == [8]
+    assert table["cases"][0]["engine"] == "tree"

@@ -1,6 +1,7 @@
 """Atomization of the natural measure and exact ball masses."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ class TestRadiiDescent:
     def test_rejects_any_nonpositive_radius(self, params_mixed):
         with pytest.raises(ParameterError):
             ball_mass(params_mixed, [0.3], np.array([0.1, 0.0]))
+
+    def test_d3_subdivision_budget(self):
+        # the sphere's straddled cells grow ~4x per halving, so a fine d = 3
+        # tolerance must refuse before allocating, not run out of memory
+        params = CantorParams(d=3, s=1.5, lam=(0.3, 0.3))
+        x = [0.045] * 3
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError):
+            ball_mass(params, x, 0.03, tol_ball=1e-3)
+        assert time.perf_counter() - t0 < 1.0
+        # a tolerance inside the budget keeps the value from before the check
+        assert ball_mass(params, x, 0.03, tol_ball=1e-2) == float.fromhex(
+            "0x1.3dc1000000000p-9"
+        )
 
 
 class TestAtomSetConstruction:

@@ -8,6 +8,7 @@ two deliberately non-standard blocks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,19 +18,23 @@ from hypothesis import strategies as st
 from cantor_riesz import (
     CantorParams,
     ConfigError,
+    KernelSpec,
     KIND_DD,
     KIND_ID,
     KIND_TERMINAL,
     ParameterError,
     StopConfig,
     StopSet,
+    atomize,
     build_profile,
     classify,
     compute_stops,
+    eval_brute,
     sigma,
     verify_sequence_lemmas,
     verify_transform_lemmas,
 )
+from cantor_riesz.stopping import _ratio
 
 CFG = StopConfig()  # B=1000, N_L=100, C10=0.05
 
@@ -467,3 +472,66 @@ class TestTransformLemmas:
         )
         with pytest.raises(ParameterError):
             verify_transform_lemmas(atoms_mixed, field_mixed, cls, profile_small)
+
+
+def legacy_lemnab(atoms, values, profile):
+    """The lemnab loop with a bs x bs pair matrix per cube, kept verbatim."""
+    n_gen = atoms.params.depth
+    d = atoms.d
+    order = atoms.params.s
+    pr, el = profile.p, profile.ell
+    best = None
+    pair = (0.0, 0.0)
+    for j in range(1, n_gen + 1):
+        bs = atoms.n >> (j * d)
+        denom = (el[j] / el[j - 1]) * pr[j - 1]
+        pts = atoms.points.reshape(-1, bs, d)
+        ms = atoms.masses.reshape(-1, bs)
+        for q in range(pts.shape[0]):
+            sub = pts[q]
+            diffs = sub[None, :, :] - sub[:, None, :]
+            nrm = np.sqrt((diffs**2).sum(axis=-1))
+            np.fill_diagonal(nrm, np.inf)
+            w = ms[q] / nrm ** (order + 1.0)
+            inside = np.einsum("tac,ta->tc", diffs, w)
+            outside = values[q * bs : (q + 1) * bs] - inside
+            osc = float(np.sqrt(((outside.max(axis=0) - outside.min(axis=0)) ** 2).sum()))
+            ratio = _ratio(osc, denom)
+            if ratio is not None and (best is None or ratio > best):
+                best, pair = ratio, (osc, denom)
+    return pair[0], pair[1], best
+
+
+def lemma_inputs(d, s, lam, refine_k=2):
+    params = CantorParams(d=d, s=s, lam=tuple(lam))
+    atoms = atomize(params, refine_k)
+    field = eval_brute(atoms, atoms.points, KernelSpec(s=s), self_exclude=True)
+    prof = build_profile(params)
+    cls = classify(prof.theta, prof.p, prof.ell, CFG, n=params.depth)
+    return atoms, field, cls, prof
+
+
+class TestLemnabKernel:
+    @pytest.mark.parametrize(
+        "d, s, depth", [(1, 0.5, 5), (2, 1.0, 3), (3, 1.5, 2)]
+    )
+    @pytest.mark.parametrize("ratios", ["constant", "random"])
+    def test_matches_pair_matrix(self, d, s, depth, ratios):
+        rng = np.random.default_rng(100 * d + depth)
+        lam = [0.25] * depth if ratios == "constant" else rng.uniform(0.1, 0.45, depth)
+        atoms, field, cls, prof = lemma_inputs(d, s, lam)
+        got = verify_transform_lemmas(atoms, field, cls, prof)["lemnab"]
+        want = legacy_lemnab(atoms, field.values, prof)
+        for a, b in zip((got.lhs, got.rhs, got.constant), want):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_memory_is_one_chunk(self):
+        # 4 096 atoms: the pair matrices took ~160 MB at the first generation
+        atoms, field, cls, prof = lemma_inputs(1, 0.5, [0.25] * 10, refine_k=4)
+        tracemalloc.start()
+        try:
+            verify_transform_lemmas(atoms, field, cls, prof)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

@@ -8,6 +8,7 @@ inside [1.09, 1.50] and refining shells 4 -> 8 moves values by at most 0.7%.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cantor_riesz import (
     CantorParams,
     BudgetError,
     DEFAULT_ATOM_BUDGET,
+    ExperimentConfig,
     HaloGridSpec,
     ParameterError,
     WolffParams,
@@ -31,6 +33,7 @@ from cantor_riesz import (
     wolff_potential,
     wolff_potential_s,
 )
+from cantor_riesz.experiments import enumerate_cases
 from cantor_riesz.geometry import cube_from_rank, cube_position
 from cantor_riesz.wolff import _drop_near_atoms
 
@@ -278,3 +281,65 @@ class TestGammaPlusLowerBound:
             "value",
         ]
         assert blob["value"] == pytest.approx(1.0 / blob["sup_field"], rel=1e-15)
+
+
+def legacy_values(params):
+    """(wolff_discrete_s, capacity_wolff, capacity_wolff_from0) by the
+    per-generation loops those functions had, kept verbatim."""
+    n = params.depth
+    ell = 1.0
+    acc = []
+    for gen in range(n + 1):
+        if gen > 0:
+            ell *= params.lam[gen - 1]
+        acc.append((params.cube_mass(gen) / ell**params.s) ** 2)
+    theta_n_sq = acc[-1]
+    discrete = math.fsum(acc) + theta_n_sq / (2.0 * (params.d - params.s))
+
+    cap = None
+    if n >= 1:
+        ell = 1.0
+        acc = []
+        for gen in range(1, n + 1):
+            ell *= params.lam[gen - 1]
+            acc.append((params.cube_mass(gen) / ell**params.s) ** 2)
+        cap = math.fsum(acc) ** -0.5
+
+    ell = 1.0
+    acc = [1.0]
+    for gen in range(1, n + 1):
+        ell *= params.lam[gen - 1]
+        acc.append((params.cube_mass(gen) / ell**params.s) ** 2)
+    from0 = math.fsum(acc) ** -0.5
+    return discrete, cap, from0
+
+
+def profile_values(params):
+    corner, side = cube_position(params, cube_from_rank(0, params.depth, params.d))
+    x = corner + 0.5 * side
+    cap = capacity_wolff(params) if params.depth else None
+    return wolff_discrete_s(params, x), cap, capacity_wolff_from0(params)
+
+
+class TestProfileSource:
+    def test_sweep_demo_bitwise(self):
+        cfg = ExperimentConfig.load(
+            Path(__file__).parents[1] / "scripts" / "configs" / "sweep_demo.json"
+        )
+        for case in enumerate_cases(cfg):
+            params = CantorParams(d=cfg.d, s=cfg.s, lam=case.lam)
+            assert profile_values(params) == legacy_values(params)
+
+    def test_random_within_last_bits(self):
+        # numpy's array ** and Python's float ** may round the last bit apart
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            d = int(rng.integers(1, 4))
+            s = float(rng.uniform(0.05, d - 0.05))
+            lam = tuple(rng.uniform(0.05, 0.45, int(rng.integers(0, 13))))
+            params = CantorParams(d=d, s=s, lam=lam)
+            for got, want in zip(profile_values(params), legacy_values(params)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert math.isclose(got, want, rel_tol=2e-15, abs_tol=0.0)
