@@ -4,8 +4,12 @@ S_j f averages f over generation-j cubes; D_j f = S_(j+1) f - S_j f.  The
 differences telescope to S_N f - S_0 f pointwise and are orthogonal in
 L2(mu), so ||S_N f||^2 = ||S_0 f||^2 + sum_j ||D_j f||^2.
 
-All operators act on atom-resolution samples produced by atomize(), whose
-canonical ordering makes every generation-j cube a contiguous atom block.
+All operators act on atom-resolution samples produced by atomize(): each
+generation-j cube is the contiguous run of AtomSet.block_size(j) atoms, so a
+level is one reshape to (2^(jd), block, ...) and a generation-j cell function
+holds one value per cube in path-lex order.  D_j lives on generation j+1,
+and decompose() checks orthogonality and the telescope on the 2^(Nd) leaf
+cubes, where every D_j is constant, rather than atom by atom.
 """
 
 from __future__ import annotations
@@ -50,19 +54,6 @@ class CellFunction:
         return self.values[cube.flat_rank(d)]
 
 
-def _blocks(atoms: AtomSet, j: int) -> int:
-    """Atoms per generation-j cube; validates the canonical layout."""
-    d, n_gen = atoms.params.d, atoms.params.depth
-    if not (0 <= j <= n_gen):
-        raise DepthError(f"generation {j} outside [0, {n_gen}]")
-    expected = (1 << (d * n_gen)) * atoms.atoms_per_leaf
-    if atoms.n != expected:
-        raise ParameterError(
-            "atom set is not a full canonical atomization of the leaf grid"
-        )
-    return atoms.n >> (d * j)
-
-
 def _as_samples(f, atoms: AtomSet) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     if arr.shape[0] != atoms.n:
@@ -73,7 +64,7 @@ def _as_samples(f, atoms: AtomSet) -> np.ndarray:
 def project(f, atoms: AtomSet, j: int) -> CellFunction:
     """S_j f: mass-weighted average of f over each generation-j cube."""
     arr = _as_samples(f, atoms)
-    bs = _blocks(atoms, j)
+    bs = atoms.block_size(j)
     m = atoms.masses.reshape(-1, bs)
     vals = np.einsum("qb,qbc->qc", m, arr.reshape(m.shape[0], bs, -1))
     vals /= m.sum(axis=1)[:, None]
@@ -84,7 +75,7 @@ def project(f, atoms: AtomSet, j: int) -> CellFunction:
 
 def lift(cell: CellFunction, atoms: AtomSet) -> np.ndarray:
     """Expand a cell function to atom resolution."""
-    bs = _blocks(atoms, cell.gen)
+    bs = atoms.block_size(cell.gen)
     return np.repeat(cell.values, bs, axis=0)
 
 
@@ -100,7 +91,7 @@ def difference(f, atoms: AtomSet, j: int) -> CellFunction:
 
 
 def _cell_norm_sq(cell: CellFunction, atoms: AtomSet) -> float:
-    bs = _blocks(atoms, cell.gen)
+    bs = atoms.block_size(cell.gen)
     cube_mass = atoms.masses.reshape(-1, bs).sum(axis=1)
     v = cell.values if cell.values.ndim == 2 else cell.values[:, None]
     return float(pairwise_sum(cube_mass * (v**2).sum(axis=1)))
@@ -143,22 +134,24 @@ def decompose(f, atoms: AtomSet) -> DecompositionReport:
     d_norms = tuple(_cell_norm_sq(c, atoms) for c in diffs)
     s0 = _cell_norm_sq(cells[0], atoms)
     s_n = _cell_norm_sq(cells[n_gen], atoms)
-    m = atoms.masses
-    lifted = np.stack([lift(c, atoms) for c in diffs]) if diffs else np.zeros((0, atoms.n, arr.shape[1]))
+    # every D_j is constant on generation-N cubes, so the Gram matrix and
+    # the telescope residual need only one value per leaf cube
+    cube_mass = atoms.masses.reshape(-1, atoms.block_size(n_gen)).sum(axis=1)
+    leaf = np.zeros((n_gen, cube_mass.shape[0], arr.shape[1]))
+    for j, c in enumerate(diffs):
+        leaf[j] = np.repeat(c.values, branch ** (n_gen - 1 - j), axis=0)
     max_cross = 0.0
-    if len(diffs) > 1:
-        gram = np.einsum("jnc,knc,n->jk", lifted, lifted, m)
+    if n_gen > 1:
+        gram = np.einsum("jqc,kqc,q->jk", leaf, leaf, cube_mass)
         off = gram - np.diag(np.diag(gram))
         max_cross = float(np.abs(off).max())
-    lift_n = lift(cells[n_gen], atoms)
-    lift_0 = lift(cells[0], atoms)
-    tele = lift_n - lift_0 - lifted.sum(axis=0)
+    tele = cells[n_gen].values - cells[0].values - leaf.sum(axis=0)
     telescope_err = float(np.abs(tele).max()) if tele.size else 0.0
     parseval_lhs = s_n
     parseval_rhs = s0 + np.sum(d_norms)
     denom = max(abs(parseval_lhs), np.finfo(float).tiny)
     parseval_rel = abs(parseval_lhs - parseval_rhs) / denom
-    f_norm = float(pairwise_sum(m * (arr**2).sum(axis=1)))
+    f_norm = float(pairwise_sum(atoms.masses * (arr**2).sum(axis=1)))
     return DecompositionReport(
         d_norms=d_norms,
         s0_norm=s0,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, DepthError, ParameterError
 from .geometry import CantorParams, CubeId, cube_from_rank
 
 __all__ = ["AtomSet", "atomize", "ball_mass", "DEFAULT_ATOM_BUDGET"]
@@ -47,6 +47,22 @@ class AtomSet:
     @property
     def atoms_per_leaf(self) -> int:
         return self.refine_k**self.params.d
+
+    def block_size(self, j: int) -> int:
+        """Atoms per generation-j cube in atomize()'s layout.
+
+        Every generation-j cube is one contiguous run of this many atoms; a
+        set of any other size is refused, since no block arithmetic holds.
+        """
+        d, n_gen = self.params.d, self.params.depth
+        if not 0 <= j <= n_gen:
+            raise DepthError(f"generation {j} outside [0, {n_gen}]")
+        expected = (1 << (d * n_gen)) * self.atoms_per_leaf
+        if self.n != expected:
+            raise ParameterError(
+                f"atom set is not atomize()'s layout: expected {expected} atoms, got {self.n}"
+            )
+        return self.n >> (d * j)
 
     def leaf_of(self, i: int) -> CubeId:
         """Leaf cube containing atom i."""

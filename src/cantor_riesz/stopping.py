@@ -656,7 +656,7 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
     best: float | None = None
     pair = (0.0, 0.0)
     for j in range(1, n_gen + 1):
-        bs = atoms.n >> (j * d)
+        bs = atoms.block_size(j)
         denom = (el[j] / el[j - 1]) * pr[j - 1]
         pts = atoms.points.reshape(-1, bs, d)
         ms = atoms.masses.reshape(-1, bs)

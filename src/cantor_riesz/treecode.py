@@ -1,8 +1,17 @@
 """Hierarchical tree-code for the truncated s-Riesz transform.
 
-The tree follows the Cantor cube hierarchy (children in corner-code order,
-so every node covers a contiguous atom-index range); refine grids inside a
-leaf cube are split by halving the index range.  A cell is summarized when
+The tree is the Cantor cube hierarchy read off atomize()'s layout, stored as
+one set of node arrays per level; nothing is built by recursion.  Levels
+0..N are the cube generations: node (g, q) is the q-th generation-g cube in
+path-lex order and covers atoms [q*b, (q+1)*b) with b = atoms.block_size(g),
+so its children are nodes (g+1, 2^d*q + c).  Below generation N a leaf
+cube's sub-grid keeps halving, children (g+1, 2q + c), while its blocks are
+even and hold more than leaf_cap atoms; an odd block stays a leaf.  All
+nodes of a level have the same size, so a level is a leaf level or none of
+its nodes is a leaf, and its bounding boxes, mass centers and central
+moments come from one reshape of the atoms to (nodes, b, d).
+
+A cell is summarized when
 
     cell_diameter <= theta_open * dist(target, cell bounding box)
 
@@ -22,6 +31,7 @@ terms, summed in a different order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,77 +56,51 @@ class TreeCodeConfig:
             raise ParameterError(f"leaf_cap must be an integer >= 1, got {self.leaf_cap}")
 
 
-class _Tree:
-    """Flat node arrays; kids[i] lists child node ids (empty at leaves)."""
+class _Level(NamedTuple):
+    """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs)."""
 
-    __slots__ = ("start", "end", "lo", "hi", "com", "mass", "diam2",
-                 "quad", "octu", "hexa", "kids")
-
-
-def _build_tree(atoms: AtomSet, leaf_cap: int) -> _Tree:
-    pts, ms = atoms.points, atoms.masses
-    per_leaf = atoms.atoms_per_leaf
-    branch = atoms.params.branching
-    d = atoms.d
-
-    start: list[int] = []
-    end: list[int] = []
-    kids: list[list[int]] = []
-
-    def rec(a0: int, a1: int) -> int:
-        nid = len(start)
-        start.append(a0)
-        end.append(a1)
-        kids.append([])
-        count = a1 - a0
-        if count > leaf_cap:
-            if count > per_leaf:
-                step = count // branch
-                kids[nid] = [
-                    rec(a0 + c * step, a0 + (c + 1) * step) for c in range(branch)
-                ]
-            else:
-                mid = a0 + count // 2
-                kids[nid] = [rec(a0, mid), rec(mid, a1)]
-        return nid
-
-    rec(0, atoms.n)
-    nn = len(start)
-
-    tree = _Tree()
-    tree.start = np.asarray(start)
-    tree.end = np.asarray(end)
-    tree.kids = kids
-    tree.lo = np.empty((nn, d))
-    tree.hi = np.empty((nn, d))
-    tree.com = np.empty((nn, d))
-    tree.mass = np.empty(nn)
-    tree.diam2 = np.empty(nn)
-    tree.quad = np.empty((nn, d, d))
-    tree.octu = np.empty((nn, d, d, d))
-    tree.hexa = np.empty((nn, d, d, d, d))
-    for nid in range(nn):
-        a0, a1 = start[nid], end[nid]
-        block = pts[a0:a1]
-        w = ms[a0:a1]
-        lo = block.min(axis=0)
-        hi = block.max(axis=0)
-        total = float(w.sum())
-        com = (w[:, None] * block).sum(axis=0) / total
-        delta = block - com
-        tree.lo[nid] = lo
-        tree.hi[nid] = hi
-        tree.com[nid] = com
-        tree.mass[nid] = total
-        tree.diam2[nid] = float(((hi - lo) ** 2).sum())
-        wd = w[:, None] * delta
-        tree.quad[nid] = np.einsum("ni,nj->ij", wd, delta)
-        tree.octu[nid] = np.einsum("ni,nj,nk->ijk", wd, delta, delta)
-        tree.hexa[nid] = np.einsum("ni,nj,nk,nl->ijkl", wd, delta, delta, delta)
-    return tree
+    bs: int
+    lo: np.ndarray
+    hi: np.ndarray
+    com: np.ndarray
+    mass: np.ndarray
+    diam2: np.ndarray
+    quad: np.ndarray
+    octu: np.ndarray
+    hexa: np.ndarray
 
 
-def _far_field(tree: _Tree, nid: int, sub: np.ndarray, s: float) -> np.ndarray:
+def _block_sizes(atoms: AtomSet, leaf_cap: int) -> list[int]:
+    """Atoms per node on each level, root first; the last level is the leaves."""
+    sizes = [atoms.block_size(0)]
+    while sizes[-1] > leaf_cap:
+        g = len(sizes)
+        if g <= atoms.params.depth:
+            sizes.append(atoms.block_size(g))
+        elif sizes[-1] % 2 == 0:
+            sizes.append(sizes[-1] // 2)
+        else:
+            break
+    return sizes
+
+
+def _level(atoms: AtomSet, bs: int) -> _Level:
+    block = atoms.points.reshape(-1, bs, atoms.d)
+    w = atoms.masses.reshape(-1, bs)
+    lo, hi = block.min(axis=1), block.max(axis=1)
+    mass = w.sum(axis=1)
+    com = (w[:, :, None] * block).sum(axis=1) / mass[:, None]
+    delta = block - com[:, None, :]
+    wd = w[:, :, None] * delta
+    return _Level(
+        bs, lo, hi, com, mass, ((hi - lo) ** 2).sum(axis=1),
+        np.einsum("qni,qnj->qij", wd, delta),
+        np.einsum("qni,qnj,qnk->qijk", wd, delta, delta),
+        np.einsum("qni,qnj,qnk,qnl->qijkl", wd, delta, delta, delta),
+    )
+
+
+def _far_field(lv: _Level, node: int, sub: np.ndarray, s: float) -> np.ndarray:
     """Multipole contribution of one cell at targets sub, kernel order s.
 
     Taylor of sum_i m_i K(y + delta_i) about the mass center (sum m delta
@@ -124,18 +108,18 @@ def _far_field(tree: _Tree, nid: int, sub: np.ndarray, s: float) -> np.ndarray:
     central moments with the kernel derivative tensors.
     """
     u = s + 1.0
-    y = tree.com[nid] - sub  # same orientation as the direct sum: atom - target
+    y = lv.com[node] - sub  # same orientation as the direct sum: atom - target
     r2 = (y * y).sum(axis=1)
     nrm = np.sqrt(r2)
     inv = 1.0 / r2
     # monopole, written exactly like the direct method's weight so a
     # point cell reproduces eval_brute bit for bit
-    mw = tree.mass[nid] / nrm**u
+    mw = lv.mass[node] / nrm**u
     out = y * mw[:, None]
 
-    q = tree.quad[nid]
-    o = tree.octu[nid]
-    p2 = mw * inv / tree.mass[nid]  # r^(-u-2), reusing the computed power
+    q = lv.quad[node]
+    o = lv.octu[node]
+    p2 = mw * inv / lv.mass[node]  # r^(-u-2), reusing the computed power
     p4 = p2 * inv
     p6 = p4 * inv
 
@@ -153,7 +137,7 @@ def _far_field(tree: _Tree, nid: int, sub: np.ndarray, s: float) -> np.ndarray:
         + (u * (u + 2.0) / 2.0) * (oyy + oiy[:, None] * y) * p4[:, None] \
         - (u * (u + 2.0) * (u + 4.0) / 6.0) * (oyyy * p6)[:, None] * y
 
-    h = tree.hexa[nid]
+    h = lv.hexa[node]
     hi_mat = np.einsum("bbde->de", h)
     hii = float(np.trace(hi_mat))
     hiy = y @ hi_mat
@@ -182,45 +166,35 @@ def eval_treecode(
     n_t = tgts.shape[0]
     if self_exclude and n_t != atoms.n:
         raise ParameterError("self_exclude requires one target per atom in atom order")
-    canonical = (1 << (d * atoms.params.depth)) * atoms.atoms_per_leaf
-    if atoms.n != canonical:
-        # _build_tree splits every cube into 2^d equal index ranges, which
-        # would silently drop atoms from any other count
-        raise ParameterError(
-            f"tree code needs the {canonical} atoms of atomize(); got {atoms.n}"
-        )
-    if n_t == 0:
-        return VecField(np.zeros((n_t, d)))
-
-    tree = _build_tree(atoms, config.leaf_cap)
+    levels = [_level(atoms, bs) for bs in _block_sizes(atoms, config.leaf_cap)]
     theta2 = config.theta_open * config.theta_open
     eps2 = spec.eps * spec.eps
     out = np.zeros((n_t, d))
 
-    # frontier of (node, pending target rows); children pushed in reverse so
-    # the traversal visits them in index order, keeping output deterministic
-    stack: list[tuple[int, np.ndarray]] = [(0, np.arange(n_t))]
+    # frontier of (level, node, pending target rows); children pushed in
+    # reverse so the traversal visits them in index order, keeping output
+    # deterministic
+    stack: list[tuple[int, int, np.ndarray]] = [(0, 0, np.arange(n_t))]
     while stack:
-        nid, idx = stack.pop()
+        g, q, idx = stack.pop()
+        lv = levels[g]
         sub = tgts[idx]
-        gap = np.maximum(tree.lo[nid] - sub, 0.0) + np.maximum(
-            sub - tree.hi[nid], 0.0
-        )
+        gap = np.maximum(lv.lo[q] - sub, 0.0) + np.maximum(sub - lv.hi[q], 0.0)
         dist2 = (gap * gap).sum(axis=1)
-        ok = (dist2 > eps2) & (dist2 > 0.0) & (tree.diam2[nid] <= theta2 * dist2)
+        ok = (dist2 > eps2) & (dist2 > 0.0) & (lv.diam2[q] <= theta2 * dist2)
         far = idx[ok]
         if far.size:
-            out[far] += _far_field(tree, nid, tgts[far], spec.s)
+            out[far] += _far_field(lv, q, tgts[far], spec.s)
         near = idx[~ok]
-        if near.size:
-            children = tree.kids[nid]
-            if children:
-                for c in reversed(children):
-                    stack.append((c, near))
-            else:
-                a0, a1 = int(tree.start[nid]), int(tree.end[nid])
-                out[near] += _direct_field(
-                    atoms.points[a0:a1], atoms.masses[a0:a1], tgts[near], spec,
-                    near, a0, self_exclude,
-                )
+        if not near.size:
+            continue
+        if g + 1 < len(levels):
+            fan = lv.bs // levels[g + 1].bs
+            stack.extend((g + 1, q * fan + c, near) for c in reversed(range(fan)))
+        else:
+            a0 = q * lv.bs
+            out[near] += _direct_field(
+                atoms.points[a0:a0 + lv.bs], atoms.masses[a0:a0 + lv.bs], tgts[near],
+                spec, near, a0, self_exclude,
+            )
     return VecField(out)

@@ -313,8 +313,7 @@ def gamma_plus_lower_bound(
     at_atoms = eval_brute(atoms, atoms.points, kspec, self_exclude=True)
     sup_atoms = float(at_atoms.magnitudes().max())
     grid = halo_grid(params, spec_h)
-    per_axis = round(atoms.atoms_per_leaf ** (1.0 / params.d))
-    grid = _drop_near_atoms(grid, atoms, 0.5 * params.leaf_side / max(1, per_axis))
+    grid = _drop_near_atoms(grid, atoms, 0.5 * params.leaf_side / max(1, atoms.refine_k))
     if grid.shape[0]:
         at_halo = eval_brute(atoms, grid, kspec)
         sup_halo = float(at_halo.magnitudes().max())

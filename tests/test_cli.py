@@ -5,11 +5,14 @@ the end checks the installed console script wiring.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cantor_riesz
 from cantor_riesz import ConfigError
 from cantor_riesz._version import __version__
 from cantor_riesz.cli import build_parser, main, parse_lambda
@@ -190,10 +193,14 @@ class TestArtifacts:
 
 
 def test_console_script_smoke(tmp_path):
+    # the child imports the package the tests imported, also when only
+    # pytest's own pythonpath setting put src/ on the path
+    paths = [str(Path(cantor_riesz.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "cantor_riesz.cli", "profile", "--N", "1",
          "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert "wrote" in proc.stdout

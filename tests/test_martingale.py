@@ -1,5 +1,7 @@
 """Cube-filtration averaging operators and their exact identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from cantor_riesz import (
     CantorParams,
     CellFunction,
     CubeId,
+    DecompositionReport,
     DepthError,
     ParameterError,
     atomize,
@@ -18,6 +21,8 @@ from cantor_riesz import (
     lift,
     project,
 )
+from cantor_riesz.martingale import _as_samples
+from cantor_riesz.riesz import pairwise_sum
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +171,113 @@ class TestGrouped:
     def test_rejects_bad_partitions(self, atoms, rng, bad):
         with pytest.raises(ParameterError):
             grouped(random_samples(atoms, rng), atoms, bad)
+
+
+# --- decompose() as it was before it moved its Gram matrix and telescope
+# residual to leaf-cube resolution, kept verbatim (with the helpers it
+# called) as the reference for the tests below.
+
+
+def _blocks(atoms, j: int) -> int:
+    """Atoms per generation-j cube; validates the canonical layout."""
+    d, n_gen = atoms.params.d, atoms.params.depth
+    if not (0 <= j <= n_gen):
+        raise DepthError(f"generation {j} outside [0, {n_gen}]")
+    expected = (1 << (d * n_gen)) * atoms.atoms_per_leaf
+    if atoms.n != expected:
+        raise ParameterError(
+            "atom set is not a full canonical atomization of the leaf grid"
+        )
+    return atoms.n >> (d * j)
+
+
+def _lift(cell, atoms) -> np.ndarray:
+    """Expand a cell function to atom resolution."""
+    bs = _blocks(atoms, cell.gen)
+    return np.repeat(cell.values, bs, axis=0)
+
+
+def _cell_norm_sq(cell, atoms) -> float:
+    bs = _blocks(atoms, cell.gen)
+    cube_mass = atoms.masses.reshape(-1, bs).sum(axis=1)
+    v = cell.values if cell.values.ndim == 2 else cell.values[:, None]
+    return float(pairwise_sum(cube_mass * (v**2).sum(axis=1)))
+
+
+def _atom_resolution_decompose(f, atoms) -> DecompositionReport:
+    arr = _as_samples(f, atoms)
+    n_gen = atoms.params.depth
+    cells = [project(arr, atoms, j) for j in range(n_gen + 1)]
+    branch = atoms.params.branching
+    diffs = [
+        CellFunction(
+            gen=j + 1,
+            values=cells[j + 1].values - np.repeat(cells[j].values, branch, axis=0),
+        )
+        for j in range(n_gen)
+    ]
+    d_norms = tuple(_cell_norm_sq(c, atoms) for c in diffs)
+    s0 = _cell_norm_sq(cells[0], atoms)
+    s_n = _cell_norm_sq(cells[n_gen], atoms)
+    m = atoms.masses
+    lifted = np.stack([_lift(c, atoms) for c in diffs]) if diffs else np.zeros((0, atoms.n, arr.shape[1]))
+    max_cross = 0.0
+    if len(diffs) > 1:
+        gram = np.einsum("jnc,knc,n->jk", lifted, lifted, m)
+        off = gram - np.diag(np.diag(gram))
+        max_cross = float(np.abs(off).max())
+    lift_n = _lift(cells[n_gen], atoms)
+    lift_0 = _lift(cells[0], atoms)
+    tele = lift_n - lift_0 - lifted.sum(axis=0)
+    telescope_err = float(np.abs(tele).max()) if tele.size else 0.0
+    parseval_lhs = s_n
+    parseval_rhs = s0 + np.sum(d_norms)
+    denom = max(abs(parseval_lhs), np.finfo(float).tiny)
+    parseval_rel = abs(parseval_lhs - parseval_rhs) / denom
+    f_norm = float(pairwise_sum(m * (arr**2).sum(axis=1)))
+    return DecompositionReport(
+        d_norms=d_norms,
+        s0_norm=s0,
+        sN_norm=s_n,
+        max_cross_inner=max_cross,
+        f_norm_sq=f_norm,
+        telescope_err=telescope_err,
+        parseval_rel_err=parseval_rel,
+    )
+
+
+class TestLeafResolutionDecompose:
+    @pytest.mark.parametrize("cols", [1, None])
+    @pytest.mark.parametrize(
+        "d, depth, refine_k", [(1, 6, 4), (1, 0, 2), (2, 3, 2), (3, 2, 2)]
+    )
+    def test_matches_atom_resolution(self, d, depth, refine_k, cols):
+        rng = np.random.default_rng(10 * d + depth)
+        lam = tuple(rng.uniform(0.1, 0.45, depth))
+        atoms = atomize(CantorParams(d=d, s=0.5, lam=lam), refine_k=refine_k)
+        shape = (atoms.n, d) if cols is None else (atoms.n,)
+        f = rng.normal(size=shape)
+        got, want = decompose(f, atoms), _atom_resolution_decompose(f, atoms)
+        assert got.d_norms == want.d_norms
+        assert got.s0_norm == want.s0_norm
+        assert got.sN_norm == want.sN_norm
+        assert got.f_norm_sq == want.f_norm_sq
+        assert got.parseval_rel_err == want.parseval_rel_err
+        # every atom of a leaf cube carries that cube's residual
+        assert got.telescope_err == want.telescope_err
+        # the Gram sums run over cubes instead of atoms: rounding noise only
+        assert got.max_cross_inner <= 1e-14 * got.f_norm_sq
+        assert abs(got.max_cross_inner - want.max_cross_inner) <= 1e-14 * got.f_norm_sq
+
+    def test_memory_is_per_leaf_cube(self):
+        # 65 536 atoms, 16 384 leaf cubes, 14 levels: the atom-resolution
+        # stack alone held 14 copies of the samples (peak 14.5 MB)
+        atoms = atomize(CantorParams(d=1, s=0.5, lam=(0.25,) * 14), refine_k=4)
+        f = np.random.default_rng(0).normal(size=atoms.n)
+        tracemalloc.start()
+        try:
+            decompose(f, atoms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

@@ -12,10 +12,20 @@ from cantor_riesz import (
     AtomSet,
     BudgetError,
     CantorParams,
+    DepthError,
+    KernelSpec,
     ParameterError,
+    StopConfig,
+    TreeCodeConfig,
     atomize,
     ball_mass,
+    build_profile,
+    classify,
     containing_cube,
+    decompose,
+    eval_treecode,
+    project,
+    verify_transform_lemmas,
 )
 from cantor_riesz.quadrature import _ball_box_volume, _box_near_far_sq
 
@@ -225,3 +235,53 @@ class TestAtomSetConstruction:
         )
         assert not aset.points.flags.writeable
         assert aset.n == 2
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("d, refine_k", [(1, 3), (2, 2), (3, 1)])
+    def test_contiguous_cube_runs(self, d, refine_k):
+        atoms = atomize(CantorParams(d=d, s=0.5, lam=(0.25, 0.3)), refine_k=refine_k)
+        for j in range(3):
+            bs = atoms.block_size(j)
+            assert bs * 2 ** (j * d) == atoms.n
+            # generation-j cube q is atoms [q*bs, (q+1)*bs): one ancestor each
+            anc = atoms.leaf_rank.reshape(-1, bs) >> ((2 - j) * d)
+            assert np.array_equal(anc, np.repeat(np.arange(2 ** (j * d)), bs).reshape(-1, bs))
+
+    def test_depth_outside_range(self, atoms_small):
+        for j in (-1, atoms_small.params.depth + 1):
+            with pytest.raises(DepthError):
+                atoms_small.block_size(j)
+
+    def test_one_refusal_for_a_hand_made_set(self):
+        # 301 atoms are not 2^(Nd) * refine_k^d, so no cube is a block; the
+        # projection, decomposition, tree code and transform lemmas all
+        # refuse through the same check
+        params = CantorParams(d=1, s=0.5, lam=(0.25,) * 4)
+        pts = np.linspace(0.0, 1.0, 301).reshape(-1, 1)
+        atoms = AtomSet(
+            params=params,
+            refine_k=1,
+            points=pts,
+            masses=np.full(301, 1.0 / 301),
+            leaf_rank=np.zeros(301, dtype=np.int64),
+        )
+        prof = build_profile(params)
+        cls = classify(prof.theta, prof.p, prof.ell, StopConfig(), n=4)
+        calls = [
+            lambda: atoms.block_size(2),
+            lambda: project(pts[:, 0], atoms, 1),
+            lambda: decompose(pts, atoms),
+            lambda: eval_treecode(
+                atoms, pts, KernelSpec(s=0.5),
+                TreeCodeConfig(theta_open=0.01, leaf_cap=1), self_exclude=True,
+            ),
+            lambda: verify_transform_lemmas(atoms, pts, cls, prof),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ParameterError, match="expected 16 atoms, got 301") as err:
+                call()
+            assert not isinstance(err.value, DepthError)
+            messages.add(str(err.value))
+        assert len(messages) == 1

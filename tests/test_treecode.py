@@ -174,3 +174,200 @@ class TestContract:
     def test_order_guard(self, deep_atoms):
         with pytest.raises(ParameterError):
             eval_treecode(deep_atoms, [[5.0]], KernelSpec(s=1.5))
+
+
+# --- The recursive builder and traversal that the level tree replaced, kept
+# verbatim as the reference for the differential test below.  Uneven
+# splits of odd blocks are the one place where the two trees differ.
+
+class _Tree:
+    """Flat node arrays; kids[i] lists child node ids (empty at leaves)."""
+
+    __slots__ = ("start", "end", "lo", "hi", "com", "mass", "diam2",
+                 "quad", "octu", "hexa", "kids")
+
+
+def _build_tree(atoms: AtomSet, leaf_cap: int) -> _Tree:
+    pts, ms = atoms.points, atoms.masses
+    per_leaf = atoms.atoms_per_leaf
+    branch = atoms.params.branching
+    d = atoms.d
+
+    start: list[int] = []
+    end: list[int] = []
+    kids: list[list[int]] = []
+
+    def rec(a0: int, a1: int) -> int:
+        nid = len(start)
+        start.append(a0)
+        end.append(a1)
+        kids.append([])
+        count = a1 - a0
+        if count > leaf_cap:
+            if count > per_leaf:
+                step = count // branch
+                kids[nid] = [
+                    rec(a0 + c * step, a0 + (c + 1) * step) for c in range(branch)
+                ]
+            else:
+                mid = a0 + count // 2
+                kids[nid] = [rec(a0, mid), rec(mid, a1)]
+        return nid
+
+    rec(0, atoms.n)
+    nn = len(start)
+
+    tree = _Tree()
+    tree.start = np.asarray(start)
+    tree.end = np.asarray(end)
+    tree.kids = kids
+    tree.lo = np.empty((nn, d))
+    tree.hi = np.empty((nn, d))
+    tree.com = np.empty((nn, d))
+    tree.mass = np.empty(nn)
+    tree.diam2 = np.empty(nn)
+    tree.quad = np.empty((nn, d, d))
+    tree.octu = np.empty((nn, d, d, d))
+    tree.hexa = np.empty((nn, d, d, d, d))
+    for nid in range(nn):
+        a0, a1 = start[nid], end[nid]
+        block = pts[a0:a1]
+        w = ms[a0:a1]
+        lo = block.min(axis=0)
+        hi = block.max(axis=0)
+        total = float(w.sum())
+        com = (w[:, None] * block).sum(axis=0) / total
+        delta = block - com
+        tree.lo[nid] = lo
+        tree.hi[nid] = hi
+        tree.com[nid] = com
+        tree.mass[nid] = total
+        tree.diam2[nid] = float(((hi - lo) ** 2).sum())
+        wd = w[:, None] * delta
+        tree.quad[nid] = np.einsum("ni,nj->ij", wd, delta)
+        tree.octu[nid] = np.einsum("ni,nj,nk->ijk", wd, delta, delta)
+        tree.hexa[nid] = np.einsum("ni,nj,nk,nl->ijkl", wd, delta, delta, delta)
+    return tree
+
+
+def _far_field(tree: _Tree, nid: int, sub: np.ndarray, s: float) -> np.ndarray:
+    """Multipole contribution of one cell at targets sub, kernel order s.
+
+    Taylor of sum_i m_i K(y + delta_i) about the mass center (sum m delta
+    vanishes there): monopole plus contractions of the second and third
+    central moments with the kernel derivative tensors.
+    """
+    u = s + 1.0
+    y = tree.com[nid] - sub  # same orientation as the direct sum: atom - target
+    r2 = (y * y).sum(axis=1)
+    nrm = np.sqrt(r2)
+    inv = 1.0 / r2
+    # monopole, written exactly like the direct method's weight so a
+    # point cell reproduces eval_brute bit for bit
+    mw = tree.mass[nid] / nrm**u
+    out = y * mw[:, None]
+
+    q = tree.quad[nid]
+    o = tree.octu[nid]
+    p2 = mw * inv / tree.mass[nid]  # r^(-u-2), reusing the computed power
+    p4 = p2 * inv
+    p6 = p4 * inv
+
+    qy = y @ q
+    yqy = (y * qy).sum(axis=1)
+    qtr = float(np.trace(q))
+    out += -(u / 2.0) * (2.0 * qy + qtr * y) * p2[:, None] \
+        + (u * (u + 2.0) / 2.0) * (yqy * p4)[:, None] * y
+
+    oi = np.einsum("abb->a", o)
+    oyy = np.einsum("abc,nb,nc->na", o, y, y)
+    oiy = y @ oi
+    oyyy = (y * oyy).sum(axis=1)
+    out += -(u / 2.0) * oi[None, :] * p2[:, None] \
+        + (u * (u + 2.0) / 2.0) * (oyy + oiy[:, None] * y) * p4[:, None] \
+        - (u * (u + 2.0) * (u + 4.0) / 6.0) * (oyyy * p6)[:, None] * y
+
+    h = tree.hexa[nid]
+    hi_mat = np.einsum("bbde->de", h)
+    hii = float(np.trace(hi_mat))
+    hiy = y @ hi_mat
+    hiyy = (y * hiy).sum(axis=1)
+    hyyy = np.einsum("abcd,nb,nc,nd->na", h, y, y, y)
+    hyyyy = (y * hyyy).sum(axis=1)
+    p8 = p6 * inv
+    c2 = u * (u + 2.0)
+    out += (c2 / 24.0) * (12.0 * hiy + 3.0 * hii * y) * p4[:, None] \
+        - (c2 * (u + 4.0) / 24.0) * (4.0 * hyyy + 6.0 * hiyy[:, None] * y) * p6[:, None] \
+        + (c2 * (u + 4.0) * (u + 6.0) / 24.0) * (hyyyy * p8)[:, None] * y
+    return out
+
+
+def _recursive_treecode(atoms, tgts, spec, config, self_exclude):
+    n_t, d = tgts.shape
+    _direct_field = riesz_mod._direct_field
+    tree = _build_tree(atoms, config.leaf_cap)
+    theta2 = config.theta_open * config.theta_open
+    eps2 = spec.eps * spec.eps
+    out = np.zeros((n_t, d))
+
+    # frontier of (node, pending target rows); children pushed in reverse so
+    # the traversal visits them in index order, keeping output deterministic
+    stack: list[tuple[int, np.ndarray]] = [(0, np.arange(n_t))]
+    while stack:
+        nid, idx = stack.pop()
+        sub = tgts[idx]
+        gap = np.maximum(tree.lo[nid] - sub, 0.0) + np.maximum(
+            sub - tree.hi[nid], 0.0
+        )
+        dist2 = (gap * gap).sum(axis=1)
+        ok = (dist2 > eps2) & (dist2 > 0.0) & (tree.diam2[nid] <= theta2 * dist2)
+        far = idx[ok]
+        if far.size:
+            out[far] += _far_field(tree, nid, tgts[far], spec.s)
+        near = idx[~ok]
+        if near.size:
+            children = tree.kids[nid]
+            if children:
+                for c in reversed(children):
+                    stack.append((c, near))
+            else:
+                a0, a1 = int(tree.start[nid]), int(tree.end[nid])
+                out[near] += _direct_field(
+                    atoms.points[a0:a1], atoms.masses[a0:a1], tgts[near], spec,
+                    near, a0, self_exclude,
+                )
+    return out
+
+
+class TestLevelTreeMatchesRecursive:
+    # about 256-512 atoms per set; N is chosen so that refine_k^d * 2^(Nd) fits
+    DEPTH = {(1, 1): 8, (1, 2): 7, (1, 4): 6, (2, 1): 4, (2, 2): 3, (2, 4): 2,
+             (3, 1): 3, (3, 2): 2, (3, 4): 1}
+
+    @pytest.mark.parametrize("leaf_cap", [1, 4, 128])
+    @pytest.mark.parametrize("refine_k", [1, 2, 4])
+    @pytest.mark.parametrize("d, s", [(1, 0.5), (2, 1.0), (3, 1.5)])
+    def test_against_recursive_builder(self, d, s, refine_k, leaf_cap):
+        rng = np.random.default_rng(1000 * d + 10 * refine_k + leaf_cap)
+        lam = tuple(rng.uniform(0.2, 0.3, self.DEPTH[d, refine_k]))
+        atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=refine_k)
+        spec = KernelSpec(s=s)
+        cfg = TreeCodeConfig(leaf_cap=leaf_cap)
+        outside = rng.uniform(-0.2, 1.2, size=(64, d))
+        for tgts, excl in ((atoms.points, True), (outside, False)):
+            want = _recursive_treecode(atoms, tgts, spec, cfg, excl)
+            got = eval_treecode(atoms, tgts, spec, cfg, self_exclude=excl)
+            assert rel_err(got.values, want) <= 1e-12
+
+    @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 5), (2, 1.0, 2), (3, 1.5, 1)])
+    def test_odd_leaf_blocks_sum_directly(self, d, s, depth):
+        # refine_k = 3 gives odd leaf blocks, which stay leaves instead of
+        # being split unevenly; with every extended cell opened the tree
+        # must reproduce the direct sum
+        lam = tuple(np.random.default_rng(d).uniform(0.2, 0.3, depth))
+        atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=3)
+        spec = KernelSpec(s=s)
+        cfg = TreeCodeConfig(theta_open=1e-8, leaf_cap=1)
+        want = eval_brute(atoms, atoms.points, spec, True)
+        got = eval_treecode(atoms, atoms.points, spec, cfg, self_exclude=True)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
