@@ -17,7 +17,10 @@ A cell is summarized when
 
 and the whole cell lies strictly beyond the truncation radius; otherwise it
 is opened, and tree leaves are evaluated atom by atom exactly like the
-direct method.
+direct method.  Targets enter the traversal in runs of _TARGET_CHUNK rows, so
+its index arrays and far-field temporaries stay the size of one run however
+many targets there are; a target meets the same cells in the same order
+whichever run it is in.
 
 A summarized cell contributes a Taylor expansion of the kernel about the
 cell's mass center through fourth order.  Placing the expansion at the mass
@@ -40,6 +43,8 @@ from .quadrature import AtomSet
 from .riesz import KernelSpec, VecField, _as_targets, _check_order, _direct_field
 
 __all__ = ["TreeCodeConfig", "eval_treecode"]
+
+_TARGET_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -171,10 +176,13 @@ def eval_treecode(
     eps2 = spec.eps * spec.eps
     out = np.zeros((n_t, d))
 
-    # frontier of (level, node, pending target rows); children pushed in
-    # reverse so the traversal visits them in index order, keeping output
-    # deterministic
-    stack: list[tuple[int, int, np.ndarray]] = [(0, 0, np.arange(n_t))]
+    # frontier of (level, node, pending target rows), one root entry per
+    # run of targets; children pushed in reverse so the traversal visits
+    # them in index order, keeping output deterministic
+    stack: list[tuple[int, int, np.ndarray]] = [
+        (0, 0, np.arange(t0, min(t0 + _TARGET_CHUNK, n_t)))
+        for t0 in reversed(range(0, n_t, _TARGET_CHUNK))
+    ]
     while stack:
         g, q, idx = stack.pop()
         lv = levels[g]
