@@ -211,7 +211,7 @@ def run_ratio_experiment(
     raising.  With ``transform_lemmas`` each record also carries the measured
     field-level inequality report.  Its per-cube inside fields add about
     n^2 / (2^d - 1) pairs to the field's n^2: on a 2-core Xeon a direct-sum
-    case took 2.4-2.7x as long at d = 1 with 4 096-8 192 atoms and 1.5x at
+    case took 2.3-2.9x as long at d = 1 with 4 096-8 192 atoms and 1.8x at
     d = 2 with 4 096 atoms.
     """
     cases = enumerate_cases(config)

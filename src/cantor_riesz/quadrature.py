@@ -10,6 +10,7 @@ a whole array of radii.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,20 +49,32 @@ class AtomSet:
     def atoms_per_leaf(self) -> int:
         return self.refine_k**self.params.d
 
+    @functools.cached_property
+    def _layout_error(self) -> str | None:
+        """Why the set is not in atomize()'s layout, or None; checked once per set."""
+        n_leaves = 1 << (self.params.d * self.params.depth)
+        expected = n_leaves * self.atoms_per_leaf
+        if self.n != expected:
+            return f"expected {expected} atoms, got {self.n}"
+        if not np.array_equal(
+            self.leaf_rank, np.repeat(np.arange(n_leaves), self.atoms_per_leaf)
+        ):
+            return "atoms are not grouped leaf by leaf in path-lex order"
+        return None
+
     def block_size(self, j: int) -> int:
         """Atoms per generation-j cube in atomize()'s layout.
 
         Every generation-j cube is one contiguous run of this many atoms; a
-        set of any other size is refused, since no block arithmetic holds.
+        set of any other size, or whose leaf_rank does not run 0, ..., 0, 1,
+        ... with refine_k^d atoms per leaf, is refused, since no block
+        arithmetic holds.
         """
         d, n_gen = self.params.d, self.params.depth
         if not 0 <= j <= n_gen:
             raise DepthError(f"generation {j} outside [0, {n_gen}]")
-        expected = (1 << (d * n_gen)) * self.atoms_per_leaf
-        if self.n != expected:
-            raise ParameterError(
-                f"atom set is not atomize()'s layout: expected {expected} atoms, got {self.n}"
-            )
+        if self._layout_error is not None:
+            raise ParameterError(f"atom set is not atomize()'s layout: {self._layout_error}")
         return self.n >> (d * j)
 
     def leaf_of(self, i: int) -> CubeId:

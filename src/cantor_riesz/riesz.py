@@ -6,11 +6,17 @@ m_a * K(p_a - t) over atoms with |p_a - t| > eps (strict).  Sums are
 accumulated by a balanced adjacent-pair cascade in atom-index order, which
 makes every result deterministic for a fixed atom ordering.
 
-Direct sums (eval_brute, and the tree code's leaves) share one pair kernel
-that takes target rows in chunks of about _CHUNK_ELEMS = 65 536 (target,
-atom) pairs, or one row when there are more atoms than that.  A chunk's
-temporaries hold at most (2d + 2) * max(_CHUNK_ELEMS, n_atoms) floats,
-4 MiB for d = 3 and up to 65 536 atoms, so they stay in cache.
+Direct sums (eval_brute, the tree code's leaves and the transform lemmas)
+share one pair kernel.  It is coordinate-major: atoms and targets come as
+(d, n) arrays, and each coordinate of a chunk's separations is one
+contiguous (targets, atoms) array, so every numpy call runs over pairs
+rather than over d.  Targets are taken in chunks of about
+_CHUNK_ELEMS = 65 536 (target, atom) pairs, or one at a time when there are
+more atoms than that.  A chunk's temporaries hold at most
+(d + 2) * max(_CHUNK_ELEMS, n_atoms) floats (the d coordinate arrays, the
+pair weights, and a product or the cascade's halves) plus a byte per pair
+for the truncation mask: 2.5 MiB for d = 3 and up to 65 536 atoms, so they
+stay in cache.
 """
 
 from __future__ import annotations
@@ -79,19 +85,21 @@ def pairwise_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
     Pairs (0,1), (2,3), ... are combined per round; an odd tail element
     passes through to the next round.  Deterministic for a fixed row order.
     """
-    a = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
-    n = a.shape[0]
+    a = np.asarray(a, dtype=float)
+    axis = range(a.ndim)[axis]  # a negative axis counts from the end
+    lead = (slice(None),) * axis
+    evens, odds = lead + (slice(0, None, 2),), lead + (slice(1, None, 2),)
+    n = a.shape[axis]
     if n == 0:
-        return np.zeros(a.shape[1:], dtype=float)
+        return np.zeros(a.shape[:axis] + a.shape[axis + 1 :])
     while n > 1:
-        m = n // 2
-        paired = a[0 : 2 * m : 2] + a[1 : 2 * m : 2]
         if n % 2:
-            a = np.concatenate([paired, a[2 * m :]], axis=0)
+            nxt = a[evens].copy()  # the odd tail passes through
+            nxt[lead + (slice(0, n // 2),)] += a[odds]
         else:
-            a = paired
-        n = a.shape[0]
-    return a[0]
+            nxt = a[evens] + a[odds]
+        a, n = nxt, n - n // 2
+    return a[lead + (0,)]
 
 
 def kernel(x, s: float) -> np.ndarray:
@@ -120,34 +128,39 @@ def _check_order(spec: KernelSpec, d: int) -> None:
 
 
 def _direct_field(
-    points: np.ndarray,
+    px: np.ndarray,
     masses: np.ndarray,
-    tgts: np.ndarray,
+    tx: np.ndarray,
     spec: KernelSpec,
     tgt_ids: np.ndarray,
     atom0: int = 0,
     self_exclude: bool = False,
 ) -> np.ndarray:
-    """Direct pair sums of a run of atoms at each target row, (m, d).
+    """Direct pair sums of a run of atoms at each target, coordinate-major.
 
-    The atoms carry global indices atom0, atom0 + 1, ...; tgt_ids holds the
-    global index of each target row.  With self_exclude set, target t skips
-    the atom of global index t when that atom lies in the run.  Target rows
-    are taken in chunks of about _CHUNK_ELEMS pairs (see the module
-    docstring for the memory bound).
+    px (d, n) holds the atoms and tx (d, m) the targets, one row per
+    coordinate; the result is (d, m).  The atoms carry global indices
+    atom0, atom0 + 1, ...; tgt_ids holds the global index of each target.
+    With self_exclude set, target t skips the atom of global index t when
+    that atom lies in the run.  Targets are taken in chunks of about
+    _CHUNK_ELEMS pairs (see the module docstring for the memory bound).
     """
-    n, d = points.shape
+    d, n = px.shape
+    m = tx.shape[1]
     u = spec.s + 1.0
-    out = np.empty((tgts.shape[0], d))
+    out = np.empty((d, m))
     chunk = max(1, _CHUNK_ELEMS // max(n, 1))
-    for t0 in range(0, tgts.shape[0], chunk):
+    # one contiguous (targets, atoms) array per coordinate, reused by every
+    # chunk, and the squared distances that become the pair weights
+    diffs_buf = np.empty((d, min(chunk, m), n))
+    r2_buf = np.empty((min(chunk, m), n))
+    for t0 in range(0, m, chunk):
         ids = tgt_ids[t0 : t0 + chunk]
-        diffs = points[None, :, :] - tgts[t0 : t0 + chunk, None, :]
-        # an explicit loop over coordinates rounds exactly like
-        # (diffs**2).sum(axis=2) for d <= 3, and is much faster
-        r2 = diffs[:, :, 0] * diffs[:, :, 0]
+        diffs = diffs_buf[:, : ids.size]
+        np.subtract(px[:, None, :], tx[:, t0 : t0 + chunk, None], out=diffs)
+        r2 = np.multiply(diffs[0], diffs[0], out=r2_buf[: ids.size])
         for k in range(1, d):
-            r2 += diffs[:, :, k] * diffs[:, :, k]
+            r2 += diffs[k] * diffs[k]
         if self_exclude:
             rows = np.flatnonzero((ids >= atom0) & (ids < atom0 + n))
             cols = ids[rows] - atom0
@@ -168,8 +181,9 @@ def _direct_field(
             w[drop] = 0.0
         if self_exclude:
             w[rows, cols] = 0.0
-        diffs *= w[:, :, None]
-        out[t0 : t0 + chunk] = pairwise_sum(diffs, axis=1)
+        for k in range(d):
+            diffs[k] *= w
+            out[k, t0 : t0 + chunk] = pairwise_sum(diffs[k], axis=1)
     return out
 
 
@@ -192,12 +206,11 @@ def eval_brute(
         raise ParameterError(
             "self_exclude requires one target per atom in atom order"
         )
-    return VecField(
-        _direct_field(
-            atoms.points, atoms.masses, tgts, spec, np.arange(n_t),
-            self_exclude=self_exclude,
-        )
+    field = _direct_field(
+        np.ascontiguousarray(atoms.points.T), atoms.masses,
+        np.ascontiguousarray(tgts.T), spec, np.arange(n_t), self_exclude=self_exclude,
     )
+    return VecField(np.ascontiguousarray(field.T))
 
 
 def l2_norm_sq(field: VecField, atoms: AtomSet) -> float:

@@ -655,16 +655,16 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
 
     best: float | None = None
     pair = (0.0, 0.0)
+    px = np.ascontiguousarray(atoms.points.T)
     for j in range(1, n_gen + 1):
         bs = atoms.block_size(j)
         denom = (el[j] / el[j - 1]) * pr[j - 1]
-        pts = atoms.points.reshape(-1, bs, d)
-        ms = atoms.masses.reshape(-1, bs)
-        for q in range(pts.shape[0]):
+        for a0 in range(0, atoms.n, bs):
+            cube = px[:, a0 : a0 + bs]
             inside = _direct_field(
-                pts[q], ms[q], pts[q], spec, np.arange(bs), self_exclude=True
+                cube, atoms.masses[a0 : a0 + bs], cube, spec, np.arange(bs), self_exclude=True
             )
-            outside = values[q * bs : (q + 1) * bs] - inside
+            outside = values[a0 : a0 + bs] - inside.T
             osc = float(np.sqrt(((outside.max(axis=0) - outside.min(axis=0)) ** 2).sum()))
             ratio = _ratio(osc, denom)
             if ratio is not None and (best is None or ratio > best):

@@ -9,7 +9,13 @@ cube's sub-grid keeps halving, children (g+1, 2q + c), while its blocks are
 even and hold more than leaf_cap atoms; an odd block stays a leaf.  All
 nodes of a level have the same size, so a level is a leaf level or none of
 its nodes is a leaf, and its bounding boxes, mass centers and central
-moments come from one reshape of the atoms to (nodes, b, d).
+moments come from one reshape of the atoms to (d, nodes, b).
+
+Everything the traversal touches is coordinate-major: atoms, targets,
+bounding boxes and mass centers are (d, n) arrays with one contiguous row
+per coordinate, so in the opening test, the far field and the leaves' pair
+kernel each numpy call's inner loop runs over targets or pairs, never over
+the d coordinates.
 
 A cell is summarized when
 
@@ -17,22 +23,29 @@ A cell is summarized when
 
 and the whole cell lies strictly beyond the truncation radius; otherwise it
 is opened, and tree leaves are evaluated atom by atom exactly like the
-direct method.  Targets enter the traversal in runs of _TARGET_CHUNK rows, so
-its index arrays and far-field temporaries stay the size of one run however
-many targets there are; a target meets the same cells in the same order
-whichever run it is in.
+direct method.  Targets enter the traversal in runs of _TARGET_CHUNK, so
+its index arrays, target coordinates and far-field temporaries stay the
+size of one run however many targets there are; a target meets the same
+cells in the same order whichever run it is in.
 
 A summarized cell contributes a Taylor expansion of the kernel about the
 cell's mass center through fourth order.  Placing the expansion at the mass
 center kills the first-order term, so the first neglected term is fifth
 order and the error of one cell scales like (diameter/distance)^5 relative
-to that cell's own contribution.  As theta_open -> 0 every cell is opened
-and the output matches eval_brute to floating-point rounding (the same pair
-terms, summed in a different order).
+to that cell's own contribution.  Each level precomputes what of the
+expansion does not depend on the target: the moment traces and, for the
+rest, coefficients on the monomials y^t of degree <= 3 (one per sorted index
+tuple t, weighted by its multiplicity in the symmetric moment tensors), so a
+far-field call evaluates the monomials once and contracts them in one
+product.  As theta_open -> 0 every cell is opened and the output matches
+eval_brute to floating-point rounding (the same pair terms, summed in a
+different order).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,7 +75,11 @@ class TreeCodeConfig:
 
 
 class _Level(NamedTuple):
-    """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs)."""
+    """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs).
+
+    lo, hi and com are coordinate-major (d, nodes); trace and coef hold the
+    expansion of each node as _far_field uses it.
+    """
 
     bs: int
     lo: np.ndarray
@@ -70,9 +87,41 @@ class _Level(NamedTuple):
     com: np.ndarray
     mass: np.ndarray
     diam2: np.ndarray
-    quad: np.ndarray
-    octu: np.ndarray
-    hexa: np.ndarray
+    trace: np.ndarray  # (nodes, 2): scalar terms t2, t4
+    coef: np.ndarray  # (nodes, 6d, basis size): polynomials v2 w4 v4 w6 v6 w8
+
+
+class _Basis(NamedTuple):
+    """Monomials y^t of degree 0..3 in d variables, one per sorted tuple t.
+
+    Degree k fills columns cols[k], ordered by last coordinate, so those
+    ending in c are a prefix of degree k-1 times y[c]: each step (src, dst,
+    c) sets columns dst to columns src times y[c].  Column i's monomial sits
+    at flat[i] in a (d,)*k tensor and stands for mult[i] entries of a
+    symmetric one.
+    """
+
+    cols: list
+    steps: list
+    flat: np.ndarray
+    mult: np.ndarray
+
+
+@functools.cache
+def _basis(d: int) -> _Basis:
+    terms, cols, steps = [()], [slice(0, 1)], []
+    for _ in range(3):
+        prev = terms[cols[-1]]
+        for c in range(d):
+            head = [t for t in prev if not t or t[-1] <= c]
+            src = slice(cols[-1].start, cols[-1].start + len(head))
+            steps.append((src, slice(len(terms), len(terms) + len(head)), c))
+            terms += [t + (c,) for t in head]
+        cols.append(slice(cols[-1].stop, len(terms)))
+    flat = [sum(c * d**i for i, c in enumerate(reversed(t))) for t in terms]
+    mult = [math.factorial(len(t)) // math.prod(math.factorial(t.count(c)) for c in set(t))
+            for t in terms]
+    return _Basis(cols, steps, np.array(flat), np.array(mult))
 
 
 def _block_sizes(atoms: AtomSet, leaf_cap: int) -> list[int]:
@@ -89,72 +138,90 @@ def _block_sizes(atoms: AtomSet, leaf_cap: int) -> list[int]:
     return sizes
 
 
-def _level(atoms: AtomSet, bs: int) -> _Level:
-    block = atoms.points.reshape(-1, bs, atoms.d)
-    w = atoms.masses.reshape(-1, bs)
-    lo, hi = block.min(axis=1), block.max(axis=1)
+def _level(px: np.ndarray, masses: np.ndarray, bs: int, u: float) -> _Level:
+    """Boxes, mass centres and expansion coefficients of one level, kernel power u."""
+    d = px.shape[0]
+    block = px.reshape(d, -1, bs)
+    w = masses.reshape(-1, bs)
+    lo, hi = block.min(axis=2), block.max(axis=2)
     mass = w.sum(axis=1)
-    com = (w[:, :, None] * block).sum(axis=1) / mass[:, None]
-    delta = block - com[:, None, :]
-    wd = w[:, :, None] * delta
+    com = (w * block).sum(axis=2) / mass
+    nodes = mass.shape[0]
+    # central moments as full symmetric tensors, node axis first
+    delta = (block - com[:, :, None]).transpose(1, 0, 2)
+    pairs = (delta[:, :, None] * delta[:, None]).reshape(nodes, d * d, bs)
+    wpairs = pairs * w[:, None, :]
+    quad = wpairs.sum(axis=2).reshape(nodes, d, d)
+    octu = (wpairs @ delta.transpose(0, 2, 1)).reshape(nodes, d, d, d)
+    hexa = (wpairs @ pairs.transpose(0, 2, 1)).reshape(nodes, d, d, d, d)
+    oi = np.trace(octu, axis1=2, axis2=3)  # O_abb
+    hi_mat = np.trace(hexa, axis1=1, axis2=2)  # H_bbde
+    b = _basis(d)
+
+    def along(t: np.ndarray, k: int) -> np.ndarray:
+        """Coefficients of (t . y^k)_a on the degree-k monomials."""
+        return t.reshape(nodes, d, -1)[:, :, b.flat[b.cols[k]]] * b.mult[b.cols[k]]
+
+    # rows v2 w4 v4 w6 v6 w8 of _far_field, each a vector polynomial in y
+    # built from the quadrupole, octupole and hexadecapole, the trace vector
+    # O_abb and the trace matrix H_bbde, with the kernel's Taylor factors
+    c2 = u * (u + 2.0)
+    c3 = c2 * (u + 4.0)
+    coef = np.zeros((nodes, 6, d, b.cols[-1].stop))
+    coef[:, 0, :, 0] = -(u / 2.0) * oi
+    coef[:, 0, :, b.cols[1]] = -u * quad
+    coef[:, 1, :, 0] = (c2 / 2.0) * oi
+    coef[:, 1, :, b.cols[1]] = (c2 / 2.0) * quad
+    coef[:, 2, :, b.cols[1]] = (c2 / 2.0) * hi_mat
+    coef[:, 2, :, b.cols[2]] = (c2 / 2.0) * along(octu, 2)
+    coef[:, 3, :, b.cols[1]] = -(c3 / 4.0) * hi_mat
+    coef[:, 3, :, b.cols[2]] = -(c3 / 6.0) * along(octu, 2)
+    coef[:, 4, :, b.cols[3]] = -(c3 / 6.0) * along(hexa, 3)
+    coef[:, 5, :, b.cols[3]] = (c3 * (u + 6.0) / 24.0) * along(hexa, 3)
+    trace = np.stack([
+        -(u / 2.0) * np.trace(quad, axis1=1, axis2=2),
+        (c2 / 8.0) * np.trace(hi_mat, axis1=1, axis2=2),
+    ], axis=1)
     return _Level(
-        bs, lo, hi, com, mass, ((hi - lo) ** 2).sum(axis=1),
-        np.einsum("qni,qnj->qij", wd, delta),
-        np.einsum("qni,qnj,qnk->qijk", wd, delta, delta),
-        np.einsum("qni,qnj,qnk,qnl->qijkl", wd, delta, delta, delta),
+        bs, lo, hi, com, mass, ((hi - lo) ** 2).sum(axis=0), trace,
+        coef.reshape(nodes, 6 * d, -1),
     )
 
 
-def _far_field(lv: _Level, node: int, sub: np.ndarray, s: float) -> np.ndarray:
-    """Multipole contribution of one cell at targets sub, kernel order s.
+def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
+    """Multipole contribution of cell q at separations y = com - target, (d, n).
 
     Taylor of sum_i m_i K(y + delta_i) about the mass center (sum m delta
-    vanishes there): monopole plus contractions of the second and third
-    central moments with the kernel derivative tensors.
+    vanishes there) through fourth order, grouped by powers of r^-2:
+
+        y * (m r^-u + r^(-u-2) (t2 + r^-2 (t4 + y . w(y)))) + r^(-u-2) v(y)
+
+    with v = v2 + r^-2 (v4 + r^-2 v6) and w = w4 + r^-2 (w6 + r^-2 w8),
+    vector polynomials of degree <= 3 in y whose monomial coefficients, like
+    the scalars t2 and t4, _level takes from the node's central moments.
     """
-    u = s + 1.0
-    y = lv.com[node] - sub  # same orientation as the direct sum: atom - target
-    r2 = (y * y).sum(axis=1)
+    d, n = y.shape
+    r2 = (y * y).sum(axis=0)
     nrm = np.sqrt(r2)
     inv = 1.0 / r2
     # monopole, written exactly like the direct method's weight so a
     # point cell reproduces eval_brute bit for bit
-    mw = lv.mass[node] / nrm**u
-    out = y * mw[:, None]
-
-    q = lv.quad[node]
-    o = lv.octu[node]
-    p2 = mw * inv / lv.mass[node]  # r^(-u-2), reusing the computed power
-    p4 = p2 * inv
-    p6 = p4 * inv
-
-    qy = y @ q
-    yqy = (y * qy).sum(axis=1)
-    qtr = float(np.trace(q))
-    out += -(u / 2.0) * (2.0 * qy + qtr * y) * p2[:, None] \
-        + (u * (u + 2.0) / 2.0) * (yqy * p4)[:, None] * y
-
-    oi = np.einsum("abb->a", o)
-    oyy = np.einsum("abc,nb,nc->na", o, y, y)
-    oiy = y @ oi
-    oyyy = (y * oyy).sum(axis=1)
-    out += -(u / 2.0) * oi[None, :] * p2[:, None] \
-        + (u * (u + 2.0) / 2.0) * (oyy + oiy[:, None] * y) * p4[:, None] \
-        - (u * (u + 2.0) * (u + 4.0) / 6.0) * (oyyy * p6)[:, None] * y
-
-    h = lv.hexa[node]
-    hi_mat = np.einsum("bbde->de", h)
-    hii = float(np.trace(hi_mat))
-    hiy = y @ hi_mat
-    hiyy = (y * hiy).sum(axis=1)
-    hyyy = np.einsum("abcd,nb,nc,nd->na", h, y, y, y)
-    hyyyy = (y * hyyy).sum(axis=1)
-    p8 = p6 * inv
-    c2 = u * (u + 2.0)
-    out += (c2 / 24.0) * (12.0 * hiy + 3.0 * hii * y) * p4[:, None] \
-        - (c2 * (u + 4.0) / 24.0) * (4.0 * hyyy + 6.0 * hiyy[:, None] * y) * p6[:, None] \
-        + (c2 * (u + 4.0) * (u + 6.0) / 24.0) * (hyyyy * p8)[:, None] * y
-    return out
+    mw = lv.mass[q] / nrm**u
+    p2 = mw * inv / lv.mass[q]  # r^(-u-2), reusing the computed power
+    b = _basis(d)
+    basis = np.empty((b.cols[-1].stop, n))
+    basis[0] = 1.0
+    for src, dst, c in b.steps:
+        np.multiply(basis[src], y[c], out=basis[dst])
+    if n == 1:
+        # einsum sums a lone column's products in another order; doubling it
+        # keeps every target's value the same however targets are grouped
+        basis = np.repeat(basis, 2, axis=1)
+    poly = np.einsum("rj,jn->rn", lv.coef[q], basis)[:, :n].reshape(3, 2 * d, n)
+    vw = poly[0] + inv * (poly[1] + inv * poly[2])
+    t2, t4 = lv.trace[q]
+    scale = mw + p2 * (t2 + inv * (t4 + (y * vw[d:]).sum(axis=0)))
+    return y * scale + p2 * vw[:d]
 
 
 def eval_treecode(
@@ -167,42 +234,52 @@ def eval_treecode(
     """Tree-code evaluation with the same contract as eval_brute."""
     d = atoms.d
     _check_order(spec, d)
-    tgts = _as_targets(targets, d)
-    n_t = tgts.shape[0]
+    tx = np.ascontiguousarray(_as_targets(targets, d).T)
+    n_t = tx.shape[1]
     if self_exclude and n_t != atoms.n:
         raise ParameterError("self_exclude requires one target per atom in atom order")
-    levels = [_level(atoms, bs) for bs in _block_sizes(atoms, config.leaf_cap)]
+    px = np.ascontiguousarray(atoms.points.T)
+    u = spec.s + 1.0
+    levels = [_level(px, atoms.masses, bs, u) for bs in _block_sizes(atoms, config.leaf_cap)]
     theta2 = config.theta_open * config.theta_open
     eps2 = spec.eps * spec.eps
-    out = np.zeros((n_t, d))
+    out = np.zeros((d, n_t))
 
-    # frontier of (level, node, pending target rows), one root entry per
-    # run of targets; children pushed in reverse so the traversal visits
-    # them in index order, keeping output deterministic
-    stack: list[tuple[int, int, np.ndarray]] = [
-        (0, 0, np.arange(t0, min(t0 + _TARGET_CHUNK, n_t)))
+    # frontier of (level, node, pending target indices, their coordinates),
+    # one root entry per run of targets; children pushed in reverse so the
+    # traversal visits them in index order, keeping output deterministic
+    stack = [
+        (0, 0, np.arange(t0, min(t0 + _TARGET_CHUNK, n_t)), tx[:, t0:t0 + _TARGET_CHUNK])
         for t0 in reversed(range(0, n_t, _TARGET_CHUNK))
     ]
     while stack:
-        g, q, idx = stack.pop()
+        g, q, idx, sub = stack.pop()
         lv = levels[g]
-        sub = tgts[idx]
-        gap = np.maximum(lv.lo[q] - sub, 0.0) + np.maximum(sub - lv.hi[q], 0.0)
-        dist2 = (gap * gap).sum(axis=1)
-        ok = (dist2 > eps2) & (dist2 > 0.0) & (lv.diam2[q] <= theta2 * dist2)
-        far = idx[ok]
-        if far.size:
-            out[far] += _far_field(lv, q, tgts[far], spec.s)
-        near = idx[~ok]
-        if not near.size:
-            continue
+        # at most one side is positive, so this is the sum of both clamped gaps
+        gap = np.maximum(np.maximum(lv.lo[:, q, None] - sub, sub - lv.hi[:, q, None]), 0.0)
+        dist2 = (gap * gap).sum(axis=0)
+        # dist2 > eps2 >= 0 also keeps a target on the box out of the far field
+        ok = (dist2 > eps2) & (lv.diam2[q] <= theta2 * dist2)
+        # np.compress and row-wise scatters run several times faster here
+        # than boolean and two-dimensional fancy indexing
+        if ok.any():
+            far = np.compress(ok, idx)
+            field = _far_field(lv, q, lv.com[:, q, None] - np.compress(ok, sub, axis=1), u)
+            for row, f in zip(out, field):
+                row[far] += f
+            ok = ~ok
+            idx, sub = np.compress(ok, idx), np.compress(ok, sub, axis=1)
+            if not idx.size:
+                continue
         if g + 1 < len(levels):
             fan = lv.bs // levels[g + 1].bs
-            stack.extend((g + 1, q * fan + c, near) for c in reversed(range(fan)))
+            stack.extend((g + 1, q * fan + c, idx, sub) for c in reversed(range(fan)))
         else:
             a0 = q * lv.bs
-            out[near] += _direct_field(
-                atoms.points[a0:a0 + lv.bs], atoms.masses[a0:a0 + lv.bs], tgts[near],
-                spec, near, a0, self_exclude,
+            field = _direct_field(
+                px[:, a0:a0 + lv.bs], atoms.masses[a0:a0 + lv.bs], sub,
+                spec, idx, a0, self_exclude,
             )
-    return VecField(out)
+            for row, f in zip(out, field):
+                row[idx] += f
+    return VecField(np.ascontiguousarray(out.T))

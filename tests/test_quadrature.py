@@ -253,6 +253,45 @@ class TestBlockSize:
             with pytest.raises(DepthError):
                 atoms_small.block_size(j)
 
+    def test_one_refusal_for_a_permuted_set(self):
+        # the right number of atoms in another order: the cube means of
+        # project() came out as [0.510, 0.490] here instead of [0.125, 0.875]
+        params = CantorParams(d=1, s=0.5, lam=(0.25,) * 6)
+        canonical = atomize(params, refine_k=2)
+        perm = np.random.default_rng(5).permutation(canonical.n)
+        atoms = AtomSet(
+            params=params,
+            refine_k=2,
+            points=canonical.points[perm],
+            masses=canonical.masses[perm],
+            leaf_rank=canonical.leaf_rank[perm],
+        )
+        pts = atoms.points
+        prof = build_profile(params)
+        cls = classify(prof.theta, prof.p, prof.ell, StopConfig(), n=6)
+        calls = [
+            lambda: atoms.block_size(1),
+            lambda: project(pts[:, 0], atoms, 1),
+            lambda: decompose(pts, atoms),
+            lambda: eval_treecode(atoms, pts, KernelSpec(s=0.5), self_exclude=True),
+            lambda: verify_transform_lemmas(atoms, pts, cls, prof),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ParameterError, match="not grouped leaf by leaf") as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        assert np.allclose(project(canonical.points[:, 0], canonical, 1).values, [0.125, 0.875])
+
+    def test_layout_checked_once_per_set(self, atoms_small, monkeypatch):
+        atoms_small.block_size(0)
+        calls = []
+        monkeypatch.setattr(np, "array_equal", lambda *a: calls.append(a) or True)
+        for j in range(atoms_small.params.depth + 1):
+            atoms_small.block_size(j)
+        assert calls == []
+
     def test_one_refusal_for_a_hand_made_set(self):
         # 301 atoms are not 2^(Nd) * refine_k^d, so no cube is a block; the
         # projection, decomposition, tree code and transform lemmas all

@@ -67,6 +67,71 @@ def legacy_brute(atoms, tgts, spec, self_exclude=False):
     return out
 
 
+def legacy_pairwise_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """pairwise_sum before it reduced in place of np.moveaxis, kept verbatim."""
+    a = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros(a.shape[1:], dtype=float)
+    while n > 1:
+        m = n // 2
+        paired = a[0 : 2 * m : 2] + a[1 : 2 * m : 2]
+        if n % 2:
+            a = np.concatenate([paired, a[2 * m :]], axis=0)
+        else:
+            a = paired
+        n = a.shape[0]
+    return a[0]
+
+
+def legacy_direct_field(
+    points: np.ndarray,
+    masses: np.ndarray,
+    tgts: np.ndarray,
+    spec: KernelSpec,
+    tgt_ids: np.ndarray,
+    atom0: int = 0,
+    self_exclude: bool = False,
+) -> np.ndarray:
+    """The (n, d) pair kernel that the coordinate-major one replaced, kept
+    verbatim but for the names of the module globals it reads."""
+    n, d = points.shape
+    u = spec.s + 1.0
+    out = np.empty((tgts.shape[0], d))
+    chunk = max(1, riesz_mod._CHUNK_ELEMS // max(n, 1))
+    for t0 in range(0, tgts.shape[0], chunk):
+        ids = tgt_ids[t0 : t0 + chunk]
+        diffs = points[None, :, :] - tgts[t0 : t0 + chunk, None, :]
+        # an explicit loop over coordinates rounds exactly like
+        # (diffs**2).sum(axis=2) for d <= 3, and is much faster
+        r2 = diffs[:, :, 0] * diffs[:, :, 0]
+        for k in range(1, d):
+            r2 += diffs[:, :, k] * diffs[:, :, k]
+        if self_exclude:
+            rows = np.flatnonzero((ids >= atom0) & (ids < atom0 + n))
+            cols = ids[rows] - atom0
+            r2[rows, cols] = 1.0  # keeps the self pair out of the hit test
+        nrm = np.sqrt(r2, out=r2)
+        if spec.eps == 0.0:
+            if not nrm.all():
+                ti, ai = np.argwhere(nrm == 0.0)[0]
+                raise SingularityError(
+                    f"atom {atom0 + int(ai)} coincides with target {int(ids[ti])} "
+                    "and eps = 0; exclude it or truncate"
+                )
+            w = np.divide(masses, np.power(nrm, u, out=nrm), out=nrm)
+        else:
+            drop = nrm <= spec.eps
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.divide(masses, np.power(nrm, u, out=nrm), out=nrm)
+            w[drop] = 0.0
+        if self_exclude:
+            w[rows, cols] = 0.0
+        diffs *= w[:, :, None]
+        out[t0 : t0 + chunk] = legacy_pairwise_sum(diffs, axis=1)
+    return out
+
+
 def single_atom(x=0.25, mass=1.0):
     return AtomSet(
         params=CantorParams(d=1, s=0.5),
@@ -128,6 +193,79 @@ class TestPairwiseSum:
     def test_deterministic(self, rng):
         a = rng.normal(size=1001)
         assert pairwise_sum(a) == pairwise_sum(a.copy())
+
+
+class TestPairwiseSumMatchesLegacy:
+    """The in-place-indexed cascade against the np.moveaxis one, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 8, 9, 31, 33, 1001])
+    @pytest.mark.parametrize(
+        "shape, axis", [((), 0), ((4,), 0), ((4,), 1), ((3, 2), 1), ((3, 2), -1)]
+    )
+    def test_bitwise(self, rng, n, shape, axis):
+        # the summed axis has length n and sits at `axis` among `shape`
+        full = list(shape)
+        full.insert(axis % (len(shape) + 1), n)
+        a = rng.normal(size=full) * 10.0 ** rng.integers(-8, 8, size=full)
+        got = pairwise_sum(a, axis=axis)
+        want = legacy_pairwise_sum(a, axis=axis)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    def test_leaves_input_alone(self, rng):
+        a = rng.normal(size=(5, 9))
+        keep = a.copy()
+        pairwise_sum(a, axis=1)
+        assert np.array_equal(a, keep)
+
+
+class TestCoordinateMajorKernel:
+    """_direct_field on (d, n) rows against the (n, d) kernel it replaced."""
+
+    @pytest.mark.parametrize("chunk_elems", [3, None])
+    @pytest.mark.parametrize("self_exclude", [False, True])
+    @pytest.mark.parametrize("eps", [0.0, 0.03])
+    @pytest.mark.parametrize("d, s", [(1, 0.5), (2, 1.0), (3, 1.7)])
+    def test_bitwise(self, d, s, eps, self_exclude, chunk_elems, monkeypatch):
+        if chunk_elems is not None:
+            monkeypatch.setattr(riesz_mod, "_CHUNK_ELEMS", chunk_elems)
+        rng = np.random.default_rng(11 * d)
+        depth = 3 if d < 3 else 2
+        atoms = atomize(
+            CantorParams(d=d, s=s, lam=tuple(rng.uniform(0.15, 0.4, depth))), refine_k=2
+        )
+        spec = KernelSpec(s=s, eps=eps)
+        # one cube's run of atoms against every atom, so self pairs fall
+        # inside the run for some targets and outside it for the rest
+        bs = atoms.block_size(1)
+        a0 = bs
+        pts, ms = atoms.points[a0 : a0 + bs], atoms.masses[a0 : a0 + bs]
+        if self_exclude:
+            tgts, ids = atoms.points, np.arange(atoms.n)
+        else:
+            tgts = rng.uniform(-0.2, 1.2, size=(37, d))
+            if eps > 0.0:  # exact hits are legal once truncated
+                tgts = np.concatenate([tgts, atoms.points[::3]])
+            ids = np.arange(tgts.shape[0])
+        want = legacy_direct_field(pts, ms, tgts, spec, ids, a0, self_exclude)
+        got = riesz_mod._direct_field(
+            np.ascontiguousarray(pts.T), ms, np.ascontiguousarray(tgts.T), spec, ids, a0,
+            self_exclude,
+        )
+        assert got.shape == (d, tgts.shape[0])
+        assert np.array_equal(got.T, want)
+
+    def test_exact_hit_names_same_indices(self, atoms_mixed):
+        spec = KernelSpec(s=0.5)
+        pts = atoms_mixed.points
+        tgts = np.concatenate([[[5.0]], pts[9:11]])
+        ids = np.arange(3)
+        with pytest.raises(SingularityError) as legacy:
+            legacy_direct_field(pts[4:12], atoms_mixed.masses[4:12], tgts, spec, ids, 4)
+        with pytest.raises(SingularityError) as new:
+            riesz_mod._direct_field(pts[4:12].T, atoms_mixed.masses[4:12], tgts.T, spec, ids, 4)
+        assert str(new.value) == str(legacy.value)
+        assert "atom 9 coincides with target 1" in str(new.value)
 
 
 class TestKernel:

@@ -7,7 +7,11 @@ the last bit.  Extended cells pick up truncation error controlled by the
 opening angle, checked against a measured budget.
 """
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -200,9 +204,25 @@ class TestContract:
             eval_treecode(deep_atoms, [[5.0]], KernelSpec(s=1.5))
 
 
+def test_benchmark_script_smoke(capsys):
+    path = Path(__file__).parents[1] / "scripts" / "treecode_benchmark.py"
+    spec = importlib.util.spec_from_file_location("treecode_benchmark", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--d", "2", "--refine-k", "2", "--depths", "3"]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert header.split()[:2] == ["N", "atoms"]
+    depth, atoms, t_tree, t_brute, speedup, err = row.split()
+    assert (int(depth), int(atoms)) == (3, 4**3 * 2**2)
+    assert float(t_tree) >= 0.0 and float(t_brute) >= 0.0 and speedup.endswith("x")
+    assert float(err) < 1e-4
+
+
 # --- The recursive builder and traversal that the level tree replaced, kept
 # verbatim as the reference for the differential test below.  Uneven
-# splits of odd blocks are the one place where the two trees differ.
+# splits of odd blocks are the one place where the two trees differ.  Its
+# _far_field is also, names aside, the (n, d) far field that the
+# coordinate-major one replaced.
 
 class _Tree:
     """Flat node arrays; kids[i] lists child node ids (empty at leaves)."""
@@ -326,9 +346,20 @@ def _far_field(tree: _Tree, nid: int, sub: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
+def _direct_field(points, masses, tgts, spec, tgt_ids, atom0=0, self_exclude=False):
+    """The shared pair kernel on (n, d) arrays, the layout the references use.
+
+    test_riesz pins the coordinate-major kernel bitwise to the (n, d) one it
+    replaced, so the references below sum exactly the pairs they always did.
+    """
+    return riesz_mod._direct_field(
+        np.ascontiguousarray(points.T), masses, np.ascontiguousarray(tgts.T), spec,
+        tgt_ids, atom0, self_exclude,
+    ).T
+
+
 def _recursive_treecode(atoms, tgts, spec, config, self_exclude):
     n_t, d = tgts.shape
-    _direct_field = riesz_mod._direct_field
     tree = _build_tree(atoms, config.leaf_cap)
     theta2 = config.theta_open * config.theta_open
     eps2 = spec.eps * spec.eps
@@ -395,3 +426,127 @@ class TestLevelTreeMatchesRecursive:
         want = eval_brute(atoms, atoms.points, spec, True)
         got = eval_treecode(atoms, atoms.points, spec, cfg, self_exclude=True)
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
+
+
+# --- The (n, d) level tree that the coordinate-major one replaced, kept
+# verbatim but for names: _level as it was, and eval_treecode's traversal.
+
+class _LegacyLevel(NamedTuple):
+    """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs)."""
+
+    bs: int
+    lo: np.ndarray
+    hi: np.ndarray
+    com: np.ndarray
+    mass: np.ndarray
+    diam2: np.ndarray
+    quad: np.ndarray
+    octu: np.ndarray
+    hexa: np.ndarray
+
+
+def _legacy_level(atoms, bs: int) -> _LegacyLevel:
+    block = atoms.points.reshape(-1, bs, atoms.d)
+    w = atoms.masses.reshape(-1, bs)
+    lo, hi = block.min(axis=1), block.max(axis=1)
+    mass = w.sum(axis=1)
+    com = (w[:, :, None] * block).sum(axis=1) / mass[:, None]
+    delta = block - com[:, None, :]
+    wd = w[:, :, None] * delta
+    return _LegacyLevel(
+        bs, lo, hi, com, mass, ((hi - lo) ** 2).sum(axis=1),
+        np.einsum("qni,qnj->qij", wd, delta),
+        np.einsum("qni,qnj,qnk->qijk", wd, delta, delta),
+        np.einsum("qni,qnj,qnk,qnl->qijkl", wd, delta, delta, delta),
+    )
+
+
+def _legacy_treecode(atoms, tgts, spec, config, self_exclude):
+    n_t, d = tgts.shape
+    levels = [
+        _legacy_level(atoms, bs)
+        for bs in treecode_mod._block_sizes(atoms, config.leaf_cap)
+    ]
+    theta2 = config.theta_open * config.theta_open
+    eps2 = spec.eps * spec.eps
+    out = np.zeros((n_t, d))
+    stack = [
+        (0, 0, np.arange(t0, min(t0 + treecode_mod._TARGET_CHUNK, n_t)))
+        for t0 in reversed(range(0, n_t, treecode_mod._TARGET_CHUNK))
+    ]
+    while stack:
+        g, q, idx = stack.pop()
+        lv = levels[g]
+        sub = tgts[idx]
+        gap = np.maximum(lv.lo[q] - sub, 0.0) + np.maximum(sub - lv.hi[q], 0.0)
+        dist2 = (gap * gap).sum(axis=1)
+        ok = (dist2 > eps2) & (dist2 > 0.0) & (lv.diam2[q] <= theta2 * dist2)
+        far = idx[ok]
+        if far.size:
+            out[far] += _far_field(lv, q, tgts[far], spec.s)
+        near = idx[~ok]
+        if not near.size:
+            continue
+        if g + 1 < len(levels):
+            fan = lv.bs // levels[g + 1].bs
+            stack.extend((g + 1, q * fan + c, near) for c in reversed(range(fan)))
+        else:
+            a0 = q * lv.bs
+            out[near] += _direct_field(
+                atoms.points[a0:a0 + lv.bs], atoms.masses[a0:a0 + lv.bs], tgts[near],
+                spec, near, a0, self_exclude,
+            )
+    return out
+
+
+class TestCoordinateMajorMatchesLegacy:
+    @pytest.mark.parametrize("d, s", [(1, 0.5), (2, 1.0), (3, 1.5)])
+    def test_far_field_random_cells(self, d, s):
+        # random clouds with random masses, so no symmetry hides a term
+        rng = np.random.default_rng(40 + d)
+        nodes, bs = 6, 24
+        pts = rng.uniform(0.0, 1.0, size=(nodes * bs, d)) * 0.2
+        pts += np.repeat(rng.uniform(0.0, 1.0, size=(nodes, d)), bs, axis=0)
+        cloud = SimpleNamespace(points=pts, masses=rng.uniform(0.2, 1.0, nodes * bs), d=d)
+        old = _legacy_level(cloud, bs)
+        new = treecode_mod._level(
+            np.ascontiguousarray(pts.T), cloud.masses, bs, s + 1.0
+        )
+        for q in range(nodes):
+            # targets 2 to 40 cell diameters from the mass centre
+            dirs = rng.normal(size=(300, d))
+            dirs /= np.sqrt((dirs**2).sum(axis=1))[:, None]
+            dist = np.exp(rng.uniform(np.log(2.0), np.log(40.0), 300)) * np.sqrt(old.diam2[q])
+            tgts = old.com[q] + dirs * dist[:, None]
+            want = _far_field(old, q, tgts, s)
+            got = treecode_mod._far_field(new, q, new.com[:, q, None] - tgts.T, s + 1.0)
+            assert rel_err(got.T, want) <= 1e-13
+            # and value by value, against each target's own magnitude
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got.T - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("leaf_cap", [1, 4, 128])
+    @pytest.mark.parametrize("eps", [0.0, 0.02])
+    @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 7), (2, 1.0, 3), (3, 1.5, 2)])
+    def test_whole_tree(self, d, s, depth, eps, leaf_cap):
+        rng = np.random.default_rng(100 * d + leaf_cap)
+        lam = tuple(rng.uniform(0.2, 0.3, depth))
+        atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=2)
+        spec = KernelSpec(s=s, eps=eps)
+        cfg = TreeCodeConfig(leaf_cap=leaf_cap)
+        outside = rng.uniform(-0.2, 1.2, size=(64, d))
+        for tgts, excl in ((atoms.points, True), (outside, False)):
+            want = _legacy_treecode(atoms, tgts, spec, cfg, excl)
+            got = eval_treecode(atoms, tgts, spec, cfg, self_exclude=excl)
+            assert rel_err(got.values, want) <= 1e-12
+
+    @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 7), (2, 1.0, 3), (3, 1.5, 2)])
+    def test_leaves_bitwise(self, d, s, depth):
+        # with every extended cell opened the tree is its leaves, which sum
+        # the same pairs in the same order as before
+        atoms = atomize(CantorParams(d=d, s=s, lam=(0.25,) * depth), refine_k=2)
+        spec = KernelSpec(s=s)
+        cfg = TreeCodeConfig(theta_open=1e-8, leaf_cap=4)
+        want = _legacy_treecode(atoms, atoms.points, spec, cfg, True)
+        got = eval_treecode(atoms, atoms.points, spec, cfg, self_exclude=True)
+        assert np.array_equal(got.values, want)
