@@ -138,6 +138,18 @@ def _map_ordered(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
+def _table(config: ExperimentConfig, one_case, workers: int) -> dict:
+    """One one_case(config, case) record per sweep case, under the provenance."""
+    records = _map_ordered(lambda c: one_case(config, c), enumerate_cases(config), workers)
+    return {"provenance": provenance(config), "cases": records}
+
+
+def _head(case: Case) -> dict:
+    """The keys that open every table report's record."""
+    return {"case_id": case.case_id, "N": case.depth,
+            "lambda_desc": case.family, "lambda": list(case.lam)}
+
+
 # ---------------------------------------------------------------------------
 # ratio experiment
 
@@ -155,14 +167,11 @@ def _transform_field(config: ExperimentConfig, atoms):
 
 def _ratio_case(config: ExperimentConfig, case: Case, transform_lemmas: bool) -> dict:
     rec = {
-        "case_id": case.case_id,
+        **_head(case),
         "d": config.d,
         "s": config.s,
-        "N": case.depth,
         "refine_k": config.refine_k,
         "eps": config.eps,
-        "lambda_desc": case.family,
-        "lambda": list(case.lam),
         "seed": config.seed,
         "skipped": False,
     }
@@ -214,11 +223,7 @@ def run_ratio_experiment(
     case took 2.3-2.9x as long at d = 1 with 4 096-8 192 atoms and 1.8x at
     d = 2 with 4 096 atoms.
     """
-    cases = enumerate_cases(config)
-    records = _map_ordered(
-        lambda c: _ratio_case(config, c, transform_lemmas), cases, workers
-    )
-    return {"provenance": provenance(config), "cases": records}
+    return _table(config, lambda cfg, c: _ratio_case(cfg, c, transform_lemmas), workers)
 
 
 def ratio_csv_text(table: dict) -> str:
@@ -252,7 +257,7 @@ def _stopping_case(case_id, profile, n: int, config: ExperimentConfig, **meta) -
     cls = classify(theta, p, ell, config.stop, n=n)
     report = verify_sequence_lemmas(theta, p, ell, config.stop, n=n)
     failures = list(report.failures())
-    rec = {
+    return {
         "case_id": case_id,
         "n": int(n),
         **meta,
@@ -261,7 +266,6 @@ def _stopping_case(case_id, profile, n: int, config: ExperimentConfig, **meta) -
         "hard_pass": not failures,
         "failures": failures,
     }
-    return rec
 
 
 def run_stopping_report(config: ExperimentConfig, workers: int = 1) -> dict:
@@ -335,10 +339,7 @@ def _wolff_case(config: ExperimentConfig, case: Case) -> dict:
         if rec["discrete_s"] > 0
     ]
     return {
-        "case_id": case.case_id,
-        "N": case.depth,
-        "lambda_desc": case.family,
-        "lambda": list(case.lam),
+        **_head(case),
         "shells_per_octave": config.wolff_shells_per_octave,
         "samples": samples,
         "ratio_min": min(ratios) if ratios else None,
@@ -349,19 +350,13 @@ def _wolff_case(config: ExperimentConfig, case: Case) -> dict:
 
 def run_wolff_report(config: ExperimentConfig, workers: int = 1) -> dict:
     """Shell-sum vs discrete-sum potential comparison at sampled set points."""
-    records = _map_ordered(
-        lambda c: _wolff_case(config, c), enumerate_cases(config), workers
-    )
-    return {"provenance": provenance(config), "cases": records}
+    return _table(config, _wolff_case, workers)
 
 
 def _capacity_case(config: ExperimentConfig, case: Case) -> dict:
     params = _case_params(config, case)
     rec = {
-        "case_id": case.case_id,
-        "N": case.depth,
-        "lambda_desc": case.family,
-        "lambda": list(case.lam),
+        **_head(case),
         "cap_formula": capacity_wolff(params) if case.depth >= 1 else None,
         "cap_formula_from0": capacity_wolff_from0(params),
         "conventions": {"exponent": "d-alpha*p"},
@@ -390,10 +385,7 @@ def _capacity_case(config: ExperimentConfig, case: Case) -> dict:
 
 def run_capacity_report(config: ExperimentConfig, workers: int = 1) -> dict:
     """Closed-form capacity, positive-measure lower bound, and potentials."""
-    records = _map_ordered(
-        lambda c: _capacity_case(config, c), enumerate_cases(config), workers
-    )
-    return {"provenance": provenance(config), "cases": records}
+    return _table(config, _capacity_case, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +395,7 @@ def run_capacity_report(config: ExperimentConfig, workers: int = 1) -> dict:
 def _profile_case(config: ExperimentConfig, case: Case) -> dict:
     profile = build_profile(_case_params(config, case))
     return {
-        "case_id": case.case_id,
-        "N": case.depth,
-        "lambda_desc": case.family,
-        "lambda": list(case.lam),
+        **_head(case),
         "ell": [float(v) for v in profile.ell],
         "theta": [float(v) for v in profile.theta],
         "p": [float(v) for v in profile.p],
@@ -416,10 +405,7 @@ def _profile_case(config: ExperimentConfig, case: Case) -> dict:
 
 def run_profile_report(config: ExperimentConfig, workers: int = 1) -> dict:
     """Per-generation side lengths, densities, and accumulated potentials."""
-    records = _map_ordered(
-        lambda c: _profile_case(config, c), enumerate_cases(config), workers
-    )
-    return {"provenance": provenance(config), "cases": records}
+    return _table(config, _profile_case, workers)
 
 
 def profile_csv_text(table: dict) -> str:

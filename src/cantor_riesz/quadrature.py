@@ -82,24 +82,24 @@ class AtomSet:
         return cube_from_rank(int(self.leaf_rank[i]), self.params.depth, self.params.d)
 
     def to_csv(self, path) -> None:
-        d = self.d
-        header = ",".join([f"x{k}" for k in range(d)] + ["mass", "leaf_path"])
+        header = ",".join([f"x{k}" for k in range(self.d)] + ["mass", "leaf_path"])
         lines = [header]
-        n_gen = self.params.depth
-        m = self.params.d
         for i in range(self.n):
-            rank = int(self.leaf_rank[i])
-            digits = []
-            for _ in range(n_gen):
-                digits.append(rank & ((1 << m) - 1))
-                rank >>= m
-            leaf = "-".join(str(c) for c in reversed(digits))
             cells = [format(v, ".17g") for v in self.points[i]]
             cells.append(format(self.masses[i], ".17g"))
-            cells.append(leaf)
+            cells.append("-".join(str(c) for c in self.leaf_of(i).path))
             lines.append(",".join(cells))
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_bits(d: int) -> np.ndarray:
+    """(2^d, d) table whose row c holds the bits of child code c, lowest first."""
+    codes = np.arange(1 << d)
+    bits = ((codes[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
 
 
 def _leaf_corners(params: CantorParams) -> np.ndarray:
@@ -107,8 +107,7 @@ def _leaf_corners(params: CantorParams) -> np.ndarray:
     d = params.d
     corners = np.zeros((1, d))
     ell_prev = 1.0
-    codes = np.arange(1 << d)
-    bits = ((codes[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
+    bits = _corner_bits(d)
     for lam in params.lam:
         side = ell_prev * lam
         offsets = bits * (ell_prev - side)
@@ -221,8 +220,7 @@ def _ball_box_volume(
     if d == 2:
         return _disc_rect_area(corners, side, x, r)
     r2 = r * r
-    codes = np.arange(1 << d)
-    bits = ((codes[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
+    bits = _corner_bits(d)
     vol = 0.0
     v0 = max(corners.shape[0] * side**d, np.finfo(float).tiny)
     boxes = corners
@@ -274,8 +272,7 @@ def ball_mass(
     if x.shape[0] != d:
         raise ParameterError(f"point has {x.shape[0]} coordinates, expected {d}")
     r2 = radii * radii
-    codes = np.arange(1 << d)
-    bits = ((codes[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
+    bits = _corner_bits(d)
     mass = np.zeros(radii.shape[0])
     boxes = np.zeros((1, d))
     live = np.ones((1, radii.shape[0]), dtype=bool)  # (box, radius): straddled

@@ -7,9 +7,13 @@ intervals are typed by which band edge fired (increasing / decreasing /
 terminal), labeled good/bad and long/short, and paired into larger blocks
 whose internal structure drives the lower bound for the transform norm.
 
-Everything here is exact integer/float combinatorics — no quadrature — so the
-inequalities with explicit constants are asserted outright, while the ones
-with existential constants are only measured and reported.
+compute_stops, classify and verify_sequence_lemmas read only the sequences
+theta, p and ell, and are exact float combinatorics, so the inequalities with
+explicit constants are asserted outright.  verify_transform_lemmas reads a
+computed field at the atoms as well: it calls the shared pair kernel for the
+field each cube generates inside itself, and martingale.project / decompose
+for the cube means and difference layers.  Its inequalities have existential
+constants, so they are only measured and reported, as lemamax11 and lemjh are.
 """
 
 from __future__ import annotations
@@ -414,6 +418,44 @@ class LemmaReport:
         return [c.to_json() for c in self.checks]
 
 
+def _ratio(num: float, den: float) -> float | None:
+    return num / den if den > 0 else None
+
+
+def _measured(name, lhs, rhs, const, note="") -> LemmaCheck:
+    return LemmaCheck(name=name, lhs=float(lhs), rhs=float(rhs), constant=const,
+                      hard=False, passed=None, note=note)
+
+
+def _extreme(name, instances, empty_note="", least=False) -> LemmaCheck:
+    """Measured check of the largest (with ``least``, smallest) num/den ratio.
+
+    instances yields (num, den) pairs; the first of equal ratios wins, and a
+    pair with den <= 0 counts as seen but gives no ratio.  The note is
+    empty_note when no instance was seen at all.
+    """
+    best: float | None = None
+    pair = (0.0, 0.0)
+    seen = False
+    for num, den in instances:
+        seen = True
+        ratio = _ratio(num, den)
+        if ratio is not None and (
+            best is None or (ratio < best if least else ratio > best)
+        ):
+            best, pair = ratio, (num, den)
+    return _measured(name, pair[0], pair[1], best, note="" if seen else empty_note)
+
+
+def _total(name, num, den, zero_note, undefined_note) -> LemmaCheck:
+    """Measured ratio of two totals: 0 when both vanish, None when only den does."""
+    if den > 0:
+        return _measured(name, num, den, num / den)
+    if num == 0.0:
+        return _measured(name, num, den, 0.0, note=zero_note)
+    return _measured(name, num, den, None, note=undefined_note)
+
+
 def verify_sequence_lemmas(
     theta, p, ell, config: StopConfig, n: int | None = None
 ) -> LemmaReport:
@@ -437,6 +479,10 @@ def verify_sequence_lemmas(
     n_eff = cls.stops.n
     checks: list[LemmaCheck] = []
 
+    def hard(name, lhs, rhs, constant, passed, note=""):
+        checks.append(LemmaCheck(name=name, lhs=lhs, rhs=rhs, constant=constant,
+                                 hard=True, passed=passed, note=note))
+
     # cumulative-sum inequality between p and theta
     m_max = min(n_eff, th.size - 1, pr.size - 1)
     cum_p = np.cumsum(pr[: m_max + 1] ** 2)
@@ -444,42 +490,16 @@ def verify_sequence_lemmas(
     slack = 1.0 + _REL_SLACK
     ok = bool(np.all(cum_p <= 4.0 * cum_t * slack))
     worst = int(np.argmax(cum_p / cum_t))
-    checks.append(
-        LemmaCheck(
-            name="eqpjtj",
-            lhs=float(cum_p[worst]),
-            rhs=float(cum_t[worst]),
-            constant=4.0,
-            hard=True,
-            passed=ok,
-            note=f"tightest at M={worst} of {m_max}",
-        )
-    )
+    hard("eqpjtj", float(cum_p[worst]), float(cum_t[worst]), 4.0, ok,
+         note=f"tightest at M={worst} of {m_max}")
 
     sig_all = sigma(th, range(n_eff))
     sig_bad = math.fsum(th[j] ** 2 for j in range(n_eff) if j not in cls.good)
-    checks.append(
-        LemmaCheck(
-            name="lembons0",
-            lhs=sig_bad,
-            rhs=sig_all,
-            constant=0.1,
-            hard=True,
-            passed=sig_bad <= 0.1 * sig_all * slack,
-        )
-    )
+    hard("lembons0", sig_bad, sig_all, 0.1, sig_bad <= 0.1 * sig_all * slack)
 
     sig_good_ints = math.fsum(rec.sigma for rec in cls.intervals if rec.good)
-    checks.append(
-        LemmaCheck(
-            name="lemgoodint",
-            lhs=sig_all,
-            rhs=sig_good_ints,
-            constant=9.0 / 8.0,
-            hard=True,
-            passed=sig_all <= (9.0 / 8.0) * sig_good_ints * slack,
-        )
-    )
+    hard("lemgoodint", sig_all, sig_good_ints, 9.0 / 8.0,
+         sig_all <= (9.0 / 8.0) * sig_good_ints * slack)
 
     bound = config.B**4 / (1.0 + config.B**4)
     worst_pair = (0, 1)
@@ -494,17 +514,8 @@ def verify_sequence_lemmas(
             worst_ratio, worst_pair = ratio, (j0 - rec.lo, rec.length)
         ok = ok and (j0 - rec.lo) <= bound * rec.length
     any_good = any(rec.good for rec in cls.intervals)
-    checks.append(
-        LemmaCheck(
-            name="lemj0",
-            lhs=float(worst_pair[0]),
-            rhs=float(worst_pair[1]),
-            constant=bound,
-            hard=True,
-            passed=ok,
-            note="" if any_good else "no good intervals",
-        )
-    )
+    hard("lemj0", float(worst_pair[0]), float(worst_pair[1]), bound, ok,
+         note="" if any_good else "no good intervals")
 
     ok = True
     worst_swing = 1.0
@@ -517,71 +528,24 @@ def verify_sequence_lemmas(
                 ok = False
             swing = max(th[i], base) / min(th[i], base)
             worst_swing = max(worst_swing, swing)
-    checks.append(
-        LemmaCheck(
-            name="interior_bracket",
-            lhs=float(worst_swing),
-            rhs=float(config.B),
-            constant=1.0,
-            hard=True,
-            passed=ok,
-            note="pass uses the exact comparisons of the stopping rule",
-        )
-    )
+    hard("interior_bracket", float(worst_swing), float(config.B), 1.0, ok,
+         note="pass uses the exact comparisons of the stopping rule")
 
     blocks = cls.j_intervals
-    gap_lhs = gap_rhs = 0.0
-    gap_ratio: float | None = None
-    for left, right in zip(blocks, blocks[1:]):
-        run_sigma = math.fsum(
-            rec.sigma
-            for rec in cls.intervals[left.members[-1] + 1 : right.members[0]]
-            if not rec.long
-        )
-        base = left.theta_max**2 + right.theta_max**2
-        ratio = run_sigma / base
-        if gap_ratio is None or ratio > gap_ratio:
-            gap_ratio, gap_lhs, gap_rhs = ratio, run_sigma, base
-    checks.append(
-        LemmaCheck(
-            name="lemamax11",
-            lhs=gap_lhs,
-            rhs=gap_rhs,
-            constant=gap_ratio,
-            hard=False,
-            passed=None,
-            note="" if gap_ratio is not None else "fewer than two paired blocks",
-        )
-    )
+
+    def gaps():
+        for left, right in zip(blocks, blocks[1:]):
+            run = cls.intervals[left.members[-1] + 1 : right.members[0]]
+            yield (math.fsum(rec.sigma for rec in run if not rec.long),
+                   left.theta_max**2 + right.theta_max**2)
+
+    checks.append(_extreme("lemamax11", gaps(), "fewer than two paired blocks"))
 
     short_sigma = math.fsum(rec.sigma for rec in cls.intervals if not rec.long)
     peak_sum = math.fsum(rec.theta_max**2 for rec in blocks)
-    if peak_sum > 0:
-        jh_const: float | None = short_sigma / peak_sum
-        jh_note = ""
-    elif short_sigma == 0.0:
-        jh_const = 0.0
-        jh_note = ""
-    else:
-        jh_const = None
-        jh_note = "no paired blocks; ratio undefined"
-    checks.append(
-        LemmaCheck(
-            name="lemjh",
-            lhs=short_sigma,
-            rhs=peak_sum,
-            constant=jh_const,
-            hard=False,
-            passed=None,
-            note=jh_note,
-        )
-    )
+    checks.append(_total("lemjh", short_sigma, peak_sum, "", "no paired blocks; ratio undefined"))
 
     return LemmaReport(tuple(checks))
-
-
-def _ratio(num: float, den: float) -> float | None:
-    return num / den if den > 0 else None
 
 
 def verify_transform_lemmas(atoms, field_values, classification: Classification, profile) -> LemmaReport:
@@ -637,145 +601,83 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
     prefix_th = np.concatenate(([0.0], np.cumsum(th[:n_gen])))
     checks: list[LemmaCheck] = []
 
-    def measured(name, lhs, rhs, const, note=""):
-        for v in (lhs, rhs):
+    def add(check: LemmaCheck) -> None:
+        for v in (check.lhs, check.rhs):
             if not (np.isfinite(v) and v >= 0):
-                raise ParameterError(f"{name}: sides must be finite and nonnegative")
-        checks.append(
-            LemmaCheck(
-                name=name,
-                lhs=float(lhs),
-                rhs=float(rhs),
-                constant=const,
-                hard=False,
-                passed=None,
-                note=note,
-            )
-        )
+                raise ParameterError(f"{check.name}: sides must be finite and nonnegative")
+        checks.append(check)
 
-    best: float | None = None
-    pair = (0.0, 0.0)
-    px = np.ascontiguousarray(atoms.points.T)
-    for j in range(1, n_gen + 1):
-        bs = atoms.block_size(j)
-        denom = (el[j] / el[j - 1]) * pr[j - 1]
-        for a0 in range(0, atoms.n, bs):
-            cube = px[:, a0 : a0 + bs]
-            inside = _direct_field(
-                cube, atoms.masses[a0 : a0 + bs], cube, spec, np.arange(bs), self_exclude=True
-            )
-            outside = values[a0 : a0 + bs] - inside.T
-            osc = float(np.sqrt(((outside.max(axis=0) - outside.min(axis=0)) ** 2).sum()))
-            ratio = _ratio(osc, denom)
-            if ratio is not None and (best is None or ratio > best):
-                best, pair = ratio, (osc, denom)
-    measured("lemnab", pair[0], pair[1], best)
+    def oscillations():
+        px = np.ascontiguousarray(atoms.points.T)
+        for j in range(1, n_gen + 1):
+            bs = atoms.block_size(j)
+            denom = (el[j] / el[j - 1]) * pr[j - 1]
+            for a0 in range(0, atoms.n, bs):
+                cube = px[:, a0 : a0 + bs]
+                inside = _direct_field(
+                    cube, atoms.masses[a0 : a0 + bs], cube, spec, np.arange(bs), self_exclude=True
+                )
+                outside = values[a0 : a0 + bs] - inside.T
+                osc = float(np.sqrt(((outside.max(axis=0) - outside.min(axis=0)) ** 2).sum()))
+                yield osc, denom
+
+    add(_extreme("lemnab", oscillations()))
 
     cells = [project(values, atoms, j) for j in range(n_gen + 1)]
     branch = atoms.params.branching
-    best, pair = None, (0.0, 0.0)
-    for j in range(n_gen):
-        jump = cells[j + 1].values - np.repeat(cells[j].values, branch, axis=0)
-        worst = float(np.sqrt((jump**2).sum(axis=1)).max())
-        ratio = _ratio(worst, float(pr[j]))
-        if ratio is not None and (best is None or ratio > best):
-            best, pair = ratio, (worst, float(pr[j]))
-    measured("lemdes11", pair[0], pair[1], best)
+
+    def jumps():
+        for j in range(n_gen):
+            jump = cells[j + 1].values - np.repeat(cells[j].values, branch, axis=0)
+            yield float(np.sqrt((jump**2).sum(axis=1)).max()), float(pr[j])
+
+    add(_extreme("lemdes11", jumps()))
 
     head = profile.sum_theta_sq(0, n_gen - 1)
-    measured("lemfa1", rep.sN_norm, head, _ratio(rep.sN_norm, head))
+    add(_measured("lemfa1", rep.sN_norm, head, _ratio(rep.sN_norm, head)))
     total_d = float(prefix_d[-1])
-    measured("mainlem", head, total_d, _ratio(head, total_d))
+    add(_measured("mainlem", head, total_d, _ratio(head, total_d)))
 
-    c6 = 2.0 * cfg.C10
-    best, pair, qualifying = None, (0.0, 0.0), False
-    for k in range(n_gen):
-        entry = 0.0 if k == 0 else (el[k] / el[k - 1]) * pr[k - 1]
-        for end in range(k, n_gen):
-            dens = float(prefix_th[end + 1] - prefix_th[k])
-            if entry > c6 * dens:
+    def entry_windows():
+        c6 = 2.0 * cfg.C10
+        for k in range(n_gen):
+            entry = 0.0 if k == 0 else (el[k] / el[k - 1]) * pr[k - 1]
+            for end in range(k, n_gen):
+                dens = float(prefix_th[end + 1] - prefix_th[k])
+                if entry > c6 * dens:
+                    continue
+                num = float(prefix_d[end + 1] - prefix_d[k])
+                yield num, 2.0 ** (-(end - k) * d) * dens**2
+
+    add(_extreme("lemaux11", entry_windows(), "no window meets the entry condition", least=True))
+
+    def band_windows():
+        for q in range(n_gen):
+            entry = 0.0 if q == 0 else (el[q] / el[q - 1]) * pr[q - 1]
+            if entry > cfg.good_factor * th[q]:
                 continue
-            qualifying = True
-            num = float(prefix_d[end + 1] - prefix_d[k])
-            den = 2.0 ** (-(end - k) * d) * dens**2
-            ratio = _ratio(num, den)
-            if ratio is not None and (best is None or ratio < best):
-                best, pair = ratio, (num, den)
-    measured(
-        "lemaux11",
-        pair[0],
-        pair[1],
-        best,
-        note="" if qualifying else "no window meets the entry condition",
-    )
+            hi_band = cfg.B * th[q]
+            lo_band = th[q] / cfg.B
+            for r in range(q + 1, n_gen):
+                if not (lo_band <= th[r] <= hi_band):
+                    break
+                yield float(prefix_d[r + 1] - prefix_d[q]), (r - q) * float(th[q]) ** 2
 
-    best, pair, qualifying = None, (0.0, 0.0), False
-    for q in range(n_gen):
-        entry = 0.0 if q == 0 else (el[q] / el[q - 1]) * pr[q - 1]
-        if entry > cfg.good_factor * th[q]:
-            continue
-        hi_band = cfg.B * th[q]
-        lo_band = th[q] / cfg.B
-        for r in range(q + 1, n_gen):
-            if not (lo_band <= th[r] <= hi_band):
-                break
-            qualifying = True
-            num = float(prefix_d[r + 1] - prefix_d[q])
-            den = (r - q) * float(th[q]) ** 2
-            ratio = _ratio(num, den)
-            if ratio is not None and (best is None or ratio < best):
-                best, pair = ratio, (num, den)
-    measured(
-        "lemaux00",
-        pair[0],
-        pair[1],
-        best,
-        note="" if qualifying else "no in-band window qualifies",
-    )
+    add(_extreme("lemaux00", band_windows(), "no in-band window qualifies", least=True))
 
-    best, pair, found = None, (0.0, 0.0), False
-    for rec in classification.intervals:
-        if not (rec.long and rec.good):
-            continue
-        found = True
-        num = rec.sigma
-        den = float(prefix_d[rec.hi] - prefix_d[rec.lo])
-        ratio = _ratio(num, den)
-        if ratio is not None and (best is None or ratio > best):
-            best, pair = ratio, (num, den)
-    measured(
-        "lemlongood", pair[0], pair[1], best, note="" if found else "no long good intervals"
-    )
+    def d_mass(rec) -> float:
+        return float(prefix_d[rec.hi] - prefix_d[rec.lo])
 
-    best, pair, found = None, (0.0, 0.0), False
-    for rec in classification.j_intervals:
-        if not rec.standard:
-            continue
-        found = True
-        num = rec.theta_max**2
-        den = float(prefix_d[rec.hi] - prefix_d[rec.lo])
-        ratio = _ratio(num, den)
-        if ratio is not None and (best is None or ratio > best):
-            best, pair = ratio, (num, den)
-    measured(
-        "lemstan", pair[0], pair[1], best, note="" if found else "no standard blocks"
-    )
+    long_good = ((rec.sigma, d_mass(rec)) for rec in classification.intervals
+                 if rec.long and rec.good)
+    add(_extreme("lemlongood", long_good, "no long good intervals"))
+    blocks = classification.j_intervals
+    standard = ((rec.theta_max**2, d_mass(rec)) for rec in blocks if rec.standard)
+    add(_extreme("lemstan", standard, "no standard blocks"))
 
-    non_std = math.fsum(
-        rec.theta_max**2 for rec in classification.j_intervals if not rec.standard
-    )
-    std = math.fsum(
-        rec.theta_max**2 for rec in classification.j_intervals if rec.standard
-    )
-    if std > 0:
-        ns_const: float | None = non_std / std
-        ns_note = ""
-    elif non_std == 0.0:
-        ns_const = 0.0
-        ns_note = "no paired blocks"
-    else:
-        ns_const = None
-        ns_note = "no standard blocks; ratio undefined"
-    measured("lemnonstan", non_std, std, ns_const, note=ns_note)
+    non_std = math.fsum(rec.theta_max**2 for rec in blocks if not rec.standard)
+    std = math.fsum(rec.theta_max**2 for rec in blocks if rec.standard)
+    add(_total("lemnonstan", non_std, std, "no paired blocks",
+               "no standard blocks; ratio undefined"))
 
     return LemmaReport(tuple(checks))

@@ -306,8 +306,11 @@ def gamma_plus_lower_bound(
 
     The measure normalized by the sampled field sup is admissible up to grid
     resolution, so its total mass 1/M lower-bounds the positive capacity in
-    that approximate sense; the caveat travels with the result.
+    that approximate sense; the caveat travels with the result.  params
+    must be the geometry the atoms were built from (atoms.params).
     """
+    if params != atoms.params:
+        raise ParameterError(f"params {params} do not match the atoms' {atoms.params}")
     spec_h = halo_spec if halo_spec is not None else HaloGridSpec()
     kspec = KernelSpec(s=params.s, eps=0.0)
     at_atoms = eval_brute(atoms, atoms.points, kspec, self_exclude=True)

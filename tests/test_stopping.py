@@ -7,8 +7,11 @@ good sets, block membership, entry scales t_h, and standardness — including
 two deliberately non-standard blocks.
 """
 
+import importlib.util
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,17 @@ from cantor_riesz import (
     verify_sequence_lemmas,
     verify_transform_lemmas,
 )
-from cantor_riesz.stopping import _ratio
+from cantor_riesz.geometry import DensityProfile
+from cantor_riesz.martingale import decompose, project
+from cantor_riesz.riesz import _direct_field
+from cantor_riesz.stopping import (
+    _REL_SLACK,
+    Classification,
+    LemmaCheck,
+    LemmaReport,
+    _density_array,
+    _ratio,
+)
 
 CFG = StopConfig()  # B=1000, N_L=100, C10=0.05
 
@@ -535,3 +548,466 @@ class TestLemnabKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+# --- verify_sequence_lemmas and verify_transform_lemmas as they were before
+# their measured checks shared one reducer (_extreme) and one ratio of totals
+# (_total), kept as the references of the differential tests below.
+
+def legacy_verify_sequence_lemmas(
+    theta, p, ell, config: StopConfig, n: int | None = None
+) -> LemmaReport:
+    """verify_sequence_lemmas before the shared reducers, verbatim but for this docstring."""
+    cls = classify(theta, p, ell, config, n=n)
+    th = _density_array(theta)
+    pr = np.asarray(p, dtype=float).ravel()
+    n_eff = cls.stops.n
+    checks: list[LemmaCheck] = []
+
+    # cumulative-sum inequality between p and theta
+    m_max = min(n_eff, th.size - 1, pr.size - 1)
+    cum_p = np.cumsum(pr[: m_max + 1] ** 2)
+    cum_t = np.cumsum(th[: m_max + 1] ** 2)
+    slack = 1.0 + _REL_SLACK
+    ok = bool(np.all(cum_p <= 4.0 * cum_t * slack))
+    worst = int(np.argmax(cum_p / cum_t))
+    checks.append(
+        LemmaCheck(
+            name="eqpjtj",
+            lhs=float(cum_p[worst]),
+            rhs=float(cum_t[worst]),
+            constant=4.0,
+            hard=True,
+            passed=ok,
+            note=f"tightest at M={worst} of {m_max}",
+        )
+    )
+
+    sig_all = sigma(th, range(n_eff))
+    sig_bad = math.fsum(th[j] ** 2 for j in range(n_eff) if j not in cls.good)
+    checks.append(
+        LemmaCheck(
+            name="lembons0",
+            lhs=sig_bad,
+            rhs=sig_all,
+            constant=0.1,
+            hard=True,
+            passed=sig_bad <= 0.1 * sig_all * slack,
+        )
+    )
+
+    sig_good_ints = math.fsum(rec.sigma for rec in cls.intervals if rec.good)
+    checks.append(
+        LemmaCheck(
+            name="lemgoodint",
+            lhs=sig_all,
+            rhs=sig_good_ints,
+            constant=9.0 / 8.0,
+            hard=True,
+            passed=sig_all <= (9.0 / 8.0) * sig_good_ints * slack,
+        )
+    )
+
+    bound = config.B**4 / (1.0 + config.B**4)
+    worst_pair = (0, 1)
+    worst_ratio = 0.0
+    ok = True
+    for rec in cls.intervals:
+        if not rec.good:
+            continue
+        j0 = next(j for j in range(rec.lo, rec.hi) if j in cls.good)
+        ratio = (j0 - rec.lo) / rec.length
+        if ratio > worst_ratio:
+            worst_ratio, worst_pair = ratio, (j0 - rec.lo, rec.length)
+        ok = ok and (j0 - rec.lo) <= bound * rec.length
+    any_good = any(rec.good for rec in cls.intervals)
+    checks.append(
+        LemmaCheck(
+            name="lemj0",
+            lhs=float(worst_pair[0]),
+            rhs=float(worst_pair[1]),
+            constant=bound,
+            hard=True,
+            passed=ok,
+            note="" if any_good else "no good intervals",
+        )
+    )
+
+    ok = True
+    worst_swing = 1.0
+    for rec in cls.intervals:
+        base = th[rec.lo]
+        hi_edge = config.B * base
+        lo_edge = base / config.B
+        for i in range(rec.lo + 1, rec.hi):
+            if th[i] > hi_edge or th[i] < lo_edge:
+                ok = False
+            swing = max(th[i], base) / min(th[i], base)
+            worst_swing = max(worst_swing, swing)
+    checks.append(
+        LemmaCheck(
+            name="interior_bracket",
+            lhs=float(worst_swing),
+            rhs=float(config.B),
+            constant=1.0,
+            hard=True,
+            passed=ok,
+            note="pass uses the exact comparisons of the stopping rule",
+        )
+    )
+
+    blocks = cls.j_intervals
+    gap_lhs = gap_rhs = 0.0
+    gap_ratio: float | None = None
+    for left, right in zip(blocks, blocks[1:]):
+        run_sigma = math.fsum(
+            rec.sigma
+            for rec in cls.intervals[left.members[-1] + 1 : right.members[0]]
+            if not rec.long
+        )
+        base = left.theta_max**2 + right.theta_max**2
+        ratio = run_sigma / base
+        if gap_ratio is None or ratio > gap_ratio:
+            gap_ratio, gap_lhs, gap_rhs = ratio, run_sigma, base
+    checks.append(
+        LemmaCheck(
+            name="lemamax11",
+            lhs=gap_lhs,
+            rhs=gap_rhs,
+            constant=gap_ratio,
+            hard=False,
+            passed=None,
+            note="" if gap_ratio is not None else "fewer than two paired blocks",
+        )
+    )
+
+    short_sigma = math.fsum(rec.sigma for rec in cls.intervals if not rec.long)
+    peak_sum = math.fsum(rec.theta_max**2 for rec in blocks)
+    if peak_sum > 0:
+        jh_const: float | None = short_sigma / peak_sum
+        jh_note = ""
+    elif short_sigma == 0.0:
+        jh_const = 0.0
+        jh_note = ""
+    else:
+        jh_const = None
+        jh_note = "no paired blocks; ratio undefined"
+    checks.append(
+        LemmaCheck(
+            name="lemjh",
+            lhs=short_sigma,
+            rhs=peak_sum,
+            constant=jh_const,
+            hard=False,
+            passed=None,
+            note=jh_note,
+        )
+    )
+
+    return LemmaReport(tuple(checks))
+
+
+def legacy_verify_transform_lemmas(atoms, field_values, classification: Classification, profile) -> LemmaReport:
+    """verify_transform_lemmas before the shared reducers, verbatim but for this docstring."""
+    n_gen = atoms.params.depth
+    if n_gen == 0:
+        return LemmaReport(())
+    values = np.asarray(getattr(field_values, "values", field_values), dtype=float)
+    if values.shape != (atoms.n, atoms.d):
+        raise ParameterError(
+            f"field must give one vector per atom: expected {(atoms.n, atoms.d)}, got {values.shape}"
+        )
+    if classification.stops.n != n_gen or profile.depth != n_gen:
+        raise ParameterError(
+            "classification/profile depth does not match the atom set"
+        )
+    d = atoms.d
+    spec = KernelSpec(s=atoms.params.s)
+    th, pr, el = profile.theta, profile.p, profile.ell
+    cfg = classification.config
+    rep = decompose(values, atoms)
+    # difference-layer masses, prefix-summed so windows are O(1)
+    prefix_d = np.concatenate(([0.0], np.cumsum(rep.d_norms)))
+    prefix_th = np.concatenate(([0.0], np.cumsum(th[:n_gen])))
+    checks: list[LemmaCheck] = []
+
+    def measured(name, lhs, rhs, const, note=""):
+        for v in (lhs, rhs):
+            if not (np.isfinite(v) and v >= 0):
+                raise ParameterError(f"{name}: sides must be finite and nonnegative")
+        checks.append(
+            LemmaCheck(
+                name=name,
+                lhs=float(lhs),
+                rhs=float(rhs),
+                constant=const,
+                hard=False,
+                passed=None,
+                note=note,
+            )
+        )
+
+    best: float | None = None
+    pair = (0.0, 0.0)
+    px = np.ascontiguousarray(atoms.points.T)
+    for j in range(1, n_gen + 1):
+        bs = atoms.block_size(j)
+        denom = (el[j] / el[j - 1]) * pr[j - 1]
+        for a0 in range(0, atoms.n, bs):
+            cube = px[:, a0 : a0 + bs]
+            inside = _direct_field(
+                cube, atoms.masses[a0 : a0 + bs], cube, spec, np.arange(bs), self_exclude=True
+            )
+            outside = values[a0 : a0 + bs] - inside.T
+            osc = float(np.sqrt(((outside.max(axis=0) - outside.min(axis=0)) ** 2).sum()))
+            ratio = _ratio(osc, denom)
+            if ratio is not None and (best is None or ratio > best):
+                best, pair = ratio, (osc, denom)
+    measured("lemnab", pair[0], pair[1], best)
+
+    cells = [project(values, atoms, j) for j in range(n_gen + 1)]
+    branch = atoms.params.branching
+    best, pair = None, (0.0, 0.0)
+    for j in range(n_gen):
+        jump = cells[j + 1].values - np.repeat(cells[j].values, branch, axis=0)
+        worst = float(np.sqrt((jump**2).sum(axis=1)).max())
+        ratio = _ratio(worst, float(pr[j]))
+        if ratio is not None and (best is None or ratio > best):
+            best, pair = ratio, (worst, float(pr[j]))
+    measured("lemdes11", pair[0], pair[1], best)
+
+    head = profile.sum_theta_sq(0, n_gen - 1)
+    measured("lemfa1", rep.sN_norm, head, _ratio(rep.sN_norm, head))
+    total_d = float(prefix_d[-1])
+    measured("mainlem", head, total_d, _ratio(head, total_d))
+
+    c6 = 2.0 * cfg.C10
+    best, pair, qualifying = None, (0.0, 0.0), False
+    for k in range(n_gen):
+        entry = 0.0 if k == 0 else (el[k] / el[k - 1]) * pr[k - 1]
+        for end in range(k, n_gen):
+            dens = float(prefix_th[end + 1] - prefix_th[k])
+            if entry > c6 * dens:
+                continue
+            qualifying = True
+            num = float(prefix_d[end + 1] - prefix_d[k])
+            den = 2.0 ** (-(end - k) * d) * dens**2
+            ratio = _ratio(num, den)
+            if ratio is not None and (best is None or ratio < best):
+                best, pair = ratio, (num, den)
+    measured(
+        "lemaux11",
+        pair[0],
+        pair[1],
+        best,
+        note="" if qualifying else "no window meets the entry condition",
+    )
+
+    best, pair, qualifying = None, (0.0, 0.0), False
+    for q in range(n_gen):
+        entry = 0.0 if q == 0 else (el[q] / el[q - 1]) * pr[q - 1]
+        if entry > cfg.good_factor * th[q]:
+            continue
+        hi_band = cfg.B * th[q]
+        lo_band = th[q] / cfg.B
+        for r in range(q + 1, n_gen):
+            if not (lo_band <= th[r] <= hi_band):
+                break
+            qualifying = True
+            num = float(prefix_d[r + 1] - prefix_d[q])
+            den = (r - q) * float(th[q]) ** 2
+            ratio = _ratio(num, den)
+            if ratio is not None and (best is None or ratio < best):
+                best, pair = ratio, (num, den)
+    measured(
+        "lemaux00",
+        pair[0],
+        pair[1],
+        best,
+        note="" if qualifying else "no in-band window qualifies",
+    )
+
+    best, pair, found = None, (0.0, 0.0), False
+    for rec in classification.intervals:
+        if not (rec.long and rec.good):
+            continue
+        found = True
+        num = rec.sigma
+        den = float(prefix_d[rec.hi] - prefix_d[rec.lo])
+        ratio = _ratio(num, den)
+        if ratio is not None and (best is None or ratio > best):
+            best, pair = ratio, (num, den)
+    measured(
+        "lemlongood", pair[0], pair[1], best, note="" if found else "no long good intervals"
+    )
+
+    best, pair, found = None, (0.0, 0.0), False
+    for rec in classification.j_intervals:
+        if not rec.standard:
+            continue
+        found = True
+        num = rec.theta_max**2
+        den = float(prefix_d[rec.hi] - prefix_d[rec.lo])
+        ratio = _ratio(num, den)
+        if ratio is not None and (best is None or ratio > best):
+            best, pair = ratio, (num, den)
+    measured(
+        "lemstan", pair[0], pair[1], best, note="" if found else "no standard blocks"
+    )
+
+    non_std = math.fsum(
+        rec.theta_max**2 for rec in classification.j_intervals if not rec.standard
+    )
+    std = math.fsum(
+        rec.theta_max**2 for rec in classification.j_intervals if rec.standard
+    )
+    if std > 0:
+        ns_const: float | None = non_std / std
+        ns_note = ""
+    elif non_std == 0.0:
+        ns_const = 0.0
+        ns_note = "no paired blocks"
+    else:
+        ns_const = None
+        ns_note = "no standard blocks; ratio undefined"
+    measured("lemnonstan", non_std, std, ns_const, note=ns_note)
+
+    return LemmaReport(tuple(checks))
+
+
+SEQUENCE_NOTES = {"fewer than two paired blocks", "no paired blocks; ratio undefined"}
+TRANSFORM_NOTES = {
+    "no window meets the entry condition",
+    "no in-band window qualifies",
+    "no long good intervals",
+    "no standard blocks",
+    "no standard blocks; ratio undefined",
+}
+
+
+def same_reports(got, want) -> set:
+    """Assert two reports bitwise equal, as JSON and in side/constant types."""
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    for a, b in zip(got, want, strict=True):
+        assert [type(v) for v in (a.lhs, a.rhs, a.constant, a.passed)] == [
+            type(v) for v in (b.lhs, b.rhs, b.constant, b.passed)
+        ]
+    return {c.note for c in got}
+
+
+def same_transform(atoms, values, cls, profile) -> set:
+    return same_reports(
+        verify_transform_lemmas(atoms, values, cls, profile),
+        legacy_verify_transform_lemmas(atoms, values, cls, profile),
+    )
+
+
+def random_sequence(rng, n):
+    """n + 1 densities on a log walk with band-sized jumps, plus p and ell.
+
+    p is either the defining sum or theta times a random factor that makes
+    some scales bad (p > 40 theta).
+    """
+    jumps = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 4.5, n)
+    steps = np.where(rng.random(n) < 0.3, jumps, rng.normal(0.0, 0.4, n))
+    theta = 10.0 ** np.clip(np.concatenate(([0.0], np.cumsum(steps))), -40.0, 40.0)
+    theta, p, ell = fabricated(theta)
+    if rng.random() < 0.5:
+        p = theta * 10.0 ** rng.uniform(-1.0, 2.5, n + 1)
+    return theta, p, ell
+
+
+def random_config(rng):
+    return StopConfig(
+        B=float(rng.choice([150.0, 1000.0, 1e4])),
+        N_L=int(rng.choice([1, 3, 100])),
+        C10=float(rng.choice([0.01, 0.05, 2.0])),
+    )
+
+
+class TestSharedReducers:
+    """The measured checks before and after sharing _extreme and _total."""
+
+    def test_sequence_lemmas_bitwise(self):
+        rng = np.random.default_rng(20261018)
+        notes = set()
+        for _ in range(1500):
+            theta, p, ell = random_sequence(rng, int(rng.integers(0, 41)))
+            cfg = random_config(rng)
+            # n = len(theta) reads the last density too
+            n = None if rng.random() < 0.7 else theta.size
+            got = verify_sequence_lemmas(theta, p, ell, cfg, n=n)
+            want = legacy_verify_sequence_lemmas(theta, p, ell, cfg, n=n)
+            notes |= same_reports(got, want)
+        assert SEQUENCE_NOTES <= notes
+
+    @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 5), (2, 1.0, 3), (3, 1.5, 2)])
+    @pytest.mark.parametrize("ratios", ["constant", "random"])
+    def test_transform_lemmas_bitwise(self, d, s, depth, ratios):
+        rng = np.random.default_rng(10 * d + depth + (ratios == "random"))
+        lam = [0.25] * depth if ratios == "constant" else rng.uniform(0.1, 0.45, depth)
+        atoms, field, cls, prof = lemma_inputs(d, s, lam)
+        same_transform(atoms, field, cls, prof)
+        # random profiles and fields of the same depth reach the other branches
+        for trial in range(24):
+            theta, p, ell = random_sequence(rng, depth)
+            profile = DensityProfile(ell=ell, theta=theta, p=p)
+            cls = classify(theta, p, ell, random_config(rng), n=depth)
+            values = field.values if trial % 3 else rng.normal(size=field.values.shape)
+            same_transform(atoms, values, cls, profile)
+
+    def test_transform_notes(self):
+        atoms, field, _, _ = lemma_inputs(1, 0.5, [0.25] * 5)
+        # one block, (ID, DD), made nonstandard by a large p_0
+        theta, p, ell = fabricated([1.0, 200.0, 1.0, 1.0, 1.0, 1.0])
+        p[0] = 1000.0
+        cls = classify(theta, p, ell, StopConfig(B=101.0), n=5)
+        assert [rec.standard for rec in cls.j_intervals] == [False]
+        profile = DensityProfile(ell=ell, theta=theta, p=p)
+        notes = same_transform(atoms, field, cls, profile)
+        # the k = 0 window has no entry potential, so it qualifies whenever
+        # its density sum is positive: only a negative leading density, with
+        # potentials too large for the later windows, leaves none
+        negative = DensityProfile(ell=ell, theta=[-1e6] + [1.0] * 5, p=[1e9] * 6)
+        notes |= same_transform(atoms, field, cls, negative)
+        assert TRANSFORM_NOTES <= notes
+
+    def test_underflowing_peaks_give_no_ratio(self):
+        # both peaks square to 0.0: the old loop divided by zero here, while
+        # the reducer counts the gap as seen and forms no ratio
+        theta = np.array([1.0, 200.0, 1.0, 200.0, 1.0, 1.0]) * 1e-170
+        ell = 0.25 ** np.arange(6)
+        cfg = StopConfig(B=101.0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ZeroDivisionError):
+                legacy_verify_sequence_lemmas(theta, theta, ell, cfg)
+            check = verify_sequence_lemmas(theta, theta, ell, cfg)["lemamax11"]
+        assert (check.lhs, check.rhs, check.constant, check.note) == (0.0, 0.0, None, "")
+
+    def test_nonfinite_side_raised_by_same_check(self):
+        atoms, field, cls, prof = lemma_inputs(1, 0.5, [0.25] * 4)
+        nan_field = field.values.copy()
+        nan_field[3, 0] = np.nan
+        # every interval long and good, one of them with an overflowing sigma
+        theta = np.array([1.0, 1e160, 1e160, 1.0, 1.0])
+        with np.errstate(over="ignore"):
+            huge = classify(theta, theta, 0.25 ** np.arange(5), StopConfig(B=101.0, N_L=1), n=4)
+        for values, cls_, name in ((nan_field, cls, "lemnab"), (field, huge, "lemlongood")):
+            errors = []
+            for verify in (verify_transform_lemmas, legacy_verify_transform_lemmas):
+                with pytest.raises(ParameterError) as exc:
+                    verify(atoms, values, cls_, prof)
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1]
+            assert errors[0].startswith(f"{name}: ")
+
+
+def test_stopping_search_smoke(capsys):
+    path = Path(__file__).parents[1] / "scripts" / "stopping_search.py"
+    spec = importlib.util.spec_from_file_location("stopping_search", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--trials", "20", "--depth", "12"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("20 trials, depth 12")
+    assert "no hard check ever failed" in out

@@ -7,6 +7,7 @@ centers across the three session fixtures: the general/discrete ratio stays
 inside [1.09, 1.50] and refining shells 4 -> 8 moves values by at most 0.7%.
 """
 
+import importlib.util
 import math
 from pathlib import Path
 
@@ -266,6 +267,16 @@ class TestGammaPlusLowerBound:
         assert wide.halo_points > base.halo_points
         assert abs(wide.value - base.value) <= 0.05 * base.value
 
+    @pytest.mark.parametrize(
+        "other", [dict(lam=(0.1,) * 4), dict(s=0.3)], ids=["lam", "s"]
+    )
+    def test_refuses_params_of_other_atoms(self, atoms_small, other):
+        # these atoms' own params give 0.3004; the two mismatches used to
+        # return 0.1273 (39 968 halo points instead of 992) and 0.5542
+        params = CantorParams(**{**dict(d=1, s=0.5, lam=(0.25,) * 4), **other})
+        with pytest.raises(ParameterError, match="do not match"):
+            gamma_plus_lower_bound(atoms_small, params)
+
     def test_plane_case(self, atoms_plane, params_plane):
         est = gamma_plus_lower_bound(atoms_plane, params_plane)
         assert math.isfinite(est.value) and est.value > 0
@@ -343,3 +354,17 @@ class TestProfileSource:
                     assert got is None
                 else:
                     assert math.isclose(got, want, rel_tol=2e-15, abs_tol=0.0)
+
+
+def test_capacity_scan_smoke(capsys):
+    path = Path(__file__).parents[1] / "scripts" / "capacity_scan.py"
+    spec = importlib.util.spec_from_file_location("capacity_scan", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--ratios", "0.25", "--depth", "3", "--refine-k", "2"]) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header.split() == ["lam", "formula", "lower", "bound", "quotient", "halo"]
+    (row,) = rows
+    lam, cap, est, quot, halo = row.split()
+    assert float(lam) == 0.25 and int(halo) > 0
+    assert float(cap) > 0 and float(est) > 0 and float(quot) > 0
