@@ -68,19 +68,24 @@ class LambdaSpec:
 
     @classmethod
     def from_json(cls, obj) -> "LambdaSpec":
-        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-            return cls.constant(obj)
-        if isinstance(obj, (list, tuple)):
-            return cls.explicit(obj)
-        if isinstance(obj, dict):
-            kind = obj.get("kind")
-            if kind == "constant":
-                return cls.constant(_only(obj, {"kind", "value"})["value"])
-            if kind == "list":
-                return cls.explicit(_only(obj, {"kind", "values"})["values"])
-            if kind == "random":
-                got = _only(obj, {"kind", "lo", "hi"})
-                return cls.random(got["lo"], got["hi"])
+        try:
+            if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+                return cls.constant(obj)
+            if isinstance(obj, (list, tuple)):
+                return cls.explicit(obj)
+            if isinstance(obj, dict):
+                kind = obj.get("kind")
+                if kind == "constant":
+                    return cls.constant(_only(obj, {"kind", "value"})["value"])
+                if kind == "list":
+                    return cls.explicit(_only(obj, {"kind", "values"})["values"])
+                if kind == "random":
+                    got = _only(obj, {"kind", "lo", "hi"})
+                    return cls.random(got["lo"], got["hi"])
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, KeyError) as exc:
+            raise _bad_value(f"lambda spec {obj!r}", exc) from exc
         raise ConfigError(f"cannot parse lambda spec from {obj!r}")
 
     def resolve(self, n: int, stream: SplitMix64 | None = None) -> tuple[float, ...]:
@@ -127,6 +132,12 @@ def _only(obj: dict, allowed: set) -> dict:
     return obj
 
 
+def _bad_value(where: str, exc: Exception) -> ConfigError:
+    """ConfigError for a value that raised exc while it was read."""
+    why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ConfigError(f"bad value in {where}: {why}")
+
+
 @dataclass(frozen=True)
 class TreeSettings:
     """Whether sweeps use the tree code, and with what accuracy knobs."""
@@ -136,6 +147,8 @@ class TreeSettings:
     leaf_cap: int = 128
 
     def __post_init__(self):
+        if not isinstance(self.enabled, bool):
+            raise ConfigError(f"tree enabled must be true or false, got {self.enabled!r}")
         # delegate range checks so the two configs can never disagree
         try:
             self.to_config()
@@ -151,6 +164,35 @@ class TreeSettings:
             "theta_open": self.theta_open,
             "leaf_cap": self.leaf_cap,
         }
+
+
+def _read_key(key: str, value) -> dict:
+    """ExperimentConfig keyword arguments from one key of a JSON config."""
+    if key in ("d", "s", "refine_k", "seed", "random_reps", "out_dir", "atom_budget"):
+        return {key: value}
+    if key in ("depths", "formats"):
+        return {key: tuple(value)}
+    if key == "lambda":
+        return {"lam": LambdaSpec.from_json(value)}
+    if key == "eps":
+        return {"eps": float(value)}
+    if key == "tree":
+        return {"tree": TreeSettings(**_only(dict(value), {"enabled", "theta_open", "leaf_cap"}))}
+    if key == "stop":
+        got = _only(dict(value), {"B", "N_L", "C10"})
+        return {"stop": StopConfig(**{k: float(v) if k != "N_L" else int(v) for k, v in got.items()})}
+    if key in ("theta_override", "ell_override"):
+        return {} if value is None else {key: tuple(float(v) for v in value)}
+    if key == "wolff":
+        got = _only(dict(value), {"shells_per_octave", "samples"})
+        return {f"wolff_{k}": v for k, v in got.items()}
+    got = _only(dict(value), {"extent", "spacing"})  # key == "halo"
+    out = {}
+    if "extent" in got:
+        out["halo_extent"] = float(got["extent"])
+    if got.get("spacing") is not None:
+        out["halo_spacing"] = float(got["spacing"])
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,7 +218,7 @@ class ExperimentConfig:
     halo_spacing: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 1):
+        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
             raise ConfigError(f"d must be a positive integer, got {self.d!r}")
         if not 0.0 < self.s < self.d:
             raise ConfigError(f"s must lie in (0, d) = (0, {self.d}), got {self.s!r}")
@@ -192,6 +234,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (isinstance(self.random_reps, int) and self.random_reps >= 1):
             raise ConfigError(f"random_reps must be >= 1, got {self.random_reps!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         unknown = set(self.formats) - {"csv", "json", "svg"}
         if unknown:
             raise ConfigError(f"unknown output formats: {sorted(unknown)}")
@@ -228,45 +272,16 @@ class ExperimentConfig:
             raise ConfigError(f"config root must be an object, got {type(obj).__name__}")
         _only(obj, cls._KEYS)
         kwargs = {}
-        if "d" in obj:
-            kwargs["d"] = obj["d"]
-        if "s" in obj:
-            kwargs["s"] = obj["s"]
-        if "depths" in obj:
-            kwargs["depths"] = tuple(obj["depths"])
-        if "lambda" in obj:
-            kwargs["lam"] = LambdaSpec.from_json(obj["lambda"])
-        for key in ("refine_k", "seed", "random_reps", "out_dir", "atom_budget"):
-            if key in obj:
-                kwargs[key] = obj[key]
-        if "eps" in obj:
-            kwargs["eps"] = float(obj["eps"])
-        if "formats" in obj:
-            kwargs["formats"] = tuple(obj["formats"])
-        if "tree" in obj:
-            kwargs["tree"] = TreeSettings(**_only(dict(obj["tree"]), {"enabled", "theta_open", "leaf_cap"}))
-        if "stop" in obj:
-            got = _only(dict(obj["stop"]), {"B", "N_L", "C10"})
-            kwargs["stop"] = StopConfig(**{k: float(v) if k != "N_L" else int(v) for k, v in got.items()})
-        if "theta_override" in obj and obj["theta_override"] is not None:
-            kwargs["theta_override"] = tuple(float(v) for v in obj["theta_override"])
-        if "ell_override" in obj and obj["ell_override"] is not None:
-            kwargs["ell_override"] = tuple(float(v) for v in obj["ell_override"])
-        if "wolff" in obj:
-            got = _only(dict(obj["wolff"]), {"shells_per_octave", "samples"})
-            if "shells_per_octave" in got:
-                kwargs["wolff_shells_per_octave"] = got["shells_per_octave"]
-            if "samples" in got:
-                kwargs["wolff_samples"] = got["samples"]
-        if "halo" in obj:
-            got = _only(dict(obj["halo"]), {"extent", "spacing"})
-            if "extent" in got:
-                kwargs["halo_extent"] = float(got["extent"])
-            if got.get("spacing") is not None:
-                kwargs["halo_spacing"] = float(got["spacing"])
+        for key, value in obj.items():
+            try:
+                kwargs.update(_read_key(key, value))
+            except ConfigError:
+                raise
+            except (TypeError, ValueError, KeyError) as exc:
+                raise _bad_value(f"config key {key!r}", exc) from exc
         try:
             return cls(**kwargs)
-        except TypeError as exc:  # e.g. nested dicts of the wrong shape
+        except TypeError as exc:  # e.g. a string where a number is compared
             raise ConfigError(str(exc)) from exc
 
     @classmethod

@@ -124,6 +124,11 @@ def _density_array(theta) -> np.ndarray:
     return th
 
 
+def _check_ell_p(el: np.ndarray, pr: np.ndarray, n: int) -> None:
+    if n and not (np.all(el[:n] > 0) and np.all(np.isfinite(pr[:n]))):
+        raise ParameterError(f"ell must be positive and p finite on 0..{n - 1}")
+
+
 def compute_stops(theta, config: StopConfig, n: int | None = None) -> StopSet:
     """Cut [0, n] where the density leaves the B-band of the last cut.
 
@@ -263,8 +268,9 @@ def classify(theta, p, ell, config: StopConfig, n: int | None = None) -> Classif
 
     theta, p, ell must each cover indices 0..n-1 (n defaults to
     len(theta) - 1).  Good scales are those with p_j <= good_factor*theta_j;
-    an interval is good when its good scales carry at least good_fraction of
-    its squared-density mass, long when it has at least N_L scales.
+    an interval is good when it has good scales and they carry at least
+    good_fraction of its squared-density mass, long when it has at least N_L
+    scales.
 
     A paired block joins a consecutive (ID, DD-or-terminal) interval pair; a
     leading DD interval forms block 0 on its own.  Within a block, t_h is the
@@ -281,8 +287,7 @@ def classify(theta, p, ell, config: StopConfig, n: int | None = None) -> Classif
         raise ParameterError(
             f"p ({pr.size}) and ell ({el.size}) must cover indices 0..{n_eff - 1}"
         )
-    if n_eff and not (np.all(el[:n_eff] > 0) and np.all(np.isfinite(pr[:n_eff]))):
-        raise ParameterError("ell must be positive and p finite on 0..n-1")
+    _check_ell_p(el, pr, n_eff)
 
     good = frozenset(
         j for j in range(n_eff) if pr[j] <= config.good_factor * th[j]
@@ -290,14 +295,16 @@ def classify(theta, p, ell, config: StopConfig, n: int | None = None) -> Classif
     intervals = []
     for k, (lo, hi) in enumerate(stops.intervals()):
         sig = sigma(th, range(lo, hi))
-        sig_good = math.fsum(th[j] ** 2 for j in range(lo, hi) if j in good)
+        scales = [j for j in range(lo, hi) if j in good]
+        sig_good = math.fsum(th[j] ** 2 for j in scales)
         intervals.append(
             IntervalRecord(
                 k=k,
                 lo=lo,
                 hi=hi,
                 kind=stops.kinds[k],
-                good=sig_good >= config.good_fraction * sig,
+                # once sigma underflows to 0.0 the mass test holds trivially
+                good=bool(scales) and sig_good >= config.good_fraction * sig,
                 long=hi - lo >= config.N_L,
                 sigma=sig,
             )
@@ -489,7 +496,9 @@ def verify_sequence_lemmas(
     cum_t = np.cumsum(th[: m_max + 1] ** 2)
     slack = 1.0 + _REL_SLACK
     ok = bool(np.all(cum_p <= 4.0 * cum_t * slack))
-    worst = int(np.argmax(cum_p / cum_t))
+    # tightest among the M whose theta^2 prefix sum has not underflowed
+    ratio = np.divide(cum_p, cum_t, out=np.zeros_like(cum_p), where=cum_t > 0)
+    worst = int(np.argmax(ratio))
     hard("eqpjtj", float(cum_p[worst]), float(cum_t[worst]), 4.0, ok,
          note=f"tightest at M={worst} of {m_max}")
 
@@ -556,7 +565,9 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
     `constant` is the measured worst-case ratio, or None when no instance
     qualifies.  `field_values` must hold the transform of the atom measure at
     the atoms themselves with the self term excluded, and `classification`
-    and `profile` must describe the same construction as `atoms`.
+    and `profile` must describe the same construction as `atoms`; a profile
+    is refused, as classify refuses its sequences, unless theta is positive
+    and finite, ell positive and p finite.
 
     Checks reported:
       lemnab      oscillation, over each cube, of the field generated outside
@@ -591,9 +602,10 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
         raise ParameterError(
             "classification/profile depth does not match the atom set"
         )
+    th, pr, el = _density_array(profile.theta), profile.p, profile.ell
+    _check_ell_p(el, pr, n_gen + 1)
     d = atoms.d
     spec = KernelSpec(s=atoms.params.s)
-    th, pr, el = profile.theta, profile.p, profile.ell
     cfg = classification.config
     rep = decompose(values, atoms)
     # difference-layer masses, prefix-summed so windows are O(1)
@@ -649,7 +661,8 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
                 num = float(prefix_d[end + 1] - prefix_d[k])
                 yield num, 2.0 ** (-(end - k) * d) * dens**2
 
-    add(_extreme("lemaux11", entry_windows(), "no window meets the entry condition", least=True))
+    # the k = 0 window has no entry potential, so at least it qualifies
+    add(_extreme("lemaux11", entry_windows(), least=True))
 
     def band_windows():
         for q in range(n_gen):

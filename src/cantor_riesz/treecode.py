@@ -33,19 +33,17 @@ cell's mass center through fourth order.  Placing the expansion at the mass
 center kills the first-order term, so the first neglected term is fifth
 order and the error of one cell scales like (diameter/distance)^5 relative
 to that cell's own contribution.  Each level precomputes what of the
-expansion does not depend on the target: the moment traces and, for the
-rest, coefficients on the monomials y^t of degree <= 3 (one per sorted index
-tuple t, weighted by its multiplicity in the symmetric moment tensors), so a
-far-field call evaluates the monomials once and contracts them in one
-product.  As theta_open -> 0 every cell is opened and the output matches
-eval_brute to floating-point rounding (the same pair terms, summed in a
-different order).
+expansion does not depend on the target: the moment traces, and the
+quadrupole, octupole and hexadecapole (with their traces) as linear maps on
+y, y (x) y and y (x) y (x) y, each scaled by its Taylor factor, so a
+far-field call forms the tensor powers of y once and contracts each with
+one matrix product.  As theta_open -> 0 every cell is opened and the output
+matches eval_brute to floating-point rounding (the same pair terms, summed
+in a different order).
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,8 +75,8 @@ class TreeCodeConfig:
 class _Level(NamedTuple):
     """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs).
 
-    lo, hi and com are coordinate-major (d, nodes); trace and coef hold the
-    expansion of each node as _far_field uses it.
+    lo, hi and com are coordinate-major (d, nodes); trace, const, lin, octu
+    and hexa hold the expansion of each node as _far_field uses it.
     """
 
     bs: int
@@ -88,40 +86,10 @@ class _Level(NamedTuple):
     mass: np.ndarray
     diam2: np.ndarray
     trace: np.ndarray  # (nodes, 2): scalar terms t2, t4
-    coef: np.ndarray  # (nodes, 6d, basis size): polynomials v2 w4 v4 w6 v6 w8
-
-
-class _Basis(NamedTuple):
-    """Monomials y^t of degree 0..3 in d variables, one per sorted tuple t.
-
-    Degree k fills columns cols[k], ordered by last coordinate, so those
-    ending in c are a prefix of degree k-1 times y[c]: each step (src, dst,
-    c) sets columns dst to columns src times y[c].  Column i's monomial sits
-    at flat[i] in a (d,)*k tensor and stands for mult[i] entries of a
-    symmetric one.
-    """
-
-    cols: list
-    steps: list
-    flat: np.ndarray
-    mult: np.ndarray
-
-
-@functools.cache
-def _basis(d: int) -> _Basis:
-    terms, cols, steps = [()], [slice(0, 1)], []
-    for _ in range(3):
-        prev = terms[cols[-1]]
-        for c in range(d):
-            head = [t for t in prev if not t or t[-1] <= c]
-            src = slice(cols[-1].start, cols[-1].start + len(head))
-            steps.append((src, slice(len(terms), len(terms) + len(head)), c))
-            terms += [t + (c,) for t in head]
-        cols.append(slice(cols[-1].stop, len(terms)))
-    flat = [sum(c * d**i for i, c in enumerate(reversed(t))) for t in terms]
-    mult = [math.factorial(len(t)) // math.prod(math.factorial(t.count(c)) for c in set(t))
-            for t in terms]
-    return _Basis(cols, steps, np.array(flat), np.array(mult))
+    const: np.ndarray  # (nodes, 2d): constant terms of v2 w4
+    lin: np.ndarray  # (nodes, 4d, d): linear terms of v2 w4 v4 w6, on y
+    octu: np.ndarray  # (nodes, 2d, d^2): quadratic terms of v4 w6, on y (x) y
+    hexa: np.ndarray  # (nodes, 2d, d^3): cubic terms of v6 w8, on y (x) y (x) y
 
 
 def _block_sizes(atoms: AtomSet, leaf_cap: int) -> list[int]:
@@ -156,35 +124,25 @@ def _level(px: np.ndarray, masses: np.ndarray, bs: int, u: float) -> _Level:
     hexa = (wpairs @ pairs.transpose(0, 2, 1)).reshape(nodes, d, d, d, d)
     oi = np.trace(octu, axis1=2, axis2=3)  # O_abb
     hi_mat = np.trace(hexa, axis1=1, axis2=2)  # H_bbde
-    b = _basis(d)
-
-    def along(t: np.ndarray, k: int) -> np.ndarray:
-        """Coefficients of (t . y^k)_a on the degree-k monomials."""
-        return t.reshape(nodes, d, -1)[:, :, b.flat[b.cols[k]]] * b.mult[b.cols[k]]
-
     # rows v2 w4 v4 w6 v6 w8 of _far_field, each a vector polynomial in y
     # built from the quadrupole, octupole and hexadecapole, the trace vector
     # O_abb and the trace matrix H_bbde, with the kernel's Taylor factors
     c2 = u * (u + 2.0)
     c3 = c2 * (u + 4.0)
-    coef = np.zeros((nodes, 6, d, b.cols[-1].stop))
-    coef[:, 0, :, 0] = -(u / 2.0) * oi
-    coef[:, 0, :, b.cols[1]] = -u * quad
-    coef[:, 1, :, 0] = (c2 / 2.0) * oi
-    coef[:, 1, :, b.cols[1]] = (c2 / 2.0) * quad
-    coef[:, 2, :, b.cols[1]] = (c2 / 2.0) * hi_mat
-    coef[:, 2, :, b.cols[2]] = (c2 / 2.0) * along(octu, 2)
-    coef[:, 3, :, b.cols[1]] = -(c3 / 4.0) * hi_mat
-    coef[:, 3, :, b.cols[2]] = -(c3 / 6.0) * along(octu, 2)
-    coef[:, 4, :, b.cols[3]] = -(c3 / 6.0) * along(hexa, 3)
-    coef[:, 5, :, b.cols[3]] = (c3 * (u + 6.0) / 24.0) * along(hexa, 3)
-    trace = np.stack([
-        -(u / 2.0) * np.trace(quad, axis1=1, axis2=2),
-        (c2 / 8.0) * np.trace(hi_mat, axis1=1, axis2=2),
-    ], axis=1)
+    octu = octu.reshape(nodes, d, d * d)
+    hexa = hexa.reshape(nodes, d, d**3)
     return _Level(
-        bs, lo, hi, com, mass, ((hi - lo) ** 2).sum(axis=0), trace,
-        coef.reshape(nodes, 6 * d, -1),
+        bs, lo, hi, com, mass, ((hi - lo) ** 2).sum(axis=0),
+        trace=np.stack([
+            -(u / 2.0) * np.trace(quad, axis1=1, axis2=2),
+            (c2 / 8.0) * np.trace(hi_mat, axis1=1, axis2=2),
+        ], axis=1),
+        const=np.concatenate([-(u / 2.0) * oi, (c2 / 2.0) * oi], axis=1),
+        lin=np.concatenate([
+            -u * quad, (c2 / 2.0) * quad, (c2 / 2.0) * hi_mat, -(c3 / 4.0) * hi_mat,
+        ], axis=1),
+        octu=np.concatenate([(c2 / 2.0) * octu, -(c3 / 6.0) * octu], axis=1),
+        hexa=np.concatenate([-(c3 / 6.0) * hexa, (c3 * (u + 6.0) / 24.0) * hexa], axis=1),
     )
 
 
@@ -197,8 +155,8 @@ def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
         y * (m r^-u + r^(-u-2) (t2 + r^-2 (t4 + y . w(y)))) + r^(-u-2) v(y)
 
     with v = v2 + r^-2 (v4 + r^-2 v6) and w = w4 + r^-2 (w6 + r^-2 w8),
-    vector polynomials of degree <= 3 in y whose monomial coefficients, like
-    the scalars t2 and t4, _level takes from the node's central moments.
+    vector polynomials of degree <= 3 in y whose coefficient maps, like the
+    scalars t2 and t4, _level takes from the node's central moments.
     """
     d, n = y.shape
     r2 = (y * y).sum(axis=0)
@@ -208,17 +166,17 @@ def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
     # point cell reproduces eval_brute bit for bit
     mw = lv.mass[q] / nrm**u
     p2 = mw * inv / lv.mass[q]  # r^(-u-2), reusing the computed power
-    b = _basis(d)
-    basis = np.empty((b.cols[-1].stop, n))
-    basis[0] = 1.0
-    for src, dst, c in b.steps:
-        np.multiply(basis[src], y[c], out=basis[dst])
+    yy = (y[:, None] * y).reshape(d * d, n)
+    powers = (y, yy, (yy[:, None] * y).reshape(d**3, n))
     if n == 1:
         # einsum sums a lone column's products in another order; doubling it
         # keeps every target's value the same however targets are grouped
-        basis = np.repeat(basis, 2, axis=1)
-    poly = np.einsum("rj,jn->rn", lv.coef[q], basis)[:, :n].reshape(3, 2 * d, n)
-    vw = poly[0] + inv * (poly[1] + inv * poly[2])
+        powers = [np.repeat(p, 2, axis=1) for p in powers]
+    lin, quadratic, cubic = (
+        np.einsum("rj,jn->rn", m[q], p)[:, :n]
+        for m, p in zip((lv.lin, lv.octu, lv.hexa), powers)
+    )
+    vw = lv.const[q, :, None] + lin[:2 * d] + inv * (lin[2 * d:] + quadratic + inv * cubic)
     t2, t4 = lv.trace[q]
     scale = mw + p2 * (t2 + inv * (t4 + (y * vw[d:]).sum(axis=0)))
     return y * scale + p2 * vw[:d]

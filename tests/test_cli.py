@@ -90,6 +90,27 @@ class TestExitCodes:
         assert code == 2
         assert "mystery_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"depths": 5}',
+        '{"eps": "abc"}',
+        '{"stop": {"N_L": "x"}}',
+        '{"lambda": {"kind": "constant", "value": "x"}}',
+        '{"lambda": {"kind": "constant"}}',
+        '{"halo": {"extent": "a"}}',
+        '{"theta_override": 3}',
+        '{"tree": [1, 2]}',
+        '{"tree": {"enabled": "false"}}',
+        '{"d": true}',
+        '{"out_dir": 5}',
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, text, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        code = main(["profile", "--config", str(cfg)])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_negative_depth_rejected(self, tmp_path, capsys):
         code = main(["profile", "--N", "-1", "--out", str(tmp_path)])
         assert code == 2

@@ -7,9 +7,11 @@ same directory, since the provenance block echoes the configured out_dir.
 """
 
 import hashlib
+import importlib.util
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,3 +339,19 @@ class TestSweep:
         result = ex.run_sweep(cfg)
         names = sorted(p.name for p in result["written"])
         assert names == ["profile.csv", "ratio.csv"]
+
+
+def test_ratio_sweep_script_smoke(tmp_path, capsys):
+    path = Path(__file__).parents[1] / "scripts" / "run_ratio_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_ratio_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--depths", "2", "3", "--lam", "0.25", "--refine-k", "2", "--out", str(tmp_path)]
+    assert script.main(argv) == 0
+    header, *rest = capsys.readouterr().out.strip().splitlines()
+    assert header.split() == ["case", "N", "atoms", "ratio", "band", "family"]
+    rows = [line.split() for line in rest if line.startswith("c0")]
+    assert [(int(n), int(atoms)) for _, n, atoms, *_ in rows] == [(2, 8), (3, 16)]
+    assert all(row[-1] == "const:0.25" and float(row[3]) > 0 for row in rows)
+    assert "hard inequality checks: all pass" in rest
+    assert (tmp_path / "ratio.json").exists()

@@ -11,6 +11,7 @@ import importlib.util
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +487,20 @@ class TestTransformLemmas:
         with pytest.raises(ParameterError):
             verify_transform_lemmas(atoms_mixed, field_mixed, cls, profile_small)
 
+    @pytest.mark.parametrize("name, index, value", [
+        ("theta", 0, -1.0), ("theta", 2, np.inf), ("ell", 4, 0.0), ("p", 1, np.nan),
+    ])
+    def test_profile_guard(self, atoms_mixed, field_mixed, profile_mixed, name, index, value):
+        # the sequences classify would refuse; a negative leading density used
+        # to yield a lemaux11 note instead
+        cls = classify(
+            profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG, n=4
+        )
+        arrays = {k: getattr(profile_mixed, k).copy() for k in ("ell", "theta", "p")}
+        arrays[name][index] = value
+        with pytest.raises(ParameterError):
+            verify_transform_lemmas(atoms_mixed, field_mixed, cls, DensityProfile(**arrays))
+
 
 def legacy_lemnab(atoms, values, profile):
     """The lemnab loop with a bs x bs pair matrix per cube, kept verbatim."""
@@ -877,7 +892,6 @@ def legacy_verify_transform_lemmas(atoms, field_values, classification: Classifi
 
 SEQUENCE_NOTES = {"fewer than two paired blocks", "no paired blocks; ratio undefined"}
 TRANSFORM_NOTES = {
-    "no window meets the entry condition",
     "no in-band window qualifies",
     "no long good intervals",
     "no standard blocks",
@@ -965,12 +979,19 @@ class TestSharedReducers:
         assert [rec.standard for rec in cls.j_intervals] == [False]
         profile = DensityProfile(ell=ell, theta=theta, p=p)
         notes = same_transform(atoms, field, cls, profile)
-        # the k = 0 window has no entry potential, so it qualifies whenever
-        # its density sum is positive: only a negative leading density, with
-        # potentials too large for the later windows, leaves none
-        negative = DensityProfile(ell=ell, theta=[-1e6] + [1.0] * 5, p=[1e9] * 6)
-        notes |= same_transform(atoms, field, cls, negative)
+        # the spike leaves the band of q = 0 at once, and potentials too
+        # large for the entry condition close every later window
+        remote = DensityProfile(ell=ell, theta=theta, p=np.r_[p[:2], [1e9] * 4])
+        notes |= same_transform(atoms, field, cls, remote)
         assert TRANSFORM_NOTES <= notes
+        # only a negative leading density, with potentials too large for the
+        # later windows, left lemaux11 no window; such a profile is refused
+        negative = DensityProfile(ell=ell, theta=[-1e6] + [1.0] * 5, p=[1e9] * 6)
+        assert "no window meets the entry condition" in {
+            c.note for c in legacy_verify_transform_lemmas(atoms, field, cls, negative)
+        }
+        with pytest.raises(ParameterError, match="positive and finite"):
+            verify_transform_lemmas(atoms, field, cls, negative)
 
     def test_underflowing_peaks_give_no_ratio(self):
         # both peaks square to 0.0: the old loop divided by zero here, while
@@ -983,6 +1004,22 @@ class TestSharedReducers:
                 legacy_verify_sequence_lemmas(theta, theta, ell, cfg)
             check = verify_sequence_lemmas(theta, theta, ell, cfg)["lemamax11"]
         assert (check.lhs, check.rhs, check.constant, check.note) == (0.0, 0.0, None, "")
+
+    def test_underflowing_densities_keep_hard_checks(self):
+        # every theta^2 and p^2 underflows to 0.0; intervals [2, 3) and
+        # [4, 5) hold no good scale, yet their zero mass used to pass the
+        # good-fraction test, and lemj0 then found no good scale in them
+        theta = np.array([1.0, 200.0, 1.0, 200.0, 1.0, 1.0]) * 1e-170
+        prof = DensityProfile.from_densities(0.25 ** np.arange(6), theta)
+        cfg = StopConfig(B=101.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cls = classify(prof.theta, prof.p, prof.ell, cfg)
+            report = verify_sequence_lemmas(prof.theta, prof.p, prof.ell, cfg)
+        assert cls.good == {0, 1, 3}
+        assert [rec.good for rec in cls.intervals] == [True, True, False, True, False]
+        assert report.hard_pass
+        assert len([c for c in report if c.hard]) == 5
 
     def test_nonfinite_side_raised_by_same_check(self):
         atoms, field, cls, prof = lemma_inputs(1, 0.5, [0.25] * 4)

@@ -7,7 +7,9 @@ the last bit.  Extended cells pick up truncation error controlled by the
 opening angle, checked against a measured budget.
 """
 
+import functools
 import importlib.util
+import math
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -550,3 +552,171 @@ class TestCoordinateMajorMatchesLegacy:
         want = _legacy_treecode(atoms, atoms.points, spec, cfg, True)
         got = eval_treecode(atoms, atoms.points, spec, cfg, self_exclude=True)
         assert np.array_equal(got.values, want)
+
+
+# --- The symmetric-monomial expansion that the moment-tensor one replaced,
+# kept verbatim but for names: its level record, basis, _level and
+# _far_field.  Patched into treecode it is the whole previous tree code,
+# since the traversal did not change.
+
+class _MonomialLevel(NamedTuple):
+    """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs).
+
+    lo, hi and com are coordinate-major (d, nodes); trace and coef hold the
+    expansion of each node as _far_field uses it.
+    """
+
+    bs: int
+    lo: np.ndarray
+    hi: np.ndarray
+    com: np.ndarray
+    mass: np.ndarray
+    diam2: np.ndarray
+    trace: np.ndarray  # (nodes, 2): scalar terms t2, t4
+    coef: np.ndarray  # (nodes, 6d, basis size): polynomials v2 w4 v4 w6 v6 w8
+
+
+class _Basis(NamedTuple):
+    """Monomials y^t of degree 0..3 in d variables, one per sorted tuple t.
+
+    Degree k fills columns cols[k], ordered by last coordinate, so those
+    ending in c are a prefix of degree k-1 times y[c]: each step (src, dst,
+    c) sets columns dst to columns src times y[c].  Column i's monomial sits
+    at flat[i] in a (d,)*k tensor and stands for mult[i] entries of a
+    symmetric one.
+    """
+
+    cols: list
+    steps: list
+    flat: np.ndarray
+    mult: np.ndarray
+
+
+@functools.cache
+def _basis(d: int) -> _Basis:
+    terms, cols, steps = [()], [slice(0, 1)], []
+    for _ in range(3):
+        prev = terms[cols[-1]]
+        for c in range(d):
+            head = [t for t in prev if not t or t[-1] <= c]
+            src = slice(cols[-1].start, cols[-1].start + len(head))
+            steps.append((src, slice(len(terms), len(terms) + len(head)), c))
+            terms += [t + (c,) for t in head]
+        cols.append(slice(cols[-1].stop, len(terms)))
+    flat = [sum(c * d**i for i, c in enumerate(reversed(t))) for t in terms]
+    mult = [math.factorial(len(t)) // math.prod(math.factorial(t.count(c)) for c in set(t))
+            for t in terms]
+    return _Basis(cols, steps, np.array(flat), np.array(mult))
+
+
+def _monomial_level(px: np.ndarray, masses: np.ndarray, bs: int, u: float) -> _MonomialLevel:
+    """Boxes, mass centres and expansion coefficients of one level, kernel power u."""
+    d = px.shape[0]
+    block = px.reshape(d, -1, bs)
+    w = masses.reshape(-1, bs)
+    lo, hi = block.min(axis=2), block.max(axis=2)
+    mass = w.sum(axis=1)
+    com = (w * block).sum(axis=2) / mass
+    nodes = mass.shape[0]
+    # central moments as full symmetric tensors, node axis first
+    delta = (block - com[:, :, None]).transpose(1, 0, 2)
+    pairs = (delta[:, :, None] * delta[:, None]).reshape(nodes, d * d, bs)
+    wpairs = pairs * w[:, None, :]
+    quad = wpairs.sum(axis=2).reshape(nodes, d, d)
+    octu = (wpairs @ delta.transpose(0, 2, 1)).reshape(nodes, d, d, d)
+    hexa = (wpairs @ pairs.transpose(0, 2, 1)).reshape(nodes, d, d, d, d)
+    oi = np.trace(octu, axis1=2, axis2=3)  # O_abb
+    hi_mat = np.trace(hexa, axis1=1, axis2=2)  # H_bbde
+    b = _basis(d)
+
+    def along(t: np.ndarray, k: int) -> np.ndarray:
+        """Coefficients of (t . y^k)_a on the degree-k monomials."""
+        return t.reshape(nodes, d, -1)[:, :, b.flat[b.cols[k]]] * b.mult[b.cols[k]]
+
+    # rows v2 w4 v4 w6 v6 w8 of _far_field, each a vector polynomial in y
+    # built from the quadrupole, octupole and hexadecapole, the trace vector
+    # O_abb and the trace matrix H_bbde, with the kernel's Taylor factors
+    c2 = u * (u + 2.0)
+    c3 = c2 * (u + 4.0)
+    coef = np.zeros((nodes, 6, d, b.cols[-1].stop))
+    coef[:, 0, :, 0] = -(u / 2.0) * oi
+    coef[:, 0, :, b.cols[1]] = -u * quad
+    coef[:, 1, :, 0] = (c2 / 2.0) * oi
+    coef[:, 1, :, b.cols[1]] = (c2 / 2.0) * quad
+    coef[:, 2, :, b.cols[1]] = (c2 / 2.0) * hi_mat
+    coef[:, 2, :, b.cols[2]] = (c2 / 2.0) * along(octu, 2)
+    coef[:, 3, :, b.cols[1]] = -(c3 / 4.0) * hi_mat
+    coef[:, 3, :, b.cols[2]] = -(c3 / 6.0) * along(octu, 2)
+    coef[:, 4, :, b.cols[3]] = -(c3 / 6.0) * along(hexa, 3)
+    coef[:, 5, :, b.cols[3]] = (c3 * (u + 6.0) / 24.0) * along(hexa, 3)
+    trace = np.stack([
+        -(u / 2.0) * np.trace(quad, axis1=1, axis2=2),
+        (c2 / 8.0) * np.trace(hi_mat, axis1=1, axis2=2),
+    ], axis=1)
+    return _MonomialLevel(
+        bs, lo, hi, com, mass, ((hi - lo) ** 2).sum(axis=0), trace,
+        coef.reshape(nodes, 6 * d, -1),
+    )
+
+
+def _monomial_far_field(lv: _MonomialLevel, q: int, y: np.ndarray, u: float) -> np.ndarray:
+    """Multipole contribution of cell q at separations y = com - target, (d, n).
+
+    Taylor of sum_i m_i K(y + delta_i) about the mass center (sum m delta
+    vanishes there) through fourth order, grouped by powers of r^-2:
+
+        y * (m r^-u + r^(-u-2) (t2 + r^-2 (t4 + y . w(y)))) + r^(-u-2) v(y)
+
+    with v = v2 + r^-2 (v4 + r^-2 v6) and w = w4 + r^-2 (w6 + r^-2 w8),
+    vector polynomials of degree <= 3 in y whose monomial coefficients, like
+    the scalars t2 and t4, _level takes from the node's central moments.
+    """
+    d, n = y.shape
+    r2 = (y * y).sum(axis=0)
+    nrm = np.sqrt(r2)
+    inv = 1.0 / r2
+    # monopole, written exactly like the direct method's weight so a
+    # point cell reproduces eval_brute bit for bit
+    mw = lv.mass[q] / nrm**u
+    p2 = mw * inv / lv.mass[q]  # r^(-u-2), reusing the computed power
+    b = _basis(d)
+    basis = np.empty((b.cols[-1].stop, n))
+    basis[0] = 1.0
+    for src, dst, c in b.steps:
+        np.multiply(basis[src], y[c], out=basis[dst])
+    if n == 1:
+        # einsum sums a lone column's products in another order; doubling it
+        # keeps every target's value the same however targets are grouped
+        basis = np.repeat(basis, 2, axis=1)
+    poly = np.einsum("rj,jn->rn", lv.coef[q], basis)[:, :n].reshape(3, 2 * d, n)
+    vw = poly[0] + inv * (poly[1] + inv * poly[2])
+    t2, t4 = lv.trace[q]
+    scale = mw + p2 * (t2 + inv * (t4 + (y * vw[d:]).sum(axis=0)))
+    return y * scale + p2 * vw[:d]
+
+
+class TestTensorMatchesMonomial:
+    @pytest.mark.parametrize("eps", [0.0, 0.02])
+    @pytest.mark.parametrize(
+        "d, s, depth, ratios",
+        [(1, 0.5, 9, "random"), (1, 0.5, 9, "constant"), (2, 1.0, 4, "constant"),
+         (3, 1.5, 3, "constant"), (2, 1.0, 4, "random"), (3, 1.5, 3, "random")],
+    )
+    def test_whole_tree(self, d, s, depth, ratios, eps, monkeypatch):
+        rng = np.random.default_rng(200 * d + depth)
+        lam = (0.25,) * depth if ratios == "constant" else tuple(rng.uniform(0.1, 0.4, depth))
+        atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=2)
+        spec = KernelSpec(s=s, eps=eps)
+        cfg = TreeCodeConfig(leaf_cap=4)
+        runs = ((atoms.points, True), (rng.uniform(-0.2, 1.2, size=(64, d)), False))
+        got = [eval_treecode(atoms, t, spec, cfg, self_exclude=excl).values for t, excl in runs]
+        monkeypatch.setattr(treecode_mod, "_level", _monomial_level)
+        monkeypatch.setattr(treecode_mod, "_far_field", _monomial_far_field)
+        for (tgts, excl), new in zip(runs, got):
+            want = eval_treecode(atoms, tgts, spec, cfg, self_exclude=excl).values
+            if d == 1 or ratios == "constant":
+                assert np.array_equal(new, want)
+            else:
+                # the symmetric tensors sum each monomial's terms separately
+                scale = np.sqrt((want**2).sum(axis=1, keepdims=True))
+                assert np.all(np.abs(new - want) <= 1e-15 * scale)
