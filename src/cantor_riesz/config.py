@@ -12,11 +12,12 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, is_int
 from .quadrature import DEFAULT_ATOM_BUDGET
 from .rng import SplitMix64
 from .stopping import StopConfig
 from .treecode import TreeCodeConfig
+from .wolff import HaloGridSpec
 
 __all__ = ["ExperimentConfig", "LambdaSpec", "TreeSettings"]
 
@@ -138,6 +139,14 @@ def _bad_value(where: str, exc: Exception) -> ConfigError:
     return ConfigError(f"bad value in {where}: {why}")
 
 
+def _delegate(build) -> None:
+    """Run a library constructor's own checks, reporting a refusal as ConfigError."""
+    try:
+        build()
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class TreeSettings:
     """Whether sweeps use the tree code, and with what accuracy knobs."""
@@ -150,10 +159,7 @@ class TreeSettings:
         if not isinstance(self.enabled, bool):
             raise ConfigError(f"tree enabled must be true or false, got {self.enabled!r}")
         # delegate range checks so the two configs can never disagree
-        try:
-            self.to_config()
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        _delegate(self.to_config)
 
     def to_config(self) -> TreeCodeConfig:
         return TreeCodeConfig(theta_open=self.theta_open, leaf_cap=self.leaf_cap)
@@ -180,7 +186,7 @@ def _read_key(key: str, value) -> dict:
         return {"tree": TreeSettings(**_only(dict(value), {"enabled", "theta_open", "leaf_cap"}))}
     if key == "stop":
         got = _only(dict(value), {"B", "N_L", "C10"})
-        return {"stop": StopConfig(**{k: float(v) if k != "N_L" else int(v) for k, v in got.items()})}
+        return {"stop": StopConfig(**{k: v if k == "N_L" else float(v) for k, v in got.items()})}
     if key in ("theta_override", "ell_override"):
         return {} if value is None else {key: tuple(float(v) for v in value)}
     if key == "wolff":
@@ -218,29 +224,27 @@ class ExperimentConfig:
     halo_spacing: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
+        if not (is_int(self.d) and self.d >= 1):
             raise ConfigError(f"d must be a positive integer, got {self.d!r}")
         if not 0.0 < self.s < self.d:
             raise ConfigError(f"s must lie in (0, d) = (0, {self.d}), got {self.s!r}")
-        if not self.depths or any(
-            not isinstance(n, int) or n < 0 for n in self.depths
-        ):
+        if not self.depths or any(not (is_int(n) and n >= 0) for n in self.depths):
             raise ConfigError(f"depths must be nonnegative integers, got {self.depths!r}")
-        if not (isinstance(self.refine_k, int) and self.refine_k >= 1):
+        if not (is_int(self.refine_k) and self.refine_k >= 1):
             raise ConfigError(f"refine_k must be an integer >= 1, got {self.refine_k!r}")
         if not self.eps >= 0.0:
             raise ConfigError(f"eps must be nonnegative, got {self.eps!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (isinstance(self.random_reps, int) and self.random_reps >= 1):
+        if not (is_int(self.random_reps) and self.random_reps >= 1):
             raise ConfigError(f"random_reps must be >= 1, got {self.random_reps!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         unknown = set(self.formats) - {"csv", "json", "svg"}
         if unknown:
             raise ConfigError(f"unknown output formats: {sorted(unknown)}")
-        if self.atom_budget < 1:
-            raise ConfigError("atom_budget must be positive")
+        if not (is_int(self.atom_budget) and self.atom_budget >= 1):
+            raise ConfigError(f"atom_budget must be a positive integer, got {self.atom_budget!r}")
         if self.theta_override is not None:
             if not self.theta_override or any(v <= 0 for v in self.theta_override):
                 raise ConfigError("theta_override must be a nonempty positive sequence")
@@ -249,14 +253,11 @@ class ExperimentConfig:
                 raise ConfigError("ell_override requires theta_override")
             if any(v <= 0 for v in self.ell_override):
                 raise ConfigError("ell_override must be positive")
-        if not (isinstance(self.wolff_shells_per_octave, int) and self.wolff_shells_per_octave >= 1):
+        if not (is_int(self.wolff_shells_per_octave) and self.wolff_shells_per_octave >= 1):
             raise ConfigError("wolff_shells_per_octave must be an integer >= 1")
-        if not (isinstance(self.wolff_samples, int) and self.wolff_samples >= 1):
+        if not (is_int(self.wolff_samples) and self.wolff_samples >= 1):
             raise ConfigError("wolff_samples must be an integer >= 1")
-        if not self.halo_extent > 0:
-            raise ConfigError("halo_extent must be positive")
-        if self.halo_spacing is not None and not self.halo_spacing > 0:
-            raise ConfigError("halo_spacing must be positive when set")
+        _delegate(lambda: HaloGridSpec(extent=self.halo_extent, spacing=self.halo_spacing))
 
     # -- JSON round trip ---------------------------------------------------
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one integer test, shared across the package."""
+
+
+def is_int(value) -> bool:
+    """True for a Python int that is not a bool (JSON true is not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class ParameterError(ValueError):

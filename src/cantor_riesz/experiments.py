@@ -332,7 +332,11 @@ def _wolff_samples(config: ExperimentConfig, params: CantorParams) -> list[dict]
 
 def _wolff_case(config: ExperimentConfig, case: Case) -> dict:
     params = _case_params(config, case)
-    samples = _wolff_samples(config, params)
+    try:
+        samples = _wolff_samples(config, params)
+    except BudgetError as exc:  # ball_mass at d >= 3 (see _ball_box_volume)
+        log.warning("wolff case %s skipped: %s", case.case_id, exc)
+        return {**_head(case), "skipped": True, "skip_reason": str(exc)}
     ratios = [
         rec["wolff_general"] / rec["discrete_s"]
         for rec in samples
@@ -366,6 +370,7 @@ def _capacity_case(config: ExperimentConfig, case: Case) -> dict:
         atoms = atomize(params, config.refine_k, config.atom_budget)
         halo = HaloGridSpec(extent=config.halo_extent, spacing=config.halo_spacing)
         est = gamma_plus_lower_bound(atoms, params, halo)
+        samples = _wolff_samples(config, params)
     except BudgetError as exc:
         log.warning("capacity case %s skipped: %s", case.case_id, exc)
         rec.update(skipped=True, skip_reason=str(exc), gamma_plus_est=None)
@@ -378,7 +383,7 @@ def _capacity_case(config: ExperimentConfig, case: Case) -> dict:
         gamma_cap_constant=(
             est.value / rec["cap_formula"] if rec["cap_formula"] else None
         ),
-        wolff_at_samples=_wolff_samples(config, params),
+        wolff_at_samples=samples,
     )
     return rec
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthError, ParameterError
+from .errors import DepthError, ParameterError, is_int
 
 __all__ = [
     "CantorParams",
@@ -47,7 +47,7 @@ class CantorParams:
     tau0: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
+        if not (is_int(self.d) and self.d >= 1):
             raise ParameterError(f"dimension d must be an integer >= 1, got {self.d!r}")
         if not (0.0 < float(self.s) < self.d):
             raise ParameterError(

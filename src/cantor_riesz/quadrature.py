@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, DepthError, ParameterError
+from .errors import BudgetError, DepthError, ParameterError, is_int
 from .geometry import CantorParams, CubeId, cube_from_rank
 
 __all__ = ["AtomSet", "atomize", "ball_mass", "DEFAULT_ATOM_BUDGET"]
@@ -120,7 +120,7 @@ def atomize(
     params: CantorParams, refine_k: int, budget: int = DEFAULT_ATOM_BUDGET
 ) -> AtomSet:
     """Place refine_k^d equal-mass atoms at sub-grid centers of every leaf."""
-    if not isinstance(refine_k, int) or refine_k < 1:
+    if not (is_int(refine_k) and refine_k >= 1):
         raise ParameterError(f"refine_k must be an integer >= 1, got {refine_k!r}")
     d, n_gen = params.d, params.depth
     n_leaves = 1 << (d * n_gen)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, is_int
 from .martingale import decompose, project
 from .riesz import KernelSpec, _direct_field
 
@@ -73,7 +73,7 @@ class StopConfig:
     def __post_init__(self):
         if not (isinstance(self.B, (int, float)) and self.B > 100):
             raise ConfigError(f"band ratio B must exceed 100, got {self.B!r}")
-        if not (isinstance(self.N_L, int) and self.N_L >= 1):
+        if not (is_int(self.N_L) and self.N_L >= 1):
             raise ConfigError(f"N_L must be an integer >= 1, got {self.N_L!r}")
         if not (isinstance(self.C10, (int, float)) and self.C10 > 0):
             raise ConfigError(f"C10 must be positive, got {self.C10!r}")

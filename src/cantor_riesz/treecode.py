@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_int
 from .quadrature import AtomSet
 from .riesz import KernelSpec, VecField, _as_targets, _check_order, _direct_field
 
@@ -68,7 +68,7 @@ class TreeCodeConfig:
             raise ParameterError(
                 f"theta_open must lie in (0, 0.9], got {self.theta_open}"
             )
-        if not (isinstance(self.leaf_cap, int) and self.leaf_cap >= 1):
+        if not (is_int(self.leaf_cap) and self.leaf_cap >= 1):
             raise ParameterError(f"leaf_cap must be an integer >= 1, got {self.leaf_cap}")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, ParameterError, is_int
 from .geometry import CantorParams, build_profile, containing_cube
 from .quadrature import DEFAULT_ATOM_BUDGET, AtomSet, ball_mass
 from .riesz import KernelSpec, eval_brute
@@ -51,7 +51,7 @@ class WolffParams:
             raise ParameterError(f"alpha must be positive, got {self.alpha}")
         if not 1.0 < self.p < math.inf:
             raise ParameterError(f"p must lie in (1, inf), got {self.p}")
-        if not (isinstance(self.d, int) and self.d >= 1):
+        if not (is_int(self.d) and self.d >= 1):
             raise ParameterError(f"dimension must be a positive integer, got {self.d!r}")
         if not 0.0 < self.alpha * self.p < self.d:
             raise ParameterError(
@@ -95,7 +95,7 @@ def _shell_grid(
     which is trimmed so the covered range ends exactly at r_min (the analytic
     sub-leaf tail takes over below).
     """
-    if not (isinstance(shells_per_octave, int) and shells_per_octave >= 1):
+    if not (is_int(shells_per_octave) and shells_per_octave >= 1):
         raise ParameterError(
             f"shells_per_octave must be an integer >= 1, got {shells_per_octave!r}"
         )
@@ -211,17 +211,18 @@ class HaloGridSpec:
     spacing: float | None = None
 
     def __post_init__(self):
-        if not self.extent > 0:
-            raise ParameterError(f"halo extent must be positive, got {self.extent}")
-        if self.spacing is not None and not self.spacing > 0:
-            raise ParameterError(f"halo spacing must be positive, got {self.spacing}")
+        if not 0 < self.extent < math.inf:
+            raise ParameterError(f"halo extent must be positive and finite, got {self.extent}")
+        if self.spacing is not None and not 0 < self.spacing < math.inf:
+            raise ParameterError(f"halo spacing must be positive and finite, got {self.spacing}")
 
 
 def halo_grid(params: CantorParams, spec: HaloGridSpec) -> np.ndarray:
     """Materialize the halo grid points, budget-checked."""
     spacing = spec.spacing if spec.spacing is not None else params.leaf_side / 2.0
     span = 1.0 + 2.0 * spec.extent
-    per_axis = math.ceil(span / spacing)
+    cells = span / spacing  # a count that overflows to inf is over budget too
+    per_axis = math.ceil(cells) if math.isfinite(cells) else math.inf
     if per_axis**params.d > DEFAULT_ATOM_BUDGET:
         raise BudgetError(
             f"halo grid would need {per_axis}^{params.d} points; pass a coarser spacing"
@@ -268,33 +269,27 @@ def _drop_near_atoms(grid: np.ndarray, atoms: AtomSet, cutoff: float) -> np.ndar
     so points inside half an atom pitch carry no usable information (and an
     exact hit would be a genuine singularity).
 
-    Atoms are sorted by their first coordinate, and each grid point is tested
-    only against the atoms whose first coordinate lies in a window of about
-    +-cutoff around its own, found by binary search.  The window is padded a
-    little so rounding never hides an atom; the test itself is the full
-    squared distance against cutoff^2.  Cost O(grid * (log atoms + window)).
+    atomize() puts the atoms on a product lattice A x ... x A, one atom for
+    every choice of coordinates, so a point's least squared distance to the
+    set is the sum over axes of its least squared gap to A.  Rounding is
+    monotone in each term, so that sum is also, bit for bit, the least of the
+    rounded full sums over all atoms.  Each gap comes from the two values of
+    A that bracket the coordinate, found by one binary search; a set that is
+    not such a lattice (n != |A|^d, or an atom repeated) is refused.  Cost
+    O((grid + atoms) * d * log |A|).
     """
     if atoms.n == 0:
         return grid
-    cut2 = cutoff * cutoff
-    pts = atoms.points[np.argsort(atoms.points[:, 0], kind="stable")]
-    pad = cutoff * (1.0 + 1e-6) + 1e-12 * max(1.0, float(np.abs(pts).max()))
-    lo = np.searchsorted(pts[:, 0], grid[:, 0] - pad, side="left")
-    counts = np.searchsorted(pts[:, 0], grid[:, 0] + pad, side="right") - lo
-    ends = np.cumsum(counts)  # candidate pairs are listed point by point
-    near = np.zeros(grid.shape[0], dtype=bool)
-    g0 = 0
-    while g0 < grid.shape[0]:
-        # the next grid points whose windows hold at most 2^20 pairs (or one)
-        base = ends[g0] - counts[g0]
-        g1 = int(np.searchsorted(ends, base + (1 << 20), side="right"))
-        g1 = max(g1, g0 + 1)
-        gi = np.repeat(np.arange(g0, g1), counts[g0:g1])
-        ai = lo[gi] + np.arange(gi.size) - (ends[gi] - counts[gi] - base)
-        d2 = ((grid[gi] - pts[ai]) ** 2).sum(axis=1)
-        near[gi[d2 <= cut2]] = True
-        g0 = g1
-    return grid[~near]
+    coords = np.unique(atoms.points)
+    place = coords.size ** np.arange(atoms.d)  # digit weights of a cell's rank
+    if coords.size**atoms.d != atoms.n or np.bincount(
+            np.searchsorted(coords, atoms.points) @ place).max() > 1:
+        raise ParameterError("atom set is not atomize()'s product lattice")
+    below = np.concatenate(([-np.inf], coords))
+    above = np.concatenate((coords, [np.inf]))
+    i = np.searchsorted(coords, grid)  # below[i] < grid <= above[i]
+    gap2 = np.minimum((grid - below[i]) ** 2, (grid - above[i]) ** 2)
+    return grid[gap2.sum(axis=1) > cutoff * cutoff]
 
 
 def gamma_plus_lower_bound(

@@ -102,6 +102,20 @@ class TestExitCodes:
         '{"tree": {"enabled": "false"}}',
         '{"d": true}',
         '{"out_dir": 5}',
+        '{"seed": true}',
+        '{"refine_k": true}',
+        '{"random_reps": true}',
+        '{"depths": [2, true]}',
+        '{"wolff": {"samples": true}}',
+        '{"wolff": {"shells_per_octave": true}}',
+        '{"tree": {"leaf_cap": true}}',
+        '{"atom_budget": true}',
+        '{"atom_budget": 2.5}',
+        '{"stop": {"N_L": 2.7}}',
+        '{"stop": {"N_L": true}}',
+        '{"halo": {"extent": Infinity}}',
+        '{"halo": {"spacing": Infinity}}',
+        '{"halo": {"extent": NaN}}',
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -110,6 +124,26 @@ class TestExitCodes:
         code = main(["profile", "--config", str(cfg)])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_overflowing_halo_is_skipped(self, tmp_path, capsys):
+        # span 1 + 2e308 overflows; the case is over budget, not a crash
+        cfg = tmp_path / "huge.json"
+        cfg.write_text('{"halo": {"extent": 1e308}, "depths": [2], "refine_k": 2}')
+        code = main(["capacity", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 0
+        (rec,) = json.loads((tmp_path / "capacity.json").read_text())["cases"]
+        assert rec["skipped"] and "halo grid would need inf^1 points" in rec["skip_reason"]
+
+    @pytest.mark.parametrize("command", ["wolff", "capacity"])
+    def test_ball_volume_budget_is_skipped(self, tmp_path, caplog, command):
+        # no config key reaches ball_mass's tol_ball, which d = 3 cannot meet
+        code = main([command, "--d", "3", "--s", "1.5", "--N", "1", "--refine-k", "2",
+                     "--lambda", "0.25", "--out", str(tmp_path)])
+        assert code == 0
+        (rec,) = json.loads((tmp_path / f"{command}.json").read_text())["cases"]
+        assert rec["skipped"] is True
+        assert "ball volume to tolerance" in rec["skip_reason"]
+        assert f"{command} case c000 skipped: ball volume" in caplog.text
 
     def test_negative_depth_rejected(self, tmp_path, capsys):
         code = main(["profile", "--N", "-1", "--out", str(tmp_path)])

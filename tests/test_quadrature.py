@@ -102,7 +102,7 @@ class TestAtomize:
         with pytest.raises(BudgetError):
             atomize(params_small, refine_k=2, budget=10)
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.0, None])
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, None, True])
     def test_refine_k_validation(self, params_small, bad):
         with pytest.raises(ParameterError):
             atomize(params_small, refine_k=bad)

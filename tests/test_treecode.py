@@ -163,6 +163,28 @@ class TestContract:
         got = eval_treecode(atoms, atoms.points, spec, self_exclude=True)
         assert np.array_equal(got.values, want.values)
 
+    def test_lone_column_matches_its_run(self, monkeypatch):
+        # a one-target far-field call must give the value that target gets in
+        # any longer call; with random ratios the products do not sum exactly,
+        # and without _far_field's lone-column doubling 19 of these 90 585
+        # components differ
+        rng = np.random.default_rng(3)
+        atoms = atomize(CantorParams(d=3, s=1.5, lam=tuple(rng.uniform(0.1, 0.4, 3))), refine_k=2)
+        real = treecode_mod._far_field
+        checked = []
+
+        def spy(lv, q, y, u):
+            out = real(lv, q, y, u)
+            if y.shape[1] > 1:
+                for j in np.flatnonzero(rng.random(y.shape[1]) < 0.2):
+                    checked.append(np.array_equal(real(lv, q, y[:, [j]], u)[:, 0], out[:, j]))
+            return out
+
+        monkeypatch.setattr(treecode_mod, "_far_field", spy)
+        eval_treecode(atoms, atoms.points, KernelSpec(s=1.5), TreeCodeConfig(leaf_cap=4),
+                      self_exclude=True)
+        assert len(checked) > 30_000 and all(checked)
+
     def test_traversal_memory_bounded(self):
         # 65 536 targets in runs of 16 384: one pass over all of them at
         # once peaked at 9.4 MB here, in runs at 4.9 MB

@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantor_riesz import (
+    AtomSet,
     CantorParams,
     BudgetError,
     DEFAULT_ATOM_BUDGET,
@@ -43,6 +44,31 @@ def brute_drop_near_atoms(grid, atoms, cutoff):
     """Keep the grid points whose nearest atom lies beyond cutoff."""
     d2 = ((grid[:, None, :] - atoms.points[None, :, :]) ** 2).sum(axis=2)
     return grid[d2.min(axis=1) > cutoff * cutoff]
+
+
+def legacy_drop_near_atoms(grid, atoms, cutoff):
+    """The sorted-window filter the per-axis one replaced, kept verbatim."""
+    if atoms.n == 0:
+        return grid
+    cut2 = cutoff * cutoff
+    pts = atoms.points[np.argsort(atoms.points[:, 0], kind="stable")]
+    pad = cutoff * (1.0 + 1e-6) + 1e-12 * max(1.0, float(np.abs(pts).max()))
+    lo = np.searchsorted(pts[:, 0], grid[:, 0] - pad, side="left")
+    counts = np.searchsorted(pts[:, 0], grid[:, 0] + pad, side="right") - lo
+    ends = np.cumsum(counts)  # candidate pairs are listed point by point
+    near = np.zeros(grid.shape[0], dtype=bool)
+    g0 = 0
+    while g0 < grid.shape[0]:
+        # the next grid points whose windows hold at most 2^20 pairs (or one)
+        base = ends[g0] - counts[g0]
+        g1 = int(np.searchsorted(ends, base + (1 << 20), side="right"))
+        g1 = max(g1, g0 + 1)
+        gi = np.repeat(np.arange(g0, g1), counts[g0:g1])
+        ai = lo[gi] + np.arange(gi.size) - (ends[gi] - counts[gi] - base)
+        d2 = ((grid[gi] - pts[ai]) ** 2).sum(axis=1)
+        near[gi[d2 <= cut2]] = True
+        g0 = g1
+    return grid[~near]
 
 
 def leaf_centers(params, stride=1):
@@ -87,6 +113,7 @@ class TestWolffParams:
             dict(alpha=0.25, p=2.0, d=1.5),
             dict(alpha=0.6, p=2.0, d=1),  # alpha*p = 1.2 >= d
             dict(alpha=0.5, p=2.0, d=1),  # alpha*p = d exactly
+            dict(alpha=0.25, p=2.0, d=True),
         ],
     )
     def test_rejects(self, kwargs):
@@ -166,8 +193,9 @@ class TestShellPotential:
         assert far < near
 
     def test_bad_shell_count(self, params_small):
-        with pytest.raises(ParameterError):
-            wolff_potential_s(params_small, [0.1], shells_per_octave=0)
+        for bad in (0, True):
+            with pytest.raises(ParameterError):
+                wolff_potential_s(params_small, [0.1], shells_per_octave=bad)
 
 
 class TestCapacity:
@@ -222,10 +250,20 @@ class TestHaloGrid:
         with pytest.raises(BudgetError):
             halo_grid(params, spec)
 
-    @pytest.mark.parametrize("kwargs", [dict(extent=0.0), dict(extent=-1.0), dict(spacing=0.0), dict(spacing=-0.5)])
+    @pytest.mark.parametrize("kwargs", [
+        dict(extent=0.0), dict(extent=-1.0), dict(spacing=0.0), dict(spacing=-0.5),
+        dict(extent=math.inf), dict(extent=math.nan), dict(spacing=math.inf),
+        dict(spacing=math.nan),
+    ])
     def test_spec_rejects(self, kwargs):
         with pytest.raises(ParameterError):
             HaloGridSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(extent=1e308), dict(spacing=1e-320)])
+    def test_infinite_cell_count_is_over_budget(self, kwargs):
+        # both overflow span / spacing to inf (OverflowError in math.ceil before)
+        with pytest.raises(BudgetError, match="inf"):
+            halo_grid(CantorParams(d=2, s=1.0, lam=(0.25,)), HaloGridSpec(**kwargs))
 
     def test_drop_near_atoms(self, atoms_small):
         grid = np.concatenate([atoms_small.points[:3], [[5.0]]])
@@ -250,6 +288,64 @@ class TestHaloGrid:
         got = _drop_near_atoms(grid, atoms, cutoff)
         np.testing.assert_array_equal(got, want)
         assert not any((at_cut == row).all(axis=1).any() for row in got)
+
+
+class TestPerAxisFilterMatchesLegacy:
+    """_drop_near_atoms keeps exactly the points the sorted-window filter kept."""
+
+    @staticmethod
+    def cutoff(atoms):
+        return 0.5 * atoms.params.leaf_side / atoms.refine_k  # as gamma_plus_lower_bound
+
+    def test_sweep_demo_grids(self):
+        path = Path(__file__).parents[1] / "scripts" / "configs" / "sweep_demo.json"
+        config = ExperimentConfig.load(path)
+        cases = enumerate_cases(config)
+        assert len(cases) == 9
+        for case in cases:
+            params = CantorParams(d=config.d, s=config.s, lam=case.lam)
+            atoms = atomize(params, config.refine_k)
+            grid = halo_grid(params, HaloGridSpec())
+            got = _drop_near_atoms(grid, atoms, self.cutoff(atoms))
+            want = legacy_drop_near_atoms(grid, atoms, self.cutoff(atoms))
+            assert got.shape[0] < grid.shape[0]
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sets(self, d, seed):
+        rng = np.random.default_rng(100 * d + seed)
+        depth = int(rng.integers(1, 6 - d))
+        params = CantorParams(d=d, s=0.5 * d, lam=tuple(rng.uniform(0.05, 0.45, depth)))
+        atoms = atomize(params, refine_k=int(rng.integers(1, 5)))
+        cutoff = self.cutoff(atoms)
+        base = atoms.points[rng.integers(0, atoms.n, 300)]
+        step = np.eye(d)[rng.integers(0, d, len(base))] * rng.choice([-1.0, 1.0], (len(base), 1))
+        at_cut = base + cutoff * step
+        grid = np.concatenate([
+            halo_grid(params, HaloGridSpec(extent=0.1, spacing=max(0.5 * params.leaf_side, 0.02))),
+            at_cut,
+            at_cut - 2.0**-40 * step,  # just inside the cutoff
+            base + rng.normal(0.0, cutoff, base.shape),
+            rng.uniform(-0.1, 1.1, size=(1000, d)),
+        ])
+        got = _drop_near_atoms(grid, atoms, cutoff)
+        np.testing.assert_array_equal(got, legacy_drop_near_atoms(grid, atoms, cutoff))
+        assert 0 < got.shape[0] < grid.shape[0]
+
+    @pytest.mark.parametrize("change", ["moved", "repeated"])
+    def test_refuses_non_product_set(self, change):
+        good = atomize(CantorParams(d=2, s=1.0, lam=(0.25, 0.25)), refine_k=2)
+        points = good.points.copy()
+        if change == "moved":
+            points[5, 0] += 1e-3  # a coordinate no other atom has
+        else:
+            points[5] = points[6]  # same coordinates, one lattice cell empty
+        atoms = AtomSet(params=good.params, refine_k=2, points=points,
+                        masses=good.masses, leaf_rank=good.leaf_rank)
+        grid = halo_grid(good.params, HaloGridSpec())
+        with pytest.raises(ParameterError, match="product lattice"):
+            _drop_near_atoms(grid, atoms, self.cutoff(atoms))
 
 
 class TestGammaPlusLowerBound:
