@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, ParameterError, is_int
+from .errors import ConfigError, ParameterError, is_int, is_real
 from .quadrature import DEFAULT_ATOM_BUDGET
 from .rng import SplitMix64
 from .stopping import StopConfig
@@ -122,7 +122,7 @@ class LambdaSpec:
 
 
 def _check_ratio(v) -> None:
-    if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 < v < 0.5):
+    if not (is_real(v) and 0.0 < v < 0.5):
         raise ConfigError(f"contraction ratio must lie in (0, 1/2), got {v!r}")
 
 
@@ -131,6 +131,13 @@ def _only(obj: dict, allowed: set) -> dict:
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
     return obj
+
+
+def _real(value) -> float:
+    """A real-valued config entry as a float; JSON true is refused, not read as 1.0."""
+    if not is_real(value):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _bad_value(where: str, exc: Exception) -> ConfigError:
@@ -181,23 +188,23 @@ def _read_key(key: str, value) -> dict:
     if key == "lambda":
         return {"lam": LambdaSpec.from_json(value)}
     if key == "eps":
-        return {"eps": float(value)}
+        return {"eps": _real(value)}
     if key == "tree":
         return {"tree": TreeSettings(**_only(dict(value), {"enabled", "theta_open", "leaf_cap"}))}
     if key == "stop":
         got = _only(dict(value), {"B", "N_L", "C10"})
-        return {"stop": StopConfig(**{k: v if k == "N_L" else float(v) for k, v in got.items()})}
+        return {"stop": StopConfig(**{k: v if k == "N_L" else _real(v) for k, v in got.items()})}
     if key in ("theta_override", "ell_override"):
-        return {} if value is None else {key: tuple(float(v) for v in value)}
+        return {} if value is None else {key: tuple(_real(v) for v in value)}
     if key == "wolff":
         got = _only(dict(value), {"shells_per_octave", "samples"})
         return {f"wolff_{k}": v for k, v in got.items()}
     got = _only(dict(value), {"extent", "spacing"})  # key == "halo"
     out = {}
     if "extent" in got:
-        out["halo_extent"] = float(got["extent"])
+        out["halo_extent"] = _real(got["extent"])
     if got.get("spacing") is not None:
-        out["halo_spacing"] = float(got["spacing"])
+        out["halo_spacing"] = _real(got["spacing"])
     return out
 
 
@@ -226,7 +233,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (is_int(self.d) and self.d >= 1):
             raise ConfigError(f"d must be a positive integer, got {self.d!r}")
-        if not 0.0 < self.s < self.d:
+        if not (is_real(self.s) and 0.0 < self.s < self.d):
             raise ConfigError(f"s must lie in (0, d) = (0, {self.d}), got {self.s!r}")
         if not self.depths or any(not (is_int(n) and n >= 0) for n in self.depths):
             raise ConfigError(f"depths must be nonnegative integers, got {self.depths!r}")

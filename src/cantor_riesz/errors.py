@@ -1,9 +1,14 @@
-"""Exception types, and the one integer test, shared across the package."""
+"""Exception types, and the integer and real-number tests, shared across the package."""
 
 
 def is_int(value) -> bool:
     """True for a Python int that is not a bool (JSON true is not a count)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a Python int or float that is not a bool (JSON true is not a number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ParameterError(ValueError):

@@ -9,11 +9,18 @@ s-density at that scale is theta_n = 2^(-n*d) / ell_n^s, and the
 ancestor-weighted potential of scale j is
 
     p_j = sum_{k=0..j} theta_k * ell_j / ell_k.
+
+CantorParams.ell is the one side-length table: every layer that walks the
+cube hierarchy reads ell_0..ell_N from it, so all of them multiply the same
+ratios in the same order and agree bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +86,20 @@ class CantorParams:
     def cube_mass(self, gen: int) -> float:
         return 2.0 ** (-gen * self.d)
 
+    @functools.cached_property
+    def ell(self) -> tuple[float, ...]:
+        """Side lengths ell_0 = 1, ell_n = ell_(n-1) * lam_n, for n = 0..N."""
+        return tuple(itertools.accumulate(self.lam, operator.mul, initial=1.0))
+
     @property
     def leaf_side(self) -> float:
         """Side ell_N = lam_1 * ... * lam_N of a final-generation cube."""
-        return math.prod(self.lam, start=1.0)
+        return self.ell[-1]
+
+    @property
+    def leaf_density(self) -> float:
+        """Lebesgue density 2^(-N*d) / ell_N^d of the measure on a leaf cube."""
+        return self.cube_mass(self.depth) / self.leaf_side**self.d
 
 
 @dataclass(frozen=True)
@@ -169,7 +186,7 @@ class DensityProfile:
 
 def build_profile(params: CantorParams) -> DensityProfile:
     """Compute (ell_n, theta_n, p_n) for n = 0..N by direct summation."""
-    ell = np.cumprod((1.0,) + params.lam)
+    ell = np.array(params.ell)
     gens = np.arange(params.depth + 1)
     theta = 2.0 ** (-gens * params.d) / ell**params.s
     return DensityProfile.from_densities(ell, theta)
@@ -186,25 +203,36 @@ def p_between(profile: DensityProfile, q: int, r: int) -> float:
     return math.fsum(theta[k] * ell[q] / ell[k] for k in range(r, q + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _corner_bits(d: int) -> np.ndarray:
+    """(2^d, d) table whose row c holds the bits of child code c, lowest first."""
+    codes = np.arange(1 << d)
+    bits = ((codes[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
+
+
+def _point(x, d: int) -> np.ndarray:
+    """x as a flat float array of d coordinates, or raise ParameterError."""
+    pt = np.asarray(x, dtype=float).reshape(-1)
+    if pt.shape[0] != d:
+        raise ParameterError(f"point has {pt.shape[0]} coordinates, expected {d}")
+    return pt
+
+
 def cube_position(params: CantorParams, cube: CubeId) -> tuple[np.ndarray, float]:
     """Lower-left corner and side length of a cube, or raise DepthError."""
     if cube.gen > params.depth:
         raise DepthError(
             f"cube generation {cube.gen} exceeds construction depth {params.depth}"
         )
-    d = params.d
-    ell_prev = 1.0
+    d, ell, bits = params.d, params.ell, _corner_bits(params.d)
     corner = np.zeros(d)
-    for i, code in enumerate(cube.path, start=1):
+    for i, code in enumerate(cube.path):
         if code >> d:
             raise ParameterError(f"corner code {code} out of range for d={d}")
-        side = ell_prev * params.lam[i - 1]
-        step = ell_prev - side
-        for k in range(d):
-            if (code >> k) & 1:
-                corner[k] += step
-        ell_prev = side
-    return corner, ell_prev
+        corner += bits[code] * (ell[i] - ell[i + 1])
+    return corner, ell[cube.gen]
 
 
 def containing_cube(params: CantorParams, x, n: int) -> CubeId | None:
@@ -216,28 +244,18 @@ def containing_cube(params: CantorParams, x, n: int) -> CubeId | None:
         raise DepthError(
             f"generation {n} exceeds construction depth {params.depth}"
         )
-    d = params.d
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != d:
-        raise ParameterError(f"point has {x.shape[0]} coordinates, expected {d}")
-    corner = np.zeros(d)
-    ell_prev = 1.0
+    x = _point(x, params.d)
     if np.any(x < 0.0) or np.any(x > 1.0):
         return None
+    ell, weights = params.ell, 1 << np.arange(params.d)
+    corner = np.zeros(params.d)
     path = []
-    for i in range(1, n + 1):
-        side = ell_prev * params.lam[i - 1]
-        step = ell_prev - side
-        code = 0
-        for k in range(d):
-            lo = corner[k]
-            if lo <= x[k] <= lo + side:
-                continue  # low corner, bit stays 0
-            if lo + step <= x[k] <= lo + ell_prev:
-                code |= 1 << k
-                corner[k] = lo + step
-            else:
-                return None
-        path.append(code)
-        ell_prev = side
+    for i in range(n):
+        step = ell[i] - ell[i + 1]
+        low = (corner <= x) & (x <= corner + ell[i + 1])
+        high = ~low & (corner + step <= x) & (x <= corner + ell[i])
+        if not np.all(low | high):
+            return None
+        path.append(int(weights @ high))
+        corner = np.where(high, corner + step, corner)
     return CubeId(n, tuple(path))

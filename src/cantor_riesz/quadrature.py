@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DepthError, ParameterError, is_int
-from .geometry import CantorParams, CubeId, cube_from_rank
+from .geometry import CantorParams, CubeId, _corner_bits, _point, cube_from_rank
 
 __all__ = ["AtomSet", "atomize", "ball_mass", "DEFAULT_ATOM_BUDGET"]
 
@@ -93,26 +93,13 @@ class AtomSet:
             fh.write("\n".join(lines) + "\n")
 
 
-@functools.lru_cache(maxsize=None)
-def _corner_bits(d: int) -> np.ndarray:
-    """(2^d, d) table whose row c holds the bits of child code c, lowest first."""
-    codes = np.arange(1 << d)
-    bits = ((codes[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
-    bits.flags.writeable = False
-    return bits
-
-
 def _leaf_corners(params: CantorParams) -> np.ndarray:
     """Corners of all generation-N cubes in path-lexicographic order."""
-    d = params.d
+    d, ell, bits = params.d, params.ell, _corner_bits(params.d)
     corners = np.zeros((1, d))
-    ell_prev = 1.0
-    bits = _corner_bits(d)
-    for lam in params.lam:
-        side = ell_prev * lam
-        offsets = bits * (ell_prev - side)
+    for i in range(params.depth):
+        offsets = bits * (ell[i] - ell[i + 1])
         corners = (corners[:, None, :] + offsets[None, :, :]).reshape(-1, d)
-        ell_prev = side
     return corners
 
 
@@ -267,19 +254,15 @@ def ball_mass(
     radii = radii.reshape(-1)
     if not np.all(radii > 0.0):
         raise ParameterError(f"ball radius must be positive, got {r}")
-    d, n_gen = params.d, params.depth
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != d:
-        raise ParameterError(f"point has {x.shape[0]} coordinates, expected {d}")
+    d, n_gen, ell = params.d, params.depth, params.ell
+    x = _point(x, d)
     r2 = radii * radii
     bits = _corner_bits(d)
     mass = np.zeros(radii.shape[0])
     boxes = np.zeros((1, d))
     live = np.ones((1, radii.shape[0]), dtype=bool)  # (box, radius): straddled
-    ell_prev = 1.0
     for g in range(n_gen + 1):
-        side = ell_prev
-        near2, far2 = _box_near_far_sq(boxes, side, x)
+        near2, far2 = _box_near_far_sq(boxes, ell[g], x)
         inside = live & (far2[:, None] <= r2)
         live &= ~inside & (near2[:, None] <= r2)
         mass += inside.sum(axis=0) * 2.0 ** (-g * d)
@@ -287,17 +270,13 @@ def ball_mass(
         boxes, live = boxes[keep], live[keep]
         if boxes.shape[0] == 0 or g == n_gen:
             break
-        child = ell_prev * params.lam[g]
-        offsets = bits * (ell_prev - child)
+        offsets = bits * (ell[g] - ell[g + 1])
         boxes = (boxes[:, None, :] + offsets[None, :, :]).reshape(-1, d)
         live = np.repeat(live, 1 << d, axis=0)
-        ell_prev = child
     if boxes.shape[0]:
-        leaf_side = params.leaf_side
-        density = 2.0 ** (-n_gen * d) / leaf_side**d
         for k in np.flatnonzero(live.any(axis=0)):
             vol = _ball_box_volume(
-                boxes[live[:, k]], leaf_side, x, float(radii[k]), tol_ball, depth_cap
+                boxes[live[:, k]], ell[-1], x, float(radii[k]), tol_ball, depth_cap
             )
-            mass[k] += density * vol
+            mass[k] += params.leaf_density * vol
     return float(mass[0]) if scalar else mass

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SingularityError
+from .geometry import _point
 from .quadrature import AtomSet
 
 __all__ = [
@@ -269,9 +270,7 @@ def square_function(atoms: AtomSet, x, spec: KernelSpec, psi=None) -> float:
         psi = smoothstep_psi
     else:
         _validate_psi(psi)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != d:
-        raise ParameterError(f"point has {x.shape[0]} coordinates, expected {d}")
+    x = _point(x, d)
     if atoms.n == 0:
         return 0.0
     diffs = x[None, :] - atoms.points

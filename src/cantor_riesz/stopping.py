@@ -11,7 +11,7 @@ compute_stops, classify and verify_sequence_lemmas read only the sequences
 theta, p and ell, and are exact float combinatorics, so the inequalities with
 explicit constants are asserted outright.  verify_transform_lemmas reads a
 computed field at the atoms as well: it calls the shared pair kernel for the
-field each cube generates inside itself, and martingale.project / decompose
+field each cube generates inside itself, and martingale.difference / decompose
 for the cube means and difference layers.  Its inequalities have existential
 constants, so they are only measured and reported, as lemamax11 and lemjh are.
 """
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, is_int
-from .martingale import decompose, project
+from .errors import ConfigError, ParameterError, is_int, is_real
+from .martingale import decompose, difference
 from .riesz import KernelSpec, _direct_field
 
 __all__ = [
@@ -71,11 +71,11 @@ class StopConfig:
     good_fraction: float = field(default=0.1, init=False)
 
     def __post_init__(self):
-        if not (isinstance(self.B, (int, float)) and self.B > 100):
+        if not (is_real(self.B) and self.B > 100):
             raise ConfigError(f"band ratio B must exceed 100, got {self.B!r}")
         if not (is_int(self.N_L) and self.N_L >= 1):
             raise ConfigError(f"N_L must be an integer >= 1, got {self.N_L!r}")
-        if not (isinstance(self.C10, (int, float)) and self.C10 > 0):
+        if not (is_real(self.C10) and self.C10 > 0):
             raise ConfigError(f"C10 must be positive, got {self.C10!r}")
 
 
@@ -635,15 +635,10 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
 
     add(_extreme("lemnab", oscillations()))
 
-    cells = [project(values, atoms, j) for j in range(n_gen + 1)]
-    branch = atoms.params.branching
+    def jump(j: int) -> float:  # largest parent-to-child jump of the cube means
+        return float(np.sqrt((difference(values, atoms, j).values ** 2).sum(axis=1)).max())
 
-    def jumps():
-        for j in range(n_gen):
-            jump = cells[j + 1].values - np.repeat(cells[j].values, branch, axis=0)
-            yield float(np.sqrt((jump**2).sum(axis=1)).max()), float(pr[j])
-
-    add(_extreme("lemdes11", jumps()))
+    add(_extreme("lemdes11", ((jump(j), float(pr[j])) for j in range(n_gen))))
 
     head = profile.sum_theta_sq(0, n_gen - 1)
     add(_measured("lemfa1", rep.sN_norm, head, _ratio(rep.sN_norm, head)))

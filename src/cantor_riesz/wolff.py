@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ParameterError, is_int
-from .geometry import CantorParams, build_profile, containing_cube
+from .geometry import CantorParams, _point, build_profile, containing_cube
 from .quadrature import DEFAULT_ATOM_BUDGET, AtomSet, ball_mass
 from .riesz import KernelSpec, eval_brute
 
@@ -79,13 +79,6 @@ def _cover_radius(d: int, x: np.ndarray) -> float:
     return float(np.sqrt((far**2).sum()))
 
 
-def _point(x, d: int) -> np.ndarray:
-    pt = np.asarray(x, dtype=float).ravel()
-    if pt.shape != (d,):
-        raise ParameterError(f"point must have {d} coordinates, got shape {pt.shape}")
-    return pt
-
-
 def _shell_grid(
     r_hi: float, r_min: float, shells_per_octave: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -128,10 +121,6 @@ def _shell_sum(
     return float(np.dot(integrand, widths)), r_hi, r_min
 
 
-def _leaf_density(params: CantorParams) -> float:
-    return 2.0 ** (-params.depth * params.d) / params.leaf_side**params.d
-
-
 def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
@@ -144,7 +133,7 @@ def _potential(
     total, r_hi, r_min = _shell_sum(params, pt, exponent, power, shells_per_octave)
     total += r_hi ** (-exponent * power) / (exponent * power)
     if containing_cube(params, pt, params.depth) is not None:
-        rho = _leaf_density(params) * _unit_ball_volume(params.d)
+        rho = params.leaf_density * _unit_ball_volume(params.d)
         grow = (params.d - exponent) * power
         total += rho**power * r_min**grow / grow
     return total
@@ -308,9 +297,9 @@ def gamma_plus_lower_bound(
         raise ParameterError(f"params {params} do not match the atoms' {atoms.params}")
     spec_h = halo_spec if halo_spec is not None else HaloGridSpec()
     kspec = KernelSpec(s=params.s, eps=0.0)
+    grid = halo_grid(params, spec_h)  # refuse an over-budget grid before any field work
     at_atoms = eval_brute(atoms, atoms.points, kspec, self_exclude=True)
     sup_atoms = float(at_atoms.magnitudes().max())
-    grid = halo_grid(params, spec_h)
     grid = _drop_near_atoms(grid, atoms, 0.5 * params.leaf_side / max(1, atoms.refine_k))
     if grid.shape[0]:
         at_halo = eval_brute(atoms, grid, kspec)

@@ -116,6 +116,13 @@ class TestExitCodes:
         '{"halo": {"extent": Infinity}}',
         '{"halo": {"spacing": Infinity}}',
         '{"halo": {"extent": NaN}}',
+        '{"eps": true}',
+        '{"d": 2, "s": true}',
+        '{"stop": {"C10": true}}',
+        '{"halo": {"extent": true}}',
+        '{"halo": {"spacing": true}}',
+        '{"theta_override": [1.0, true]}',
+        '{"theta_override": [1.0, 0.5], "ell_override": [1.0, true]}',
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -18,6 +18,8 @@ from cantor_riesz import (
     cube_position,
     p_between,
 )
+from cantor_riesz.geometry import _corner_bits
+from cantor_riesz.quadrature import _leaf_corners
 
 ratios = st.lists(
     st.floats(min_value=0.05, max_value=0.49, allow_nan=False), min_size=1, max_size=12
@@ -200,3 +202,146 @@ class TestContainingCube:
     def test_dimension_mismatch(self, params_plane):
         with pytest.raises(ParameterError):
             containing_cube(params_plane, [0.1], 1)
+
+
+# The cube hierarchy as it was computed before CantorParams.ell became the one
+# side-length table, kept verbatim: each walk carried its own running product.
+def legacy_side_lengths(params):
+    return np.cumprod((1.0,) + params.lam)
+
+
+def legacy_cube_position(params, cube):
+    if cube.gen > params.depth:
+        raise DepthError(
+            f"cube generation {cube.gen} exceeds construction depth {params.depth}"
+        )
+    d = params.d
+    ell_prev = 1.0
+    corner = np.zeros(d)
+    for i, code in enumerate(cube.path, start=1):
+        if code >> d:
+            raise ParameterError(f"corner code {code} out of range for d={d}")
+        side = ell_prev * params.lam[i - 1]
+        step = ell_prev - side
+        for k in range(d):
+            if (code >> k) & 1:
+                corner[k] += step
+        ell_prev = side
+    return corner, ell_prev
+
+
+def legacy_containing_cube(params, x, n):
+    if n > params.depth:
+        raise DepthError(
+            f"generation {n} exceeds construction depth {params.depth}"
+        )
+    d = params.d
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape[0] != d:
+        raise ParameterError(f"point has {x.shape[0]} coordinates, expected {d}")
+    corner = np.zeros(d)
+    ell_prev = 1.0
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        return None
+    path = []
+    for i in range(1, n + 1):
+        side = ell_prev * params.lam[i - 1]
+        step = ell_prev - side
+        code = 0
+        for k in range(d):
+            lo = corner[k]
+            if lo <= x[k] <= lo + side:
+                continue  # low corner, bit stays 0
+            if lo + step <= x[k] <= lo + ell_prev:
+                code |= 1 << k
+                corner[k] = lo + step
+            else:
+                return None
+        path.append(code)
+        ell_prev = side
+    return CubeId(n, tuple(path))
+
+
+def legacy_leaf_corners(params):
+    d = params.d
+    corners = np.zeros((1, d))
+    ell_prev = 1.0
+    bits = _corner_bits(d)
+    for lam in params.lam:
+        side = ell_prev * lam
+        offsets = bits * (ell_prev - side)
+        corners = (corners[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+        ell_prev = side
+    return corners
+
+
+def legacy_leaf_density(params):
+    return 2.0 ** (-params.depth * params.d) / params.leaf_side**params.d
+
+
+def random_params(d, depth):
+    rng = np.random.default_rng(100 * d + depth)
+    return CantorParams(d=d, s=0.5 * d, lam=tuple(rng.uniform(0.05, 0.49, depth))), rng
+
+
+def probe_points(params, rng):
+    """Points on cube faces and corners, in the gaps, outside [0,1]^d, and NaN."""
+    d, pts = params.d, []
+    for gen in range(params.depth + 1):
+        for rank in rng.choice(params.num_cubes(gen), size=min(6, params.num_cubes(gen)),
+                               replace=False):
+            corner, side = legacy_cube_position(params, cube_from_rank(int(rank), gen, d))
+            far = corner + side
+            pts += [corner, far, corner + 0.5 * side, np.where(np.arange(d) % 2, corner, far)]
+            if gen < params.depth:  # between the children, in the parent's gap
+                pts.append(corner + 0.5 * side * np.ones(d))
+                pts.append(np.where(np.arange(d) == 0, corner + 0.5 * side, corner))
+    pts += list(rng.uniform(0.0, 1.0, (8, d)))
+    pts += [np.full(d, -0.1), np.full(d, 1.1), np.full(d, np.nan), np.r_[np.nan, np.zeros(d - 1)]]
+    return pts
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 5, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+class TestHierarchyMatchesLegacy:
+    """Every reader of CantorParams.ell agrees bit for bit with the old walks."""
+
+    def test_side_lengths_and_density(self, d, depth):
+        params, _ = random_params(d, depth)
+        assert np.array_equal(np.array(params.ell), legacy_side_lengths(params))
+        assert np.array_equal(build_profile(params).ell, legacy_side_lengths(params))
+        assert params.leaf_side == math.prod(params.lam, start=1.0)
+        assert params.leaf_density == legacy_leaf_density(params)
+
+    def test_cube_positions(self, d, depth):
+        params, rng = random_params(d, depth)
+        for gen in range(params.depth + 1):
+            for rank in rng.choice(params.num_cubes(gen), size=min(20, params.num_cubes(gen)),
+                                   replace=False):
+                cube = cube_from_rank(int(rank), gen, d)
+                corner, side = cube_position(params, cube)
+                old_corner, old_side = legacy_cube_position(params, cube)
+                assert np.array_equal(corner, old_corner) and side == old_side
+
+    def test_containing_cube(self, d, depth):
+        params, rng = random_params(d, depth)
+        for x in probe_points(params, rng):
+            for n in range(params.depth + 1):
+                assert containing_cube(params, x, n) == legacy_containing_cube(params, x, n)
+
+    def test_leaf_corners(self, d, depth):  # at most 2^12 leaves
+        params, _ = random_params(d, min(depth, 12 // d))
+        assert np.array_equal(_leaf_corners(params), legacy_leaf_corners(params))
+
+
+def test_dyadic_faces_match_legacy():
+    """ratio 1/4 puts every face on an exact binary fraction, so ties are exact."""
+    params = CantorParams(d=2, s=1.0, lam=(0.25,) * 4)
+    pts = probe_points(params, np.random.default_rng(7))
+    for x in pts:
+        for n in range(5):
+            assert containing_cube(params, x, n) == legacy_containing_cube(params, x, n)
+    assert containing_cube(params, [0.25, 0.0], 1) == CubeId(1, (0,))
+    assert containing_cube(params, [0.75, 1.0], 1) == CubeId(1, (3,))
+    assert containing_cube(params, [np.nan, 0.0], 1) is None
+    assert np.array_equal(_leaf_corners(params), legacy_leaf_corners(params))

@@ -35,6 +35,7 @@ from cantor_riesz import (
     wolff_potential,
     wolff_potential_s,
 )
+from cantor_riesz import wolff
 from cantor_riesz.experiments import enumerate_cases
 from cantor_riesz.geometry import cube_from_rank, cube_position
 from cantor_riesz.wolff import _drop_near_atoms
@@ -191,6 +192,11 @@ class TestShellPotential:
         near = wolff_potential_s(params_small, [1.5])
         far = wolff_potential_s(params_small, [20.0])
         assert far < near
+
+    @pytest.mark.parametrize("potential", [wolff_potential_s, wolff_discrete_s])
+    def test_point_of_wrong_dimension(self, params_small, potential):
+        with pytest.raises(ParameterError, match="point has 2 coordinates, expected 1"):
+            potential(params_small, [0.1, 0.2])
 
     def test_bad_shell_count(self, params_small):
         for bad in (0, True):
@@ -372,6 +378,17 @@ class TestGammaPlusLowerBound:
         params = CantorParams(**{**dict(d=1, s=0.5, lam=(0.25,) * 4), **other})
         with pytest.raises(ParameterError, match="do not match"):
             gamma_plus_lower_bound(atoms_small, params)
+
+    def test_over_budget_halo_refused_before_field_work(self, monkeypatch):
+        # the N = 10 halo needs 4 194 304 points; the atom field is n^2 pairs,
+        # so it must not be computed for a case that is then skipped
+        def no_field(*args, **kwargs):
+            raise AssertionError("field evaluated before the halo budget check")
+
+        monkeypatch.setattr(wolff, "eval_brute", no_field)
+        params = CantorParams(d=1, s=0.5, lam=(0.25,) * 10)
+        with pytest.raises(BudgetError, match="halo grid would need"):
+            gamma_plus_lower_bound(atomize(params, refine_k=4), params)
 
     def test_plane_case(self, atoms_plane, params_plane):
         est = gamma_plus_lower_bound(atoms_plane, params_plane)
