@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 a hard numeric check failed, 2 bad configuration.
+Exit codes: 0 success, 1 a hard numeric check failed, 2 a parameter the run
+refuses (bad configuration).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 
 from ._version import __version__
 from .config import ExperimentConfig, LambdaSpec
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .experiments import (
     run_capacity_report,
     run_profile_report,
@@ -87,38 +88,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags that set the config field of the same meaning, one to one
+_FIELDS = {"d": "d", "s": "s", "refine_k": "refine_k", "eps": "eps", "seed": "seed",
+           "out": "out_dir"}
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    changes = {}
-    if args.d is not None:
-        changes["d"] = args.d
-    if args.s is not None:
-        changes["s"] = args.s
+    changes = {field: getattr(args, flag) for flag, field in _FIELDS.items()
+               if getattr(args, flag) is not None}
     if args.N is not None:
-        if args.N < 0:
-            raise ConfigError(f"--N must be nonnegative, got {args.N}")
         changes["depths"] = (args.N,)
     if args.lam is not None:
         changes["lam"] = parse_lambda(args.lam)
-    if args.refine_k is not None:
-        changes["refine_k"] = args.refine_k
-    if args.eps is not None:
-        changes["eps"] = args.eps
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.out is not None:
-        changes["out_dir"] = args.out
     if getattr(args, "theta", None) is not None:
         try:
-            changes["theta_override"] = tuple(
-                float(v) for v in args.theta.split(",")
-            )
+            changes["theta_override"] = tuple(float(v) for v in args.theta.split(","))
         except ValueError as exc:
             raise ConfigError(f"cannot parse --theta {args.theta!r}: {exc}") from exc
-    try:
-        return dataclasses.replace(cfg, **changes)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return dataclasses.replace(cfg, **changes)
 
 
 def _dispatch(command: str, cfg: ExperimentConfig, workers: int) -> int:
@@ -148,16 +136,10 @@ def _dispatch(command: str, cfg: ExperimentConfig, workers: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _dispatch(args.command, cfg, max(1, args.workers))
-    except ConfigError as exc:
+        return _dispatch(args.command, load_config(args), max(1, args.workers))
+    except ParameterError as exc:  # ConfigError, or a value the run itself refuses
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -9,6 +9,7 @@ output byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,8 +42,8 @@ class LambdaSpec:
         if self.kind == "constant":
             _check_ratio(self.value)
         elif self.kind == "list":
-            if not self.values:
-                raise ConfigError("list lambda spec needs at least one value")
+            if not (isinstance(self.values, tuple) and self.values):
+                raise ConfigError(f"list lambda spec needs a nonempty tuple, got {self.values!r}")
             for v in self.values:
                 _check_ratio(v)
         elif self.kind == "random":
@@ -57,37 +58,26 @@ class LambdaSpec:
 
     @classmethod
     def constant(cls, value: float) -> "LambdaSpec":
-        return cls(kind="constant", value=float(value))
+        return cls(kind="constant", value=value)
 
     @classmethod
     def explicit(cls, values) -> "LambdaSpec":
-        return cls(kind="list", values=tuple(float(v) for v in values))
+        return cls(kind="list", values=tuple(values))
 
     @classmethod
     def random(cls, lo: float, hi: float) -> "LambdaSpec":
-        return cls(kind="random", lo=float(lo), hi=float(hi))
+        return cls(kind="random", lo=lo, hi=hi)
 
     @classmethod
     def from_json(cls, obj) -> "LambdaSpec":
-        try:
-            if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-                return cls.constant(obj)
-            if isinstance(obj, (list, tuple)):
-                return cls.explicit(obj)
-            if isinstance(obj, dict):
-                kind = obj.get("kind")
-                if kind == "constant":
-                    return cls.constant(_only(obj, {"kind", "value"})["value"])
-                if kind == "list":
-                    return cls.explicit(_only(obj, {"kind", "values"})["values"])
-                if kind == "random":
-                    got = _only(obj, {"kind", "lo", "hi"})
-                    return cls.random(got["lo"], got["hi"])
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, KeyError) as exc:
-            raise _bad_value(f"lambda spec {obj!r}", exc) from exc
-        raise ConfigError(f"cannot parse lambda spec from {obj!r}")
+        """A number, a list, or a {"kind": ...} object; the constructor checks values."""
+        if isinstance(obj, list):
+            return cls.explicit(obj)
+        if not isinstance(obj, dict):
+            return cls.constant(obj)
+        kind = obj.get("kind")
+        fields = {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items() if k != "kind"}
+        return cls(kind, **_only(fields, _SPEC_FIELDS.get(kind, set())))
 
     def resolve(self, n: int, stream: SplitMix64 | None = None) -> tuple[float, ...]:
         """Concrete ratio sequence of length n."""
@@ -121,6 +111,12 @@ class LambdaSpec:
         return {"kind": "random", "lo": self.lo, "hi": self.hi}
 
 
+# the fields each lambda spec kind reads
+_SPEC_FIELDS = {"constant": {"value"}, "list": {"values"}, "random": {"lo", "hi"}}
+# JSON objects whose keys become prefixed ExperimentConfig fields
+_PREFIXED = {"wolff": {"shells_per_octave", "samples"}, "halo": {"extent", "spacing"}}
+
+
 def _check_ratio(v) -> None:
     if not (is_real(v) and 0.0 < v < 0.5):
         raise ConfigError(f"contraction ratio must lie in (0, 1/2), got {v!r}")
@@ -133,23 +129,10 @@ def _only(obj: dict, allowed: set) -> dict:
     return obj
 
 
-def _real(value) -> float:
-    """A real-valued config entry as a float; JSON true is refused, not read as 1.0."""
-    if not is_real(value):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _bad_value(where: str, exc: Exception) -> ConfigError:
-    """ConfigError for a value that raised exc while it was read."""
-    why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return ConfigError(f"bad value in {where}: {why}")
-
-
-def _delegate(build) -> None:
-    """Run a library constructor's own checks, reporting a refusal as ConfigError."""
+def _delegate(build):
+    """Build with a library constructor, reporting its refusal as ConfigError."""
     try:
-        build()
+        return build()
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -180,32 +163,21 @@ class TreeSettings:
 
 
 def _read_key(key: str, value) -> dict:
-    """ExperimentConfig keyword arguments from one key of a JSON config."""
-    if key in ("d", "s", "refine_k", "seed", "random_reps", "out_dir", "atom_budget"):
-        return {key: value}
-    if key in ("depths", "formats"):
-        return {key: tuple(value)}
+    """ExperimentConfig keyword arguments from one key of a JSON config.
+
+    Only reshapes: the constructors that receive the values check them.
+    """
     if key == "lambda":
         return {"lam": LambdaSpec.from_json(value)}
-    if key == "eps":
-        return {"eps": _real(value)}
     if key == "tree":
         return {"tree": TreeSettings(**_only(dict(value), {"enabled", "theta_open", "leaf_cap"}))}
     if key == "stop":
-        got = _only(dict(value), {"B", "N_L", "C10"})
-        return {"stop": StopConfig(**{k: v if k == "N_L" else _real(v) for k, v in got.items()})}
-    if key in ("theta_override", "ell_override"):
-        return {} if value is None else {key: tuple(_real(v) for v in value)}
-    if key == "wolff":
-        got = _only(dict(value), {"shells_per_octave", "samples"})
-        return {f"wolff_{k}": v for k, v in got.items()}
-    got = _only(dict(value), {"extent", "spacing"})  # key == "halo"
-    out = {}
-    if "extent" in got:
-        out["halo_extent"] = _real(got["extent"])
-    if got.get("spacing") is not None:
-        out["halo_spacing"] = _real(got["spacing"])
-    return out
+        return {"stop": StopConfig(**_only(dict(value), {"B", "N_L", "C10"}))}
+    if key in _PREFIXED:
+        return {f"{key}_{k}": v for k, v in _only(dict(value), _PREFIXED[key]).items()}
+    if key in ("depths", "formats") or (key.endswith("_override") and value is not None):
+        return {key: tuple(value)}
+    return {key: value}
 
 
 @dataclass(frozen=True)
@@ -239,32 +211,37 @@ class ExperimentConfig:
             raise ConfigError(f"depths must be nonnegative integers, got {self.depths!r}")
         if not (is_int(self.refine_k) and self.refine_k >= 1):
             raise ConfigError(f"refine_k must be an integer >= 1, got {self.refine_k!r}")
-        if not self.eps >= 0.0:
-            raise ConfigError(f"eps must be nonnegative, got {self.eps!r}")
+        if not (is_real(self.eps) and 0.0 <= self.eps < math.inf):
+            raise ConfigError(f"eps must be nonnegative and finite, got {self.eps!r}")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (is_int(self.random_reps) and self.random_reps >= 1):
             raise ConfigError(f"random_reps must be >= 1, got {self.random_reps!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
-        unknown = set(self.formats) - {"csv", "json", "svg"}
+        unknown = [f for f in self.formats if f not in ("csv", "json", "svg")]
         if unknown:
-            raise ConfigError(f"unknown output formats: {sorted(unknown)}")
+            raise ConfigError(f"unknown output formats: {unknown}")
         if not (is_int(self.atom_budget) and self.atom_budget >= 1):
             raise ConfigError(f"atom_budget must be a positive integer, got {self.atom_budget!r}")
-        if self.theta_override is not None:
-            if not self.theta_override or any(v <= 0 for v in self.theta_override):
-                raise ConfigError("theta_override must be a nonempty positive sequence")
-        if self.ell_override is not None:
-            if self.theta_override is None:
-                raise ConfigError("ell_override requires theta_override")
-            if any(v <= 0 for v in self.ell_override):
-                raise ConfigError("ell_override must be positive")
+        # reals are stored as floats, so every way of building a config echoes the same bytes
+        for name in ("theta_override", "ell_override"):
+            values = getattr(self, name)
+            if values is not None:
+                if not (values and all(is_real(v) and 0 < v < math.inf for v in values)):
+                    raise ConfigError(f"{name} must be nonempty, positive and finite, got {values!r}")
+                object.__setattr__(self, name, tuple(float(v) for v in values))
+        if self.ell_override is not None and self.theta_override is None:
+            raise ConfigError("ell_override requires theta_override")
         if not (is_int(self.wolff_shells_per_octave) and self.wolff_shells_per_octave >= 1):
             raise ConfigError("wolff_shells_per_octave must be an integer >= 1")
         if not (is_int(self.wolff_samples) and self.wolff_samples >= 1):
             raise ConfigError("wolff_samples must be an integer >= 1")
-        _delegate(lambda: HaloGridSpec(extent=self.halo_extent, spacing=self.halo_spacing))
+        halo = _delegate(lambda: HaloGridSpec(extent=self.halo_extent, spacing=self.halo_spacing))
+        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "halo_extent", halo.extent)
+        object.__setattr__(self, "halo_spacing", halo.spacing)
 
     # -- JSON round trip ---------------------------------------------------
 
@@ -285,12 +262,9 @@ class ExperimentConfig:
                 kwargs.update(_read_key(key, value))
             except ConfigError:
                 raise
-            except (TypeError, ValueError, KeyError) as exc:
-                raise _bad_value(f"config key {key!r}", exc) from exc
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:  # e.g. a string where a number is compared
-            raise ConfigError(str(exc)) from exc
+            except (TypeError, ValueError) as exc:  # e.g. a number where an object belongs
+                raise ConfigError(f"bad value in config key {key!r}: {exc}") from exc
+        return cls(**kwargs)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

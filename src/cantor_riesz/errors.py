@@ -1,5 +1,7 @@
 """Exception types, and the integer and real-number tests, shared across the package."""
 
+import sys
+
 
 def is_int(value) -> bool:
     """True for a Python int that is not a bool (JSON true is not a count)."""
@@ -7,8 +9,8 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """True for a Python int or float that is not a bool (JSON true is not a number)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a float, or an int that a float can hold (JSON true is not a number)."""
+    return isinstance(value, float) or (is_int(value) and abs(value) <= sys.float_info.max)
 
 
 class ParameterError(ValueError):

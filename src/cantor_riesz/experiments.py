@@ -254,8 +254,8 @@ def _override_profile(config: ExperimentConfig) -> DensityProfile:
 
 def _stopping_case(case_id, profile, n: int, config: ExperimentConfig, **meta) -> dict:
     theta, p, ell = profile.theta, profile.p, profile.ell
-    cls = classify(theta, p, ell, config.stop, n=n)
     report = verify_sequence_lemmas(theta, p, ell, config.stop, n=n)
+    cls = classify(theta, p, ell, config.stop, n=n)
     failures = list(report.failures())
     return {
         "case_id": case_id,
@@ -368,9 +368,10 @@ def _capacity_case(config: ExperimentConfig, case: Case) -> dict:
     }
     try:
         atoms = atomize(params, config.refine_k, config.atom_budget)
+        # at d >= 3 the samples hit ball_mass's budget: find out before the halo field
+        samples = _wolff_samples(config, params)
         halo = HaloGridSpec(extent=config.halo_extent, spacing=config.halo_spacing)
         est = gamma_plus_lower_bound(atoms, params, halo)
-        samples = _wolff_samples(config, params)
     except BudgetError as exc:
         log.warning("capacity case %s skipped: %s", case.case_id, exc)
         rec.update(skipped=True, skip_reason=str(exc), gamma_plus_est=None)
@@ -471,6 +472,8 @@ def emit_plots(table: dict, out_dir, formats=("svg",)) -> list[Path]:
     written.append(path)
 
     for rec in records:
+        if not rec["d_norms"]:  # a depth-0 case has no generation to draw
+            continue
         svg = bar_plot(
             rec["d_norms"],
             f"generation energies, case {rec['case_id']} (N={rec['N']})",

@@ -71,6 +71,9 @@ class CantorParams:
                 raise ParameterError(
                     f"ratio lam_{i}={v} outside (0, tau0={tau0}]"
                 )
+        scale = self.leaf_side**self.s
+        if not (scale > 0.0 and math.isfinite(self.cube_mass(self.depth) / scale)):
+            raise ParameterError(f"ell_N^s or theta_N leaves the float range at depth {self.depth}")
 
     @property
     def depth(self) -> int:
@@ -245,7 +248,7 @@ def containing_cube(params: CantorParams, x, n: int) -> CubeId | None:
             f"generation {n} exceeds construction depth {params.depth}"
         )
     x = _point(x, params.d)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         return None
     ell, weights = params.ell, 1 << np.arange(params.d)
     corner = np.zeros(params.d)

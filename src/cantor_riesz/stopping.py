@@ -19,6 +19,7 @@ constants, so they are only measured and reported, as lemamax11 and lemjh are.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,12 +72,15 @@ class StopConfig:
     good_fraction: float = field(default=0.1, init=False)
 
     def __post_init__(self):
-        if not (is_real(self.B) and self.B > 100):
-            raise ConfigError(f"band ratio B must exceed 100, got {self.B!r}")
+        # lemj0 reads B**4, which overflows from max_float**(1/4) up
+        if not (is_real(self.B) and 100 < self.B < sys.float_info.max**0.25):
+            raise ConfigError(f"band ratio B must exceed 100 with a finite B**4, got {self.B!r}")
         if not (is_int(self.N_L) and self.N_L >= 1):
             raise ConfigError(f"N_L must be an integer >= 1, got {self.N_L!r}")
         if not (is_real(self.C10) and self.C10 > 0):
             raise ConfigError(f"C10 must be positive, got {self.C10!r}")
+        object.__setattr__(self, "B", float(self.B))
+        object.__setattr__(self, "C10", float(self.C10))
 
 
 @dataclass(frozen=True)
@@ -480,9 +484,13 @@ def verify_sequence_lemmas(
                        against the two flanking peak densities
       lemjh            total short-interval mass against all peak densities
     """
-    cls = classify(theta, p, ell, config, n=n)
     th = _density_array(theta)
     pr = np.asarray(p, dtype=float).ravel()
+    # the checks sum squares of theta and p and scale the sums by up to 4:
+    # refuse, before squaring anything, sequences for which that overflows
+    if not 4.0 * math.hypot(*th, *pr) < math.sqrt(sys.float_info.max):
+        raise ParameterError("squares of theta and p must sum to a finite float")
+    cls = classify(theta, p, ell, config, n=n)
     n_eff = cls.stops.n
     checks: list[LemmaCheck] = []
 

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, is_int
+from .errors import ParameterError, is_int, is_real
 from .quadrature import AtomSet
 from .riesz import KernelSpec, VecField, _as_targets, _check_order, _direct_field
 
@@ -64,7 +64,7 @@ class TreeCodeConfig:
     leaf_cap: int = 128
 
     def __post_init__(self):
-        if not (0.0 < self.theta_open <= 0.9):
+        if not (is_real(self.theta_open) and 0.0 < self.theta_open <= 0.9):
             raise ParameterError(
                 f"theta_open must lie in (0, 0.9], got {self.theta_open}"
             )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError, is_int
+from .errors import BudgetError, ParameterError, is_int, is_real
 from .geometry import CantorParams, _point, build_profile, containing_cube
 from .quadrature import DEFAULT_ATOM_BUDGET, AtomSet, ball_mass
 from .riesz import KernelSpec, eval_brute
@@ -200,10 +200,12 @@ class HaloGridSpec:
     spacing: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.extent < math.inf:
-            raise ParameterError(f"halo extent must be positive and finite, got {self.extent}")
-        if self.spacing is not None and not 0 < self.spacing < math.inf:
-            raise ParameterError(f"halo spacing must be positive and finite, got {self.spacing}")
+        if not (is_real(self.extent) and 0 < self.extent < math.inf):
+            raise ParameterError(f"halo extent must be positive and finite, got {self.extent!r}")
+        if self.spacing is not None and not (is_real(self.spacing) and 0 < self.spacing < math.inf):
+            raise ParameterError(f"halo spacing must be positive and finite, got {self.spacing!r}")
+        object.__setattr__(self, "extent", float(self.extent))
+        object.__setattr__(self, "spacing", None if self.spacing is None else float(self.spacing))
 
 
 def halo_grid(params: CantorParams, spec: HaloGridSpec) -> np.ndarray:

@@ -123,6 +123,8 @@ class TestExitCodes:
         '{"halo": {"spacing": true}}',
         '{"theta_override": [1.0, true]}',
         '{"theta_override": [1.0, 0.5], "ell_override": [1.0, true]}',
+        '{"eps": 1%s}' % ("0" * 400),
+        '{"stop": {"B": 1e300}}',
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -155,6 +157,17 @@ class TestExitCodes:
     def test_negative_depth_rejected(self, tmp_path, capsys):
         code = main(["profile", "--N", "-1", "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["stopping", "--theta", "1,inf"],  # refused by ExperimentConfig
+        ["stopping", "--theta", "1,1e200,1"],  # squares overflow
+        ["profile", "--N", "330", "--lambda", "0.1"],  # ell_N underflows
+        ["wolff", "--s", "1e-300", "--N", "2"],  # refused by WolffParams
+    ])
+    def test_refused_parameter_is_config_error(self, tmp_path, capsys, argv):
+        code = main([*argv, "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_stopping_hard_failure_is_one(self, tmp_path, capsys):
         cfg = tmp_path / "fail.json"
@@ -252,6 +265,16 @@ class TestArtifacts:
         assert (tmp_path / "out" / "manifest.json").exists()
         out = capsys.readouterr().out
         assert out.count("wrote ") >= 8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [
+    ["--N", "0"], ["--d", "2", "--s", "1.0", "--N", "1", "--refine-k", "2"],
+])
+@pytest.mark.parametrize("command", ["profile", "ratio", "stopping", "wolff", "capacity", "sweep"])
+def test_every_command_runs(tmp_path, capsys, command, flags):
+    assert main([command, *flags, "--out", str(tmp_path)]) == 0
+    assert "wrote " in capsys.readouterr().out
 
 
 def test_console_script_smoke(tmp_path):

@@ -1,8 +1,12 @@
 """Configuration parsing, validation, and the JSON round trip."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cantor_riesz import (
     ConfigError,
@@ -11,6 +15,7 @@ from cantor_riesz import (
     StopConfig,
     TreeSettings,
 )
+from cantor_riesz.cli import build_parser, load_config
 from cantor_riesz.rng import SplitMix64
 
 
@@ -134,6 +139,11 @@ class TestExperimentConfig:
             dict(wolff_samples=0),
             dict(halo_extent=0.0),
             dict(halo_spacing=0.0),
+            dict(eps=True),
+            dict(halo_extent=True),
+            dict(theta_override=(True, 2.0)),
+            dict(eps=10**400),  # no float holds it
+            dict(eps=float("inf")),
         ],
     )
     def test_validation(self, kwargs):
@@ -216,3 +226,77 @@ class TestExperimentConfig:
             ExperimentConfig.from_json({"stop": {"B": 5}})  # B must exceed 100
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json({"tree": {"theta_open": 5.0}})
+
+
+# Every real and integer key: its JSON config, its ExperimentConfig keywords,
+# and its CLI arguments for the value's text (None where no flag sets it).
+AGREEMENT_KEYS = {
+    "d": (lambda v: {"d": v}, lambda v: dict(d=v), lambda t: ["profile", f"--d={t}"]),
+    "s": (lambda v: {"d": 2, "s": v}, lambda v: dict(d=2, s=v),
+          lambda t: ["profile", "--d=2", f"--s={t}"]),
+    "depths": (lambda v: {"depths": [v]}, lambda v: dict(depths=(v,)),
+               lambda t: ["profile", f"--N={t}"]),
+    "lambda": (lambda v: {"lambda": v}, lambda v: dict(lam=LambdaSpec.constant(v)),
+               lambda t: ["profile", f"--lambda={t}"]),
+    "refine_k": (lambda v: {"refine_k": v}, lambda v: dict(refine_k=v),
+                 lambda t: ["profile", f"--refine-k={t}"]),
+    "eps": (lambda v: {"eps": v}, lambda v: dict(eps=v), lambda t: ["profile", f"--eps={t}"]),
+    "seed": (lambda v: {"seed": v}, lambda v: dict(seed=v), lambda t: ["profile", f"--seed={t}"]),
+    "random_reps": (lambda v: {"random_reps": v}, lambda v: dict(random_reps=v), None),
+    "atom_budget": (lambda v: {"atom_budget": v}, lambda v: dict(atom_budget=v), None),
+    "tree.theta_open": (lambda v: {"tree": {"theta_open": v}},
+                        lambda v: dict(tree=TreeSettings(theta_open=v)), None),
+    "tree.leaf_cap": (lambda v: {"tree": {"leaf_cap": v}},
+                      lambda v: dict(tree=TreeSettings(leaf_cap=v)), None),
+    "stop.B": (lambda v: {"stop": {"B": v}}, lambda v: dict(stop=StopConfig(B=v)), None),
+    "stop.N_L": (lambda v: {"stop": {"N_L": v}}, lambda v: dict(stop=StopConfig(N_L=v)), None),
+    "stop.C10": (lambda v: {"stop": {"C10": v}}, lambda v: dict(stop=StopConfig(C10=v)), None),
+    "wolff.samples": (lambda v: {"wolff": {"samples": v}}, lambda v: dict(wolff_samples=v), None),
+    "wolff.shells_per_octave": (lambda v: {"wolff": {"shells_per_octave": v}},
+                                lambda v: dict(wolff_shells_per_octave=v), None),
+    "halo.extent": (lambda v: {"halo": {"extent": v}}, lambda v: dict(halo_extent=v), None),
+    "halo.spacing": (lambda v: {"halo": {"spacing": v}}, lambda v: dict(halo_spacing=v), None),
+    "theta_override": (lambda v: {"theta_override": [v]}, lambda v: dict(theta_override=(v,)),
+                       lambda t: ["stopping", f"--theta={t}"]),
+    "ell_override": (lambda v: {"theta_override": [1.0], "ell_override": [v]},
+                     lambda v: dict(theta_override=(1.0,), ell_override=(v,)), None),
+}
+
+VALUES = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from([0, 1, 2, 3, 100, 101, 500, 0.05, 0.25, 0.3, 0.5, 1.0, 1e300, 10**400]),
+)
+
+
+def echo_or_refused(build):
+    """The canonical echo of build()'s config as bytes, or "refused"."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):  # argparse prints its usage
+            return json.dumps(build().to_json())
+    except ConfigError:
+        return "refused"
+    except SystemExit as exc:  # argparse refuses a flag value with exit status 2
+        assert exc.code == 2
+        return "refused"
+
+
+@pytest.mark.parametrize("key", sorted(AGREEMENT_KEYS))
+@given(value=VALUES)
+@example(value=True)
+@example(value=1)
+def test_json_python_and_cli_agree(key, value):
+    """Each path refuses the value, or all accept it and echo the same bytes."""
+    as_json, as_kwargs, cli = AGREEMENT_KEYS[key]
+    results = {
+        "json": echo_or_refused(
+            lambda: ExperimentConfig.from_json(json.loads(json.dumps(as_json(value))))),
+        "python": echo_or_refused(lambda: ExperimentConfig(**as_kwargs(value))),
+    }
+    # flag text is what a shell passes; a JSON string has no such counterpart
+    if cli is not None and not isinstance(value, str):
+        argv = cli(repr(value))
+        results["cli"] = echo_or_refused(lambda: load_config(build_parser().parse_args(argv)))
+    assert len(set(results.values())) == 1, results

@@ -250,6 +250,17 @@ class TestCapacityReport:
         (rec,) = rep["cases"]
         assert rec["skipped"] and rec["gamma_plus_est"] is None
 
+    def test_ball_volume_skip_precedes_halo_field(self, monkeypatch):
+        # at d = 3 the Wolff samples exceed ball_mass's budget; the halo field
+        # would be thrown away, so it must not be computed at all
+        def no_halo_field(*args, **kwargs):
+            raise AssertionError("gamma_plus_lower_bound ran for a skipped case")
+
+        monkeypatch.setattr(ex, "gamma_plus_lower_bound", no_halo_field)
+        rep = ex.run_capacity_report(make_config(d=3, s=1.5, depths=(1,), refine_k=2))
+        (rec,) = rep["cases"]
+        assert rec["skipped"] and "ball volume to tolerance" in rec["skip_reason"]
+
 
 class TestProfileReport:
     def test_matches_build_profile(self):
@@ -288,6 +299,11 @@ class TestWriters:
         assert names == ["dnorms_c000.svg", "dnorms_c001.svg", "ratio_vs_N.svg"]
         for p in written:
             assert p.read_text().startswith("<svg")
+
+    def test_emit_plots_skips_bar_of_depth_zero(self, tmp_path):
+        table = ex.run_ratio_experiment(make_config(depths=(0, 2)))
+        names = sorted(p.name for p in ex.emit_plots(table, tmp_path))
+        assert names == ["dnorms_c001.svg", "ratio_vs_N.svg"]
 
     def test_emit_plots_needs_svg_format(self, tmp_path):
         table = ex.run_ratio_experiment(make_config(depths=(2,)))

@@ -10,6 +10,7 @@ two deliberately non-standard blocks.
 import importlib.util
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -81,11 +82,20 @@ class TestStopConfig:
         assert (CFG.good_factor, CFG.good_fraction) == (40.0, 0.1)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(B=100), dict(B=-5), dict(N_L=0), dict(N_L=2.5), dict(C10=0.0)]
+        "kwargs", [dict(B=100), dict(B=-5), dict(N_L=0), dict(N_L=2.5), dict(C10=0.0),
+                   dict(B=1e300), dict(B=sys.float_info.max**0.25), dict(B=math.inf)]
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             StopConfig(**kwargs)
+
+    def test_largest_band_ratio_has_a_finite_fourth_power(self):
+        B = math.nextafter(sys.float_info.max**0.25, 0.0)
+        assert math.isfinite(StopConfig(B=B).B ** 4)
+
+    def test_reals_stored_as_floats(self):
+        cfg = StopConfig(B=1000, C10=1)
+        assert repr((cfg.B, cfg.C10)) == "(1000.0, 1.0)"
 
     def test_structural_constants_not_configurable(self):
         with pytest.raises(TypeError):
@@ -395,6 +405,13 @@ class TestSequenceLemmas:
         rep = verify_sequence_lemmas(theta, p, ell, CFG, n=2)
         assert not rep.hard_pass
         assert "eqpjtj" in rep.failures()
+
+    @pytest.mark.parametrize("big", [1e200, 1e154])  # theta^2 or 4 * sum theta^2 overflows
+    def test_overflowing_squares_refused_before_squaring(self, big):
+        # warnings are errors here, so an overflow warning would fail the test first
+        theta = np.array([1.0, big, 1.0])
+        with pytest.raises(ParameterError, match="sum to a finite float"):
+            verify_sequence_lemmas(theta, theta, 0.25 ** np.arange(3), CFG)
 
     def test_measured_checks_never_fail(self):
         th, p, ell = fabricated([1.0, 2000.0, 1.0, 2000.0, 1.0])

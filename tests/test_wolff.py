@@ -259,7 +259,7 @@ class TestHaloGrid:
     @pytest.mark.parametrize("kwargs", [
         dict(extent=0.0), dict(extent=-1.0), dict(spacing=0.0), dict(spacing=-0.5),
         dict(extent=math.inf), dict(extent=math.nan), dict(spacing=math.inf),
-        dict(spacing=math.nan),
+        dict(spacing=math.nan), dict(extent=True), dict(spacing=True), dict(extent="0.5"),
     ])
     def test_spec_rejects(self, kwargs):
         with pytest.raises(ParameterError):
