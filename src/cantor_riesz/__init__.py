@@ -36,8 +36,6 @@ from .riesz import (
     kernel,
     l2_norm_sq,
     pairwise_sum,
-    smoothstep_psi,
-    square_function,
 )
 from .rng import SplitMix64, case_stream
 from .stopping import (
@@ -126,12 +124,10 @@ __all__ = [
     "kernel",
     "l2_norm_sq",
     "pairwise_sum",
-    "smoothstep_psi",
     "lift",
     "p_between",
     "project",
     "sigma",
-    "square_function",
     "verify_sequence_lemmas",
     "verify_transform_lemmas",
     "wolff_discrete_s",

@@ -71,9 +71,19 @@ class CantorParams:
                 raise ParameterError(
                     f"ratio lam_{i}={v} outside (0, tau0={tau0}]"
                 )
-        scale = self.leaf_side**self.s
-        if not (scale > 0.0 and math.isfinite(self.cube_mass(self.depth) / scale)):
-            raise ParameterError(f"ell_N^s or theta_N leaves the float range at depth {self.depth}")
+        # ell_N^d > 0 implies ell_n^s > 0 for every n, since s < d and ell_n <= 1
+        if not (self.leaf_side**self.d > 0.0 and 0.0 < self.leaf_density < math.inf
+                and self._theta_sq_finite()):
+            raise ParameterError(f"ell_N^d, the leaf density or the sum of theta_n^2 "
+                                 f"leaves the float range at depth {self.depth}")
+
+    def _theta_sq_finite(self) -> bool:
+        """Whether every theta_n^2 and their sum are finite (theta_n is not monotone)."""
+        try:  # ** raises OverflowError, and so does fsum's running sum
+            return math.isfinite(math.fsum(
+                (self.cube_mass(n) / ell**self.s) ** 2 for n, ell in enumerate(self.ell)))
+        except OverflowError:
+            return False
 
     @property
     def depth(self) -> int:

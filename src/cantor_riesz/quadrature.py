@@ -248,6 +248,8 @@ def ball_mass(
     kept while the sphere of at least one radius straddles it, with a
     per-radius live mask, and each radius reads exactly the cubes it alone
     would have visited, so the masses equal radius-by-radius calls bit for bit.
+    Before the (box, radius) mask would pass DEFAULT_ATOM_BUDGET cells, each
+    half of the radii descends again on its own; one radius raises BudgetError.
     """
     radii = np.asarray(r, dtype=float)
     scalar = radii.ndim == 0
@@ -270,6 +272,13 @@ def ball_mass(
         boxes, live = boxes[keep], live[keep]
         if boxes.shape[0] == 0 or g == n_gen:
             break
+        if (boxes.shape[0] << d) * radii.size > DEFAULT_ATOM_BUDGET:
+            if radii.size == 1:
+                raise BudgetError(f"ball of radius {radii[0]:.6g} needs over {DEFAULT_ATOM_BUDGET}"
+                                  f" generation-{g + 1} cubes in its descent")
+            halves = np.array_split(radii, 2)
+            return np.concatenate([ball_mass(params, x, h, tol_ball=tol_ball, depth_cap=depth_cap)
+                                   for h in halves])
         offsets = bits * (ell[g] - ell[g + 1])
         boxes = (boxes[:, None, :] + offsets[None, :, :]).reshape(-1, d)
         live = np.repeat(live, 1 << d, axis=0)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SingularityError
-from .geometry import _point
 from .quadrature import AtomSet
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "kernel",
     "l2_norm_sq",
     "pairwise_sum",
-    "smoothstep_psi",
-    "square_function",
 ]
 
 _CHUNK_ELEMS = 65_536
@@ -221,74 +218,3 @@ def l2_norm_sq(field: VecField, atoms: AtomSet) -> float:
     contrib = atoms.masses * (field.values**2).sum(axis=1)
     return float(pairwise_sum(contrib))
 
-
-def smoothstep_psi(r) -> np.ndarray:
-    """Radial bump: 1 on [0, 1/2], 0 on [2, inf), cubic in log2(r) between."""
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.ones_like(r)
-    out[r >= 2.0] = 0.0
-    mid = (r > 0.5) & (r < 2.0)
-    u = (np.log2(r[mid]) + 1.0) / 2.0
-    out[mid] = 1.0 - (3.0 * u**2 - 2.0 * u**3)
-    return out[0] if scalar else out
-
-
-def _validate_psi(psi) -> None:
-    rs = np.concatenate(
-        [
-            np.linspace(1e-9, 0.5, 64),
-            np.linspace(0.5, 2.0, 257),
-            np.linspace(2.0, 8.0, 64),
-        ]
-    )
-    vals = np.asarray(psi(rs), dtype=float)
-    tol = 1e-12
-    if vals.shape != rs.shape or not np.all(np.isfinite(vals)):
-        raise ParameterError("psi must map radii to finite values elementwise")
-    if np.any(vals > 1.0 + tol) or np.any(vals < -tol):
-        raise ParameterError("psi must take values in [0, 1]")
-    if np.any(vals[rs <= 0.5] < 1.0 - tol):
-        raise ParameterError("psi must equal 1 on [0, 1/2]")
-    if np.any(vals[rs >= 2.0] > tol):
-        raise ParameterError("psi must vanish on [2, inf)")
-    if np.any(np.diff(vals) > tol):
-        raise ParameterError("psi must be nonincreasing")
-
-
-def square_function(atoms: AtomSet, x, spec: KernelSpec, psi=None) -> float:
-    """Littlewood-Paley square function of the transform at a point.
-
-    The kernel is split over dyadic annuli by phi_j(y) = psi(2^j y) -
-    psi(2^(j+1) y); the return value is sqrt(sum_j |R_j(x)|^2) where R_j uses
-    the kernel piece phi_j(x - y) K(x - y).
-    """
-    d = atoms.d
-    _check_order(spec, d)
-    if psi is None:
-        psi = smoothstep_psi
-    else:
-        _validate_psi(psi)
-    x = _point(x, d)
-    if atoms.n == 0:
-        return 0.0
-    diffs = x[None, :] - atoms.points
-    dist = np.sqrt((diffs**2).sum(axis=1))
-    pos = dist > 0.0
-    if not pos.any():
-        return 0.0
-    dmin, dmax = float(dist[pos].min()), float(dist[pos].max())
-    j_lo = int(np.floor(-np.log2(dmax))) - 2
-    j_hi = int(np.ceil(-np.log2(dmin))) + 2
-    safe = np.where(pos, dist, 1.0)
-    base = np.where(pos, atoms.masses / safe ** (spec.s + 1.0), 0.0)
-    total = 0.0
-    for j in range(j_lo, j_hi + 1):
-        w = psi(np.ldexp(dist, j)) - psi(np.ldexp(dist, j + 1))
-        w = np.where(pos, w, 0.0)
-        if not np.any(w > 0.0):
-            continue
-        r_j = pairwise_sum(diffs * (base * w)[:, None], axis=0)
-        total += float((r_j**2).sum())
-    return float(np.sqrt(total))

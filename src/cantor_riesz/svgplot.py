@@ -74,7 +74,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def line_plot(series, title: str, xlabel: str, ylabel: str, logy: bool = False) -> str:
+def line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
     """Polyline plot; `series` is a sequence of (label, xs, ys) triples."""
     series = [(str(lbl), list(xs), list(ys)) for lbl, xs, ys in series]
     if not series or all(not xs for _, xs, _ in series):
@@ -84,14 +84,9 @@ def line_plot(series, title: str, xlabel: str, ylabel: str, logy: bool = False) 
             raise ParameterError("series xs and ys lengths differ")
         if not all(math.isfinite(v) for v in xs + ys):
             raise ParameterError("plot data must be finite")
-        if logy and any(v <= 0 for v in ys):
-            raise ParameterError("log-scale plot needs positive values")
-
-    def ty(v):
-        return math.log10(v) if logy else v
 
     all_x = [v for _, xs, _ in series for v in xs]
-    all_y = [ty(v) for _, _, ys in series for v in ys]
+    all_y = [v for _, _, ys in series for v in ys]
     x_lo, x_hi = _spread(min(all_x), max(all_x))
     y_lo, y_hi = _spread(min(all_y), max(all_y))
 
@@ -108,19 +103,18 @@ def line_plot(series, title: str, xlabel: str, ylabel: str, logy: bool = False) 
         )
     for t in _ticks(y_lo, y_hi):
         py = _y_of(t, y_lo, y_hi)
-        label = 10.0**t if logy else t
         cv.parts.append(
             f'<line x1="{_ML - 4:.6g}" y1="{py:.6g}" x2="{_ML:.6g}" '
             f'y2="{py:.6g}" stroke="#888"/>'
         )
         cv.parts.append(
             f'<text x="{_ML - 6:.6g}" y="{py + 3:.6g}" font-family="monospace" '
-            f'font-size="10" text-anchor="end">{_fmt(label)}</text>'
+            f'font-size="10" text-anchor="end">{_fmt(t)}</text>'
         )
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(
-            f"{_x_of(x, x_lo, x_hi):.6g},{_y_of(ty(y), y_lo, y_hi):.6g}"
+            f"{_x_of(x, x_lo, x_hi):.6g},{_y_of(y, y_lo, y_hi):.6g}"
             for x, y in zip(xs, ys)
         )
         if len(xs) > 1:
@@ -130,7 +124,7 @@ def line_plot(series, title: str, xlabel: str, ylabel: str, logy: bool = False) 
         for x, y in zip(xs, ys):
             cv.parts.append(
                 f'<circle cx="{_x_of(x, x_lo, x_hi):.6g}" '
-                f'cy="{_y_of(ty(y), y_lo, y_hi):.6g}" r="2.5" fill="{color}"/>'
+                f'cy="{_y_of(y, y_lo, y_hi):.6g}" r="2.5" fill="{color}"/>'
             )
         ly = _MT + 14 + 14 * i
         cv.parts.append(

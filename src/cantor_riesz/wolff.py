@@ -135,7 +135,8 @@ def _potential(
     if containing_cube(params, pt, params.depth) is not None:
         rho = params.leaf_density * _unit_ball_volume(params.d)
         grow = (params.d - exponent) * power
-        total += rho**power * r_min**grow / grow
+        # rho^p r^grow as (rho r^(d - exponent))^p: rho^p alone can overflow
+        total += (rho * r_min ** (params.d - exponent)) ** power / grow
     return total
 
 

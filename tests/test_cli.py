@@ -162,6 +162,8 @@ class TestExitCodes:
         ["stopping", "--theta", "1,inf"],  # refused by ExperimentConfig
         ["stopping", "--theta", "1,1e200,1"],  # squares overflow
         ["profile", "--N", "330", "--lambda", "0.1"],  # ell_N underflows
+        ["wolff", "--d", "2", "--s", "0.5", "--N", "163", "--lambda", "0.1"],  # ell_N^d underflows
+        ["profile", "--d", "2", "--s", "1.9", "--N", "170", "--lambda", "0.1"],  # theta_N^2 overflows
         ["wolff", "--s", "1e-300", "--N", "2"],  # refused by WolffParams
     ])
     def test_refused_parameter_is_config_error(self, tmp_path, capsys, argv):

@@ -52,6 +52,9 @@ class TestCantorParams:
             dict(d=1, s=0.5, lam=(0.0,)),
             dict(d=1, s=0.5, lam=(0.1,) * 330),  # ell_N underflows to 0
             dict(d=1, s=0.999, lam=(5e-324,)),  # ell_N^s > 0, but theta_N overflows
+            dict(d=2, s=0.5, lam=(0.1,) * 163),  # ell_N^s > 0, but ell_N^d underflows
+            dict(d=2, s=1.9, lam=(0.1,) * 170),  # theta_N is finite, theta_N^2 is not
+            dict(d=2, s=1.5, lam=(6.9e-104, 0.49, 0.49)),  # theta_1^2 overflows, theta_3^2 not
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

@@ -103,3 +103,18 @@ def test_all_names_bindings(path):
     tree = _tree(path)
     missing = set(_exports(tree)) - _bound(tree)
     assert not missing, f"{path.name}: __all__ names unbound {sorted(missing)}"
+
+
+SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+
+
+def test_scripts_found():
+    assert SCRIPTS
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_has_a_test(script):
+    """Each script is run by some test, which names its file."""
+    here = Path(__file__)
+    texts = (p.read_text(encoding="utf-8") for p in here.parent.glob("*.py") if p != here)
+    assert any(script.name in text for text in texts), f"no test names {script.name}"

@@ -27,6 +27,7 @@ from cantor_riesz import (
     project,
     verify_transform_lemmas,
 )
+import cantor_riesz.quadrature as quadrature_mod
 from cantor_riesz.quadrature import _ball_box_volume, _box_near_far_sq
 
 
@@ -209,6 +210,31 @@ class TestRadiiDescent:
     def test_rejects_any_nonpositive_radius(self, params_mixed):
         with pytest.raises(ParameterError):
             ball_mass(params_mixed, [0.3], np.array([0.1, 0.0]))
+
+    @pytest.mark.parametrize("d, depth", [(1, 8), (2, 5)])
+    def test_mask_budget_split_is_bitwise(self, d, depth, monkeypatch):
+        # a (box, radius) mask over the budget splits the radii; no mass moves
+        rng = np.random.default_rng(200 + d)
+        params = CantorParams(d=d, s=0.5 * d, lam=tuple(rng.uniform(0.15, 0.45, depth)))
+        radii = 2.0 ** np.linspace(1.5, np.log2(params.leaf_side) - 4, 41)
+        points = [rng.uniform(-0.2, 1.2, d), np.zeros(d), np.full(d, params.lam[0] / 2)]
+        calls = []
+        box_dists = quadrature_mod._box_near_far_sq
+        monkeypatch.setattr(quadrature_mod, "_box_near_far_sq",
+                            lambda *a: calls.append(a) or box_dists(*a))
+        want = [ball_mass(params, x, radii) for x in points]
+        n_whole = len(calls)
+        monkeypatch.setattr(quadrature_mod, "DEFAULT_ATOM_BUDGET", 100)
+        for x, w in zip(points, want):
+            assert np.array_equal(ball_mass(params, x, radii), w)
+        assert len(calls) > 2 * n_whole  # the halves descended on their own
+
+    def test_one_radius_over_the_mask_budget(self, monkeypatch):
+        params = CantorParams(d=2, s=1.0, lam=(0.4,) * 5)
+        monkeypatch.setattr(quadrature_mod, "DEFAULT_ATOM_BUDGET", 100)
+        assert ball_mass(params, [0.5, 0.5], 0.3) > 0.0
+        with pytest.raises(BudgetError, match="radius 0.5 needs over 100 generation-5 cubes"):
+            ball_mass(params, [0.5, 0.5], np.array([0.3, 0.5]))
 
     def test_d3_subdivision_budget(self):
         # the sphere's straddled cells grow ~4x per halving, so a fine d = 3

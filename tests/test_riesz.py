@@ -25,8 +25,6 @@ from cantor_riesz import (
     kernel,
     l2_norm_sq,
     pairwise_sum,
-    smoothstep_psi,
-    square_function,
 )
 
 
@@ -422,67 +420,3 @@ class TestPairKernelMatchesLegacy:
         assert str(new.value) == str(legacy.value)
         assert "atom 2 coincides with target 1" in str(new.value)
 
-
-class TestSmoothstepPsi:
-    def test_plateaus(self):
-        assert smoothstep_psi(0.1) == 1.0
-        assert smoothstep_psi(0.5) == 1.0
-        assert smoothstep_psi(2.0) == 0.0
-        assert smoothstep_psi(7.0) == 0.0
-
-    def test_midpoint(self):
-        # geometric midpoint of [1/2, 2] is 1; the cubic hits 1/2 there
-        assert smoothstep_psi(1.0) == pytest.approx(0.5)
-
-    def test_monotone(self):
-        rs = np.linspace(0.01, 4.0, 500)
-        vals = smoothstep_psi(rs)
-        assert np.all(np.diff(vals) <= 1e-15)
-
-    def test_shapes(self):
-        assert np.isscalar(smoothstep_psi(1.0)) or smoothstep_psi(1.0).ndim == 0
-        assert smoothstep_psi([0.1, 1.0, 3.0]).shape == (3,)
-
-
-class TestSquareFunction:
-    def test_single_atom_bounds(self):
-        # weights over annuli form a partition of unity, so the square sum
-        # lies between (m |K|)^2 / 3 and (m |K|)^2
-        atoms = single_atom(x=0.0, mass=1.0)
-        for x in (0.37, 1.0, 2.13):
-            full = x**-0.5
-            got = square_function(atoms, [x], KernelSpec(s=0.5))
-            assert full / math.sqrt(3) - 1e-12 <= got <= full + 1e-12
-
-    def test_matches_default_psi(self, atoms_small):
-        spec = KernelSpec(s=0.5)
-        a = square_function(atoms_small, [0.4], spec)
-        b = square_function(atoms_small, [0.4], spec, psi=smoothstep_psi)
-        assert a == b
-
-    def test_at_atom_excludes_self(self, atoms_small):
-        got = square_function(atoms_small, atoms_small.points[0], KernelSpec(s=0.5))
-        assert np.isfinite(got) and got > 0.0
-
-    def test_empty_atoms(self, params_small):
-        empty = AtomSet(
-            params=params_small,
-            refine_k=1,
-            points=np.zeros((0, 1)),
-            masses=np.zeros(0),
-            leaf_rank=np.zeros(0, dtype=np.int64),
-        )
-        assert square_function(empty, [0.3], KernelSpec(s=0.5)) == 0.0
-
-    @pytest.mark.parametrize(
-        "bad_psi",
-        [
-            lambda r: np.zeros_like(np.asarray(r, dtype=float)),  # not 1 near 0
-            lambda r: np.ones_like(np.asarray(r, dtype=float)),  # no decay
-            lambda r: np.asarray(r, dtype=float) / 8.0,  # increasing
-            lambda r: 2.0 * smoothstep_psi(r),  # out of [0, 1]
-        ],
-    )
-    def test_rejects_bad_psi(self, atoms_small, bad_psi):
-        with pytest.raises(ParameterError):
-            square_function(atoms_small, [0.4], KernelSpec(s=0.5), psi=bad_psi)

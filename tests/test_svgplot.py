@@ -40,16 +40,6 @@ class TestLinePlot:
         assert "&quot;t&quot;" in svg
         assert "<u>" not in svg
 
-    def test_log_scale(self):
-        svg = line_plot([("g", [0, 1, 2], [1e-3, 1.0, 1e3])], "t", "x", "y", logy=True)
-        # tick labels recover the raw magnitudes
-        assert ">0.001<" in svg
-        assert ">1000<" in svg
-
-    def test_log_scale_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
-            line_plot([("g", [0, 1], [1.0, 0.0])], "t", "x", "y", logy=True)
-
     def test_single_point_series(self):
         # degenerate ranges are padded, no polyline for a lone point
         svg = line_plot([("dot", [2.0], [5.0])], "t", "x", "y")

@@ -8,10 +8,8 @@ opening angle, checked against a measured budget.
 """
 
 import functools
-import importlib.util
 import math
 import tracemalloc
-from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -226,20 +224,6 @@ class TestContract:
     def test_order_guard(self, deep_atoms):
         with pytest.raises(ParameterError):
             eval_treecode(deep_atoms, [[5.0]], KernelSpec(s=1.5))
-
-
-def test_benchmark_script_smoke(capsys):
-    path = Path(__file__).parents[1] / "scripts" / "treecode_benchmark.py"
-    spec = importlib.util.spec_from_file_location("treecode_benchmark", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--d", "2", "--refine-k", "2", "--depths", "3"]) == 0
-    header, row = capsys.readouterr().out.strip().splitlines()
-    assert header.split()[:2] == ["N", "atoms"]
-    depth, atoms, t_tree, t_brute, speedup, err = row.split()
-    assert (int(depth), int(atoms)) == (3, 4**3 * 2**2)
-    assert float(t_tree) >= 0.0 and float(t_brute) >= 0.0 and speedup.endswith("x")
-    assert float(err) < 1e-4
 
 
 # --- The recursive builder and traversal that the level tree replaced, kept

@@ -36,7 +36,7 @@ from cantor_riesz import (
     wolff_potential_s,
 )
 from cantor_riesz import wolff
-from cantor_riesz.experiments import enumerate_cases
+from cantor_riesz.experiments import _sample_points, enumerate_cases
 from cantor_riesz.geometry import cube_from_rank, cube_position
 from cantor_riesz.wolff import _drop_near_atoms
 
@@ -187,6 +187,13 @@ class TestShellPotential:
     def test_gap_point_finite(self, params_small):
         val = wolff_potential_s(params_small, [0.5])
         assert math.isfinite(val) and val > 0
+
+    def test_deep_leaf_tail_is_finite(self):
+        # rho^2 overflows from N = 110 on; the tail (rho r^(d-s))^2 does not
+        shallow, deep = (CantorParams(d=2, s=0.5, lam=(0.1,) * n) for n in (100, 111))
+        val = wolff_potential_s(deep, _sample_points(deep, 20)[0])
+        assert math.isfinite(val)
+        assert val == pytest.approx(wolff_potential_s(shallow, _sample_points(shallow, 20)[0]))
 
     def test_decays_far_away(self, params_small):
         near = wolff_potential_s(params_small, [1.5])
