@@ -334,7 +334,7 @@ def _wolff_case(config: ExperimentConfig, case: Case) -> dict:
     params = _case_params(config, case)
     try:
         samples = _wolff_samples(config, params)
-    except BudgetError as exc:  # ball_mass at d >= 3 (see _ball_box_volume)
+    except BudgetError as exc:  # ball_mass refuses d >= 4, or a descent over budget
         log.warning("wolff case %s skipped: %s", case.case_id, exc)
         return {**_head(case), "skipped": True, "skip_reason": str(exc)}
     ratios = [
@@ -368,7 +368,7 @@ def _capacity_case(config: ExperimentConfig, case: Case) -> dict:
     }
     try:
         atoms = atomize(params, config.refine_k, config.atom_budget)
-        # at d >= 3 the samples hit ball_mass's budget: find out before the halo field
+        # ball_mass refuses d >= 4: find out from the samples before the halo field
         samples = _wolff_samples(config, params)
         halo = HaloGridSpec(extent=config.halo_extent, spacing=config.halo_spacing)
         est = gamma_plus_lower_bound(atoms, params, halo)

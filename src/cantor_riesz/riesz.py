@@ -109,12 +109,17 @@ def kernel(x, s: float) -> np.ndarray:
     return x / nrm ** (s + 1.0)
 
 
-def _as_targets(targets, d: int) -> np.ndarray:
+def _as_targets(targets, atoms: AtomSet, self_exclude: bool) -> np.ndarray:
+    """Targets as an (m, d) array; self_exclude skips atom t at target t, so
+    with it the targets must be the atom positions themselves."""
+    d = atoms.d
     arr = np.asarray(targets, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1) if d == 1 else arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ParameterError(f"targets must be a (m, {d}) array")
+    if self_exclude and not np.array_equal(arr, atoms.points):
+        raise ParameterError("self_exclude requires the atom positions, in atom order, as targets")
     return arr
 
 
@@ -198,12 +203,8 @@ def eval_brute(
     """
     d = atoms.d
     _check_order(spec, d)
-    tgts = _as_targets(targets, d)
+    tgts = _as_targets(targets, atoms, self_exclude)
     n_t = tgts.shape[0]
-    if self_exclude and n_t != atoms.n:
-        raise ParameterError(
-            "self_exclude requires one target per atom in atom order"
-        )
     field = _direct_field(
         np.ascontiguousarray(atoms.points.T), atoms.masses,
         np.ascontiguousarray(tgts.T), spec, np.arange(n_t), self_exclude=self_exclude,

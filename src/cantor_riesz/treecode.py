@@ -192,10 +192,8 @@ def eval_treecode(
     """Tree-code evaluation with the same contract as eval_brute."""
     d = atoms.d
     _check_order(spec, d)
-    tx = np.ascontiguousarray(_as_targets(targets, d).T)
+    tx = np.ascontiguousarray(_as_targets(targets, atoms, self_exclude).T)
     n_t = tx.shape[1]
-    if self_exclude and n_t != atoms.n:
-        raise ParameterError("self_exclude requires one target per atom in atom order")
     px = np.ascontiguousarray(atoms.points.T)
     u = spec.s + 1.0
     levels = [_level(px, atoms.masses, bs, u) for bs in _block_sizes(atoms, config.leaf_cap)]

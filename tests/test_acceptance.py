@@ -246,6 +246,7 @@ def test_07_shell_vs_discrete_potentials():
         CantorParams(d=1, s=0.5, lam=(0.25,) * 4),
         CantorParams(d=1, s=0.5, lam=(0.25, 0.3, 0.2)),
         CantorParams(d=2, s=1.0, lam=(0.25, 0.3)),
+        CantorParams(d=3, s=1.5, lam=(0.25, 0.3)),
     ]
     worst_ratio = 1.0
     worst_ident = 0.0

@@ -145,14 +145,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["wolff", "capacity"])
     def test_ball_volume_budget_is_skipped(self, tmp_path, caplog, command):
-        # no config key reaches ball_mass's tol_ball, which d = 3 cannot meet
-        code = main([command, "--d", "3", "--s", "1.5", "--N", "1", "--refine-k", "2",
-                     "--lambda", "0.25", "--out", str(tmp_path)])
-        assert code == 0
-        (rec,) = json.loads((tmp_path / f"{command}.json").read_text())["cases"]
-        assert rec["skipped"] is True
-        assert "ball volume to tolerance" in rec["skip_reason"]
+        # d = 3 ball volumes are exact and run; ball_mass refuses d = 4
+        for d, s in [(3, "1.5"), (4, "2")]:
+            out = tmp_path / f"d{d}"
+            code = main([command, "--d", str(d), "--s", s, "--N", "1", "--refine-k", "2",
+                         "--lambda", "0.25", "--out", str(out)])
+            assert code == 0
+            text = (out / f"{command}.json").read_text()
+            (rec,) = json.loads(text)["cases"]
+            assert rec.get("skipped", False) is (d == 4)
+            assert "NaN" not in text and "Infinity" not in text
+        assert "ball volume has no exact rule in d = 4" in rec["skip_reason"]
         assert f"{command} case c000 skipped: ball volume" in caplog.text
+        assert caplog.text.count("skipped") == 1
 
     def test_negative_depth_rejected(self, tmp_path, capsys):
         code = main(["profile", "--N", "-1", "--out", str(tmp_path)])

@@ -249,15 +249,15 @@ class TestCapacityReport:
         assert rec["skipped"] and rec["gamma_plus_est"] is None
 
     def test_ball_volume_skip_precedes_halo_field(self, monkeypatch):
-        # at d = 3 the Wolff samples exceed ball_mass's budget; the halo field
-        # would be thrown away, so it must not be computed at all
+        # ball_mass refuses the d = 4 Wolff samples; the halo field would be
+        # thrown away, so it must not be computed at all
         def no_halo_field(*args, **kwargs):
             raise AssertionError("gamma_plus_lower_bound ran for a skipped case")
 
         monkeypatch.setattr(ex, "gamma_plus_lower_bound", no_halo_field)
-        rep = ex.run_capacity_report(make_config(d=3, s=1.5, depths=(1,), refine_k=2))
+        rep = ex.run_capacity_report(make_config(d=4, s=2.0, depths=(1,), refine_k=2))
         (rec,) = rep["cases"]
-        assert rec["skipped"] and "ball volume to tolerance" in rec["skip_reason"]
+        assert rec["skipped"] and "no exact rule in d = 4" in rec["skip_reason"]
 
 
 class TestProfileReport:

@@ -1,7 +1,6 @@
 """Atomization of the natural measure and exact ball masses."""
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -28,11 +27,112 @@ from cantor_riesz import (
     verify_transform_lemmas,
 )
 import cantor_riesz.quadrature as quadrature_mod
-from cantor_riesz.quadrature import _ball_box_volume, _box_near_far_sq
+from cantor_riesz.geometry import _corner_bits
+from cantor_riesz.quadrature import (
+    DEFAULT_ATOM_BUDGET,
+    _ball_box_volume,
+    _ball_interval_length,
+    _box_near_far_sq,
+)
 
 
-def legacy_ball_mass(params, x, r, tol_ball=1e-6, depth_cap=40):
-    """The one-radius descent that the radii descent replaced, kept verbatim."""
+# --- The closed d = 2 area and the dyadic subdivision that the d = 3
+# tanh-sinh rule replaced, kept verbatim as references.
+
+
+def ref_disc_rect_area(corners: np.ndarray, side: float, x: np.ndarray, r: float) -> float:
+    """Exact area of disc(x, r) intersected with each box, summed (d = 2).
+
+    Uses the oriented corner primitive A(a, b) = integral over [0,a]x[0,b]
+    of the disc indicator (disc centered at the origin); the box area is the
+    alternating sum of A at its four corners.
+    """
+    x0 = corners[:, 0] - x[0]
+    y0 = corners[:, 1] - x[1]
+    x1 = x0 + side
+    y1 = y0 + side
+    r2 = r * r
+
+    def antider(t):
+        # integral of sqrt(r^2 - v^2) dv from 0 to t, for t in [0, r]
+        t = np.minimum(t, r)
+        return 0.5 * (
+            t * np.sqrt(np.maximum(r2 - t * t, 0.0))
+            + r2 * np.arcsin(np.clip(t / r, -1.0, 1.0))
+        )
+
+    def corner(a, b):
+        sgn = np.sign(a) * np.sign(b)
+        aa = np.minimum(np.abs(a), r)
+        bb = np.minimum(np.abs(b), r)
+        # x-extent of the disc shrinks past v* = sqrt(r^2 - aa^2)
+        vstar = np.sqrt(np.maximum(r2 - aa * aa, 0.0))
+        full = aa * bb  # corner rectangle entirely inside the disc
+        part = aa * vstar + antider(bb) - antider(vstar)
+        return sgn * np.where(bb <= vstar, full, part)
+
+    area = corner(x1, y1) - corner(x0, y1) - corner(x1, y0) + corner(x0, y0)
+    return float(np.maximum(area, 0.0).sum())
+
+
+def ref_ball_box_volume(
+    corners: np.ndarray,
+    side: float,
+    x: np.ndarray,
+    r: float,
+    tol: float,
+    depth_cap: int,
+) -> float:
+    """Lebesgue volume of ball(x, r) intersected with the given boxes.
+
+    Closed forms in one and two dimensions; higher dimensions fall back to
+    recursive dyadic subdivision with a midpoint estimate for the cells the
+    sphere still straddles at depth_cap.  The straddled cells grow about
+    2^(d-1)-fold per halving, so a subdivision that would hold more than
+    DEFAULT_ATOM_BUDGET boxes raises BudgetError instead of allocating them.
+    """
+    d = x.shape[0]
+    if d == 1:
+        return _ball_interval_length(corners, side, x, r)
+    if d == 2:
+        return ref_disc_rect_area(corners, side, x, r)
+    r2 = r * r
+    bits = _corner_bits(d)
+    vol = 0.0
+    v0 = max(corners.shape[0] * side**d, np.finfo(float).tiny)
+    boxes = corners
+    for _ in range(depth_cap):
+        if boxes.shape[0] == 0:
+            return vol
+        near2, far2 = _box_near_far_sq(boxes, side, x)
+        inside = far2 <= r2
+        straddle = ~inside & (near2 <= r2)
+        vol += float(inside.sum()) * side**d
+        boxes = boxes[straddle]
+        uncertain = boxes.shape[0] * side**d
+        if uncertain <= tol * v0:
+            return vol + 0.5 * uncertain
+        if boxes.shape[0] << d > DEFAULT_ATOM_BUDGET:
+            raise BudgetError(f"ball volume to tolerance {tol} needs over "
+                              f"{DEFAULT_ATOM_BUDGET} boxes; pass a coarser tol_ball")
+        half = side / 2.0
+        boxes = (boxes[:, None, :] + (bits * half)[None, :, :]).reshape(-1, d)
+        side = half
+    near2, far2 = _box_near_far_sq(boxes, side, x)
+    live = near2 <= r2
+    return vol + 0.5 * float(live.sum()) * side**d
+
+
+def legacy_ball_mass(params, x, r, volume=None):
+    """The one-radius descent that the radii descent replaced, kept verbatim
+    but for its volume argument.
+
+    volume(boxes, side, x, r) gives the leaves' ball volume; by default the
+    reference above at its old tolerance 1e-6.
+    """
+    if volume is None:
+        def volume(boxes, side, x, r):
+            return ref_ball_box_volume(boxes, side, x, r, 1e-6, 40)
     d, n_gen = params.d, params.depth
     x = np.asarray(x, dtype=float).reshape(-1)
     r2 = r * r
@@ -58,7 +158,7 @@ def legacy_ball_mass(params, x, r, tol_ball=1e-6, depth_cap=40):
         ell_prev = child
     leaf_side = ell_prev
     density = 2.0 ** (-n_gen * d) / leaf_side**d
-    vol = _ball_box_volume(boxes, leaf_side, x, r, tol_ball, depth_cap)
+    vol = volume(boxes, leaf_side, x, r)
     return mass + density * vol
 
 
@@ -188,16 +288,14 @@ class TestRadiiDescent:
         radii = 2.0 ** np.linspace(1.5, np.log2(math.prod(params.lam)) - 4, 37)
         points = [rng.uniform(-0.2, 1.2, d) for _ in range(4)]
         points += [np.zeros(d), np.full(d, params.lam[0] / 2)]
-        # the d = 3 leaf volume subdivides the sphere's surface cells, whose
-        # count grows 4x per halving: keep its tolerance coarse
-        tol = 0.05 if d == 3 else 1e-6
+        # d <= 2 also checks the leaf volumes against the verbatim closed forms;
+        # at d = 3 the reference only brackets the volume (see TestBallVolume),
+        # so both descents use the new one
+        volume = _ball_box_volume if d == 3 else None
         for x in points:
-            got = ball_mass(params, x, radii, tol_ball=tol)
-            want = [legacy_ball_mass(params, x, float(r), tol_ball=tol) for r in radii]
-            if d < 3:
-                assert np.array_equal(got, want)
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            got = ball_mass(params, x, radii)
+            want = [legacy_ball_mass(params, x, float(r), volume) for r in radii]
+            assert np.array_equal(got, want)
 
     def test_one_radius_is_a_float(self, params_mixed):
         radii = np.array([0.01, 0.2, 0.7])
@@ -211,7 +309,7 @@ class TestRadiiDescent:
         with pytest.raises(ParameterError):
             ball_mass(params_mixed, [0.3], np.array([0.1, 0.0]))
 
-    @pytest.mark.parametrize("d, depth", [(1, 8), (2, 5)])
+    @pytest.mark.parametrize("d, depth", [(1, 8), (2, 5), (3, 2)])
     def test_mask_budget_split_is_bitwise(self, d, depth, monkeypatch):
         # a (box, radius) mask over the budget splits the radii; no mass moves
         rng = np.random.default_rng(200 + d)
@@ -236,19 +334,65 @@ class TestRadiiDescent:
         with pytest.raises(BudgetError, match="radius 0.5 needs over 100 generation-5 cubes"):
             ball_mass(params, [0.5, 0.5], np.array([0.3, 0.5]))
 
-    def test_d3_subdivision_budget(self):
-        # the sphere's straddled cells grow ~4x per halving, so a fine d = 3
-        # tolerance must refuse before allocating, not run out of memory
-        params = CantorParams(d=3, s=1.5, lam=(0.3, 0.3))
-        x = [0.045] * 3
-        t0 = time.perf_counter()
-        with pytest.raises(BudgetError):
-            ball_mass(params, x, 0.03, tol_ball=1e-3)
-        assert time.perf_counter() - t0 < 1.0
-        # a tolerance inside the budget keeps the value from before the check
-        assert ball_mass(params, x, 0.03, tol_ball=1e-2) == float.fromhex(
-            "0x1.3dc1000000000p-9"
-        )
+    def test_d4_refused_before_the_descent(self, monkeypatch):
+        calls = []
+        box_dists = quadrature_mod._box_near_far_sq
+        monkeypatch.setattr(quadrature_mod, "_box_near_far_sq",
+                            lambda *a: calls.append(a) or box_dists(*a))
+        params = CantorParams(d=4, s=2.0, lam=(0.25,))
+        with pytest.raises(BudgetError, match="no exact rule in d = 4"):
+            ball_mass(params, [0.5] * 4, 0.3)
+        assert calls == []
+
+
+class TestBallVolume:
+    """The d = 3 tanh-sinh rule against closed forms and the subdivision."""
+
+    @pytest.mark.parametrize("corners, side, x, r, want", [
+        ([(0, 0, 0)], 1.0, (0, 0, 0), 0.5, math.pi * 0.5**3 / 6),
+        ([(0, 0, 0)], 1.0, (0.5, 0.5, 0), 0.4, 2 * math.pi * 0.4**3 / 3),
+        ([(0, 0, 0)], 1.0, (0.5, 0.5, 0.5), 0.4, 4 * math.pi * 0.4**3 / 3),
+        ([(0, 0, 0)], 1.0, (0.5, 0.5, 0.5), 0.9, 1.0),
+        ([(0.1, 0.2, 0.3)], 0.3, (0.2, 0.3, 0.35), 0.9, 0.3**3),
+        ([(-0.5, -0.5, -0.5)], 1.0, (0.1, -0.2, 0.3), 1e-3, 4 * math.pi * 1e-9 / 3),
+        # the plane x = 0.3 cuts a cap of height 0.2: a kink at one edge distance
+        ([(0.3, -1, -1)], 2.0, (0, 0, 0), 0.5, math.pi * 0.2**2 * (1.5 - 0.2) / 3),
+    ], ids=["octant", "half-ball", "whole-ball", "box-in-ball", "small-box-in-ball", "tiny-ball",
+            "cap"])
+    def test_closed_forms(self, corners, side, x, r, want):
+        got = _ball_box_volume(np.array(corners, float), side, np.array(x, float), r)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_inside_the_subdivision_bracket(self):
+        # the reference returns the midpoint of [cells inside, cells inside +
+        # cells straddled], whose width it brings below tol times the boxes' volume
+        rng = np.random.default_rng(7)
+        tol, checked = 0.02, 0
+        for _ in range(300):
+            corners = rng.uniform(0.0, 1.0, (int(rng.integers(1, 5)), 3))
+            side, x, r = rng.uniform(0.05, 0.5), rng.uniform(-0.2, 1.2, 3), rng.uniform(0.02, 1.0)
+            near2, far2 = _box_near_far_sq(corners, side, x)
+            boxes = corners[(near2 <= r * r) & (far2 > r * r)]  # as ball_mass passes them
+            if not boxes.shape[0]:
+                continue
+            got = _ball_box_volume(boxes, side, x, r)
+            mid = ref_ball_box_volume(boxes, side, x, r, tol, 40)
+            assert abs(got - mid) <= 0.5 * tol * boxes.shape[0] * side**3
+            # the eight half-side children cut the z-range elsewhere: a kink
+            # left uncut inside a piece shows here at ~1e-4 of the volume
+            kids = (boxes[:, None, :] + _corner_bits(3) * (side / 2)).reshape(-1, 3)
+            split = _ball_box_volume(kids, side / 2, x, r)
+            assert abs(got - split) <= 1e-12 * boxes.shape[0] * side**3
+            checked += 1
+        assert checked > 100
+
+    def test_chunked_boxes_agree(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        corners = rng.uniform(0.0, 1.0, (40, 3))
+        x, r = np.array([0.5, 0.4, 0.6]), 0.45
+        want = _ball_box_volume(corners, 0.1, x, r)
+        monkeypatch.setattr(quadrature_mod, "_BOX_CHUNK", 7)
+        assert _ball_box_volume(corners, 0.1, x, r) == pytest.approx(want, rel=1e-14)
 
 
 class TestAtomSetConstruction:

@@ -336,8 +336,12 @@ class TestEvalBrute:
         assert np.all(np.isfinite(f.values))
 
     def test_self_exclude_needs_matching_targets(self, atoms_small):
-        with pytest.raises(ParameterError):
-            eval_brute(atoms_small, atoms_small.points[:3], KernelSpec(s=0.5), True)
+        # too few targets, and as many targets as atoms but shifted off them,
+        # which each silently lost one pair (0.625 off at the largest)
+        atoms = atomize(CantorParams(d=1, s=0.5, lam=(0.25,) * 3), refine_k=2)
+        for aset, targets in [(atoms_small, atoms_small.points[:3]), (atoms, atoms.points + 0.01)]:
+            with pytest.raises(ParameterError, match="atom positions"):
+                eval_brute(aset, targets, KernelSpec(s=0.5), True)
 
     def test_order_guard(self, atoms_small):
         with pytest.raises(ParameterError):

@@ -212,10 +212,11 @@ class TestContract:
             eval_treecode(atoms, pts, KernelSpec(s=0.5), cfg, self_exclude=True)
 
     def test_self_exclude_needs_matching_targets(self, deep_atoms):
-        with pytest.raises(ParameterError):
-            eval_treecode(
-                deep_atoms, deep_atoms.points[:4], KernelSpec(s=0.5), self_exclude=True
-            )
+        # too few targets, and as many targets as atoms but shifted off them
+        atoms = atomize(CantorParams(d=1, s=0.5, lam=(0.25,) * 3), refine_k=2)
+        for aset, targets in [(deep_atoms, deep_atoms.points[:4]), (atoms, atoms.points + 0.01)]:
+            with pytest.raises(ParameterError, match="atom positions"):
+                eval_treecode(aset, targets, KernelSpec(s=0.5), self_exclude=True)
 
     def test_empty_targets(self, deep_atoms):
         got = eval_treecode(deep_atoms, np.zeros((0, 1)), KernelSpec(s=0.5))
