@@ -218,10 +218,10 @@ def run_ratio_experiment(
 
     Cases over the atom budget come back flagged ``skipped`` instead of
     raising.  With ``transform_lemmas`` each record also carries the measured
-    field-level inequality report.  Its per-cube inside fields add about
-    n^2 / (2^d - 1) pairs to the field's n^2: on a 2-core Xeon a direct-sum
-    case took 2.3-2.9x as long at d = 1 with 4 096-8 192 atoms and 1.8x at
-    d = 2 with 4 096 atoms.
+    field-level inequality report.  Its outside fields add
+    n^2 (1 - 4^(-Nd)) / (2^d + 1) pairs to the field's n^2: on a 2-core Xeon
+    a direct-sum case took 1.2-1.4x as long with 4 096-8 192 atoms at d = 1
+    and 4 096 atoms at d = 2 and 3.
     """
     return _table(config, lambda cfg, c: _ratio_case(cfg, c, transform_lemmas), workers)
 

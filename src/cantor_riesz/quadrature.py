@@ -78,6 +78,21 @@ class AtomSet:
             raise ParameterError(f"atom set is not atomize()'s layout: {self._layout_error}")
         return self.n >> (d * j)
 
+    def _reflection(self, j: int, code: int) -> np.ndarray:
+        """Local index of each atom's mirror image in a generation-j cube.
+
+        The cube is mirrored in the centre planes of the axes set in corner
+        code `code`: each such axis flips its bit (the code's last binary
+        digit is axis 0) in every corner code below generation j, and its
+        index in the row-major sub-grid.
+        """
+        d, k = self.d, self.refine_k
+        levels = self.params.depth - j
+        index = np.arange(self.block_size(j)).reshape((2,) * (d * levels) + (k,) * d)
+        axes = [a for a in range(d) if code >> a & 1]
+        dims = [lv * d + d - 1 - a for lv in range(levels) for a in axes]
+        return np.flip(index, dims + [levels * d + a for a in axes]).ravel()
+
     def leaf_of(self, i: int) -> CubeId:
         """Leaf cube containing atom i."""
         return cube_from_rank(int(self.leaf_rank[i]), self.params.depth, self.params.d)
@@ -247,7 +262,9 @@ def ball_mass(
     would have visited, so the masses equal radius-by-radius calls bit for bit.
     Before the (box, radius) mask would pass DEFAULT_ATOM_BUDGET cells, each
     half of the radii descends again on its own; one radius raises BudgetError.
-    The leaf volumes are exact up to d = 3; d >= 4 raises BudgetError up front.
+    The leaf volumes are exact up to d = 3; d >= 4 raises BudgetError up front,
+    and so does a generation whose corner offset is lost against a kept box's
+    corner coordinate, since its sibling cubes would then share one corner.
     """
     radii = np.asarray(r, dtype=float)
     scalar = radii.ndim == 0
@@ -278,8 +295,11 @@ def ball_mass(
                                   f" generation-{g + 1} cubes in its descent")
             halves = np.array_split(radii, 2)
             return np.concatenate([ball_mass(params, x, h) for h in halves])
-        offsets = bits * (ell[g] - ell[g + 1])
-        boxes = (boxes[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+        step = ell[g] - ell[g + 1]
+        if np.any(boxes + step == boxes):
+            raise BudgetError(f"generation-{g + 1} corner offset {step:.3g} vanishes against"
+                              " a box corner in floating point; sibling cubes would coincide")
+        boxes = (boxes[:, None, :] + (bits * step)[None, :, :]).reshape(-1, d)
         live = np.repeat(live, 1 << d, axis=0)
     if boxes.shape[0]:
         for k in np.flatnonzero(live.any(axis=0)):

@@ -10,10 +10,12 @@ whose internal structure drives the lower bound for the transform norm.
 compute_stops, classify and verify_sequence_lemmas read only the sequences
 theta, p and ell, and are exact float combinatorics, so the inequalities with
 explicit constants are asserted outright.  verify_transform_lemmas reads a
-computed field at the atoms as well: it calls the shared pair kernel for the
-field each cube generates inside itself, and martingale.difference / decompose
-for the cube means and difference layers.  Its inequalities have existential
-constants, so they are only measured and reported, as lemamax11 and lemjh are.
+computed field at the atoms as well, through martingale.difference / decompose
+for the cube means and difference layers.  Its lemnab check reads the atoms
+alone: it builds the untruncated field from outside each cube with the shared
+pair kernel, from the set's self-similarity, whatever engine or eps produced
+the field.  Its inequalities have existential constants, so they are only
+measured and reported, as lemamax11 and lemjh are.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParameterError, is_int, is_real
+from .geometry import _corner_bits
 from .martingale import decompose, difference
 from .riesz import KernelSpec, _direct_field
 
@@ -578,10 +581,11 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
     and finite, ell positive and p finite.
 
     Checks reported:
-      lemnab      oscillation, over each cube, of the field generated outside
-                  the cube, against (ell_j/ell_{j-1}) * p_{j-1}; the field a
-                  cube generates inside itself comes from the shared pair
-                  kernel riesz._direct_field, so memory stays at one chunk
+      lemnab      oscillation, over each cube, of the untruncated field of
+                  the atoms outside it, against (ell_j/ell_{j-1}) * p_{j-1};
+                  it reads the atoms, not `field_values`, with one call of the
+                  pair kernel riesz._direct_field per generation: N calls and
+                  n^2 (1 - 4^(-Nd)) / (2^d + 1) pairs in all
       lemdes11    parent-to-child jump of cube means against p_j
       lemfa1      squared norm of the deepest projection against the
                   squared-density sum over 0..N-1
@@ -628,18 +632,23 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
         checks.append(check)
 
     def oscillations():
+        # every generation-j cube receives the same field from its 2^d - 1
+        # siblings at matching atoms, and child c is child 0 mirrored in the
+        # axes of its code c; the field from outside a cube is the running sum
         px = np.ascontiguousarray(atoms.points.T)
+        outside = np.zeros((atoms.n, d))
         for j in range(1, n_gen + 1):
-            bs = atoms.block_size(j)
+            bs, parent = atoms.block_size(j), atoms.block_size(j - 1)
+            child0 = _direct_field(px[:, bs:parent], atoms.masses[bs:parent], px[:, :bs],
+                                   spec, np.arange(bs)).T
+            siblings = np.empty((parent, d))
+            for code, bits in enumerate(_corner_bits(d)):
+                siblings[atoms._reflection(j - 1, code)[:bs]] = child0 * (1.0 - 2.0 * bits)
+            outside.reshape(-1, parent, d)[:] += siblings
+            cubes = outside.reshape(-1, bs, d)
+            osc = np.sqrt(((cubes.max(axis=1) - cubes.min(axis=1)) ** 2).sum(axis=1))
             denom = (el[j] / el[j - 1]) * pr[j - 1]
-            for a0 in range(0, atoms.n, bs):
-                cube = px[:, a0 : a0 + bs]
-                inside = _direct_field(
-                    cube, atoms.masses[a0 : a0 + bs], cube, spec, np.arange(bs), self_exclude=True
-                )
-                outside = values[a0 : a0 + bs] - inside.T
-                osc = float(np.sqrt(((outside.max(axis=0) - outside.min(axis=0)) ** 2).sum()))
-                yield osc, denom
+            yield from ((o, denom) for o in osc.tolist())
 
     add(_extreme("lemnab", oscillations()))
 

@@ -159,6 +159,16 @@ class TestExitCodes:
         assert f"{command} case c000 skipped: ball volume" in caplog.text
         assert caplog.text.count("skipped") == 1
 
+    def test_collapsed_lattice_is_skipped(self, tmp_path, caplog):
+        # ratio_max was 1.3e6 here, against 1.03 at N = 17
+        code = main(["wolff", "--d", "2", "--s", "0.5", "--N", "24", "--lambda", "0.1",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        (rec,) = json.loads((tmp_path / "wolff.json").read_text())["cases"]
+        assert rec["skipped"] and "ratio_max" not in rec
+        assert "corner offset 9e-19 vanishes against a box corner" in rec["skip_reason"]
+        assert "wolff case c000 skipped: generation-19 corner offset" in caplog.text
+
     def test_negative_depth_rejected(self, tmp_path, capsys):
         code = main(["profile", "--N", "-1", "--out", str(tmp_path)])
         assert code == 2

@@ -21,12 +21,15 @@ from cantor_riesz import (
     build_profile,
     classify,
     containing_cube,
+    cube_from_rank,
+    cube_position,
     decompose,
     eval_treecode,
     project,
     verify_transform_lemmas,
 )
 import cantor_riesz.quadrature as quadrature_mod
+from cantor_riesz.experiments import _sample_points
 from cantor_riesz.geometry import _corner_bits
 from cantor_riesz.quadrature import (
     DEFAULT_ATOM_BUDGET,
@@ -334,6 +337,20 @@ class TestRadiiDescent:
         with pytest.raises(BudgetError, match="radius 0.5 needs over 100 generation-5 cubes"):
             ball_mass(params, [0.5, 0.5], np.array([0.3, 0.5]))
 
+    def test_collapsed_lattice_is_refused(self):
+        # near x = 0.9 (d = 2, lambda = 0.1) the generation-18 offset 9e-18 is
+        # lost against the corner coordinate: the sibling cubes used to share
+        # one corner, and the mass doubled with every generation past 17
+        for n_gen in range(3, 25):
+            params = CantorParams(d=2, s=0.5, lam=(0.1,) * n_gen)
+            x, r = _sample_points(params, 20)[5], 4 * params.leaf_side
+            if n_gen <= 17:
+                mass = ball_mass(params, x, r)
+                assert mass == legacy_ball_mass(params, x, r) == 4.0**-n_gen
+            else:
+                with pytest.raises(BudgetError, match="generation-18 corner offset 9e-18"):
+                    ball_mass(params, x, r)
+
     def test_d4_refused_before_the_descent(self, monkeypatch):
         calls = []
         box_dists = quadrature_mod._box_near_far_sq
@@ -405,6 +422,31 @@ class TestAtomSetConstruction:
         )
         assert not aset.points.flags.writeable
         assert aset.n == 2
+
+
+class TestReflection:
+    """The mirror-image permutation of a cube's atoms."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("refine_k", [1, 2, 3])
+    def test_mirrors_every_cube(self, d, refine_k):
+        rng = np.random.default_rng(10 * d + refine_k)
+        depth = {1: 4, 2: 3, 3: 2}[d]
+        params = CantorParams(d=d, s=0.5, lam=tuple(rng.uniform(0.1, 0.45, depth)))
+        atoms = atomize(params, refine_k)
+        assert params.leaf_side / refine_k > 1e-6  # far above the tolerance below
+        for j in range(depth + 1):
+            bs = atoms.block_size(j)
+            centres = np.array([
+                cube_position(params, cube_from_rank(q, j, d))[0] + params.ell[j] / 2
+                for q in range(atoms.n // bs)
+            ])
+            cubes = atoms.points.reshape(-1, bs, d)
+            for code, bits in enumerate(_corner_bits(d)):
+                perm = atoms._reflection(j, code)
+                assert np.array_equal(perm[perm], np.arange(bs))
+                mirrored = np.where(bits > 0, 2 * centres[:, None, :] - cubes, cubes)
+                assert np.allclose(cubes[:, perm], mirrored, rtol=0.0, atol=1e-13)
 
 
 class TestBlockSize:

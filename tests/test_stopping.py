@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from cantor_riesz import (
     CantorParams,
     ConfigError,
+    ExperimentConfig,
     KernelSpec,
     KIND_DD,
     KIND_ID,
@@ -39,6 +40,8 @@ from cantor_riesz import (
     verify_sequence_lemmas,
     verify_transform_lemmas,
 )
+import cantor_riesz.stopping as stopping_mod
+from cantor_riesz.experiments import run_ratio_experiment
 from cantor_riesz.geometry import DensityProfile
 from cantor_riesz.martingale import decompose, project
 from cantor_riesz.riesz import _direct_field
@@ -556,19 +559,65 @@ def lemma_inputs(d, s, lam, refine_k=2):
     return atoms, field, cls, prof
 
 
+def close_lemnab(got: LemmaCheck, want: LemmaCheck) -> None:
+    """lemnab's sides and constant agree to rel 1e-12; name and note exactly."""
+    assert (got.name, got.note, got.constant is None) == (want.name, want.note, want.constant is None)
+    for a, b in zip((got.lhs, got.rhs, got.constant), (want.lhs, want.rhs, want.constant)):
+        assert type(a) is type(b)
+        assert b is None or math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+# refine_k = 2 keeps the ids these cases had before refine_k was a parameter
+LEMNAB_CASES = [
+    pytest.param(d, s, depth, k, id=f"{d}-{s}-{depth}" + ("" if k == 2 else f"-k{k}"))
+    for k in (2, 3) for d, s, depth in [(1, 0.5, 5), (2, 1.0, 3), (3, 1.5, 2)]
+]
+
+
 class TestLemnabKernel:
-    @pytest.mark.parametrize(
-        "d, s, depth", [(1, 0.5, 5), (2, 1.0, 3), (3, 1.5, 2)]
-    )
+    @pytest.mark.parametrize("d, s, depth, refine_k", LEMNAB_CASES)
     @pytest.mark.parametrize("ratios", ["constant", "random"])
-    def test_matches_pair_matrix(self, d, s, depth, ratios):
+    def test_matches_pair_matrix(self, d, s, depth, refine_k, ratios):
+        # the pair-matrix loop and the subtraction loop both form the outside
+        # field as the brute field minus each cube's own; lemnab sums it
         rng = np.random.default_rng(100 * d + depth)
         lam = [0.25] * depth if ratios == "constant" else rng.uniform(0.1, 0.45, depth)
-        atoms, field, cls, prof = lemma_inputs(d, s, lam)
+        atoms, field, cls, prof = lemma_inputs(d, s, lam, refine_k)
         got = verify_transform_lemmas(atoms, field, cls, prof)["lemnab"]
         want = legacy_lemnab(atoms, field.values, prof)
         for a, b in zip((got.lhs, got.rhs, got.constant), want):
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+        close_lemnab(got, legacy_verify_transform_lemmas(atoms, field, cls, prof)["lemnab"])
+
+    def test_ignores_the_truncation_of_the_field(self):
+        # no sibling pair is within 1e-4 (the smallest gap is 4.9e-4), yet
+        # subtracting the untruncated inside field from the truncated total
+        # gave lemnab 1.101 / 0.25 = 4.405 instead of 0.1386 / 0.3281 = 0.4225
+        recs = [
+            run_ratio_experiment(ExperimentConfig(d=1, s=0.5, depths=(6,), refine_k=4, eps=eps),
+                                 transform_lemmas=True)["cases"][0]
+            for eps in (1e-4, 0.0)
+        ]
+        assert recs[0]["norm_Rmu_sq"] != recs[1]["norm_Rmu_sq"]  # the fields differ
+        truncated, exact = ({c["name"]: c for c in r["transform_lemmas"]}["lemnab"] for r in recs)
+        for key in ("lhs", "rhs", "constant"):
+            assert math.isclose(truncated[key], exact[key], rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(exact["constant"], 0.4225, rel_tol=1e-3)
+
+    @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 6), (2, 1.0, 3), (3, 1.5, 2)])
+    def test_one_kernel_call_per_generation(self, d, s, depth, monkeypatch):
+        # sum_j b_j (b_{j-1} - b_j) = n^2 (1 - 4^(-Nd)) / (2^d + 1) pairs,
+        # where b_j = n / 2^(jd) atoms lie in a generation-j cube
+        atoms, field, cls, prof = lemma_inputs(d, s, [0.25] * depth)
+        pairs = []
+        kernel = stopping_mod._direct_field
+        monkeypatch.setattr(stopping_mod, "_direct_field",
+                            lambda px, ms, tx, *a: pairs.append(px.shape[1] * tx.shape[1])
+                            or kernel(px, ms, tx, *a))
+        verify_transform_lemmas(atoms, field, cls, prof)
+        assert len(pairs) == depth
+        leaf = atoms.atoms_per_leaf
+        assert sum(pairs) * (2**d + 1) == atoms.n**2 - leaf**2
 
     def test_memory_is_one_chunk(self):
         # 4 096 atoms: the pair matrices took ~160 MB at the first generation
@@ -926,11 +975,17 @@ def same_reports(got, want) -> set:
     return {c.note for c in got}
 
 
-def same_transform(atoms, values, cls, profile) -> set:
-    return same_reports(
-        verify_transform_lemmas(atoms, values, cls, profile),
-        legacy_verify_transform_lemmas(atoms, values, cls, profile),
-    )
+def same_transform(atoms, values, cls, profile, brute) -> set:
+    """The legacy report, but lemnab, bitwise; lemnab, which reads the atoms
+    and not `values`, within rel 1e-12 of the legacy on the brute field."""
+    got = verify_transform_lemmas(atoms, values, cls, profile)
+    want = legacy_verify_transform_lemmas(atoms, values, cls, profile)
+    close_lemnab(got["lemnab"], legacy_verify_transform_lemmas(atoms, brute, cls, profile)["lemnab"])
+
+    def others(report):
+        return LemmaReport(tuple(c for c in report if c.name != "lemnab"))
+
+    return same_reports(others(got), others(want)) | {got["lemnab"].note}
 
 
 def random_sequence(rng, n):
@@ -978,14 +1033,14 @@ class TestSharedReducers:
         rng = np.random.default_rng(10 * d + depth + (ratios == "random"))
         lam = [0.25] * depth if ratios == "constant" else rng.uniform(0.1, 0.45, depth)
         atoms, field, cls, prof = lemma_inputs(d, s, lam)
-        same_transform(atoms, field, cls, prof)
+        same_transform(atoms, field, cls, prof, field)
         # random profiles and fields of the same depth reach the other branches
         for trial in range(24):
             theta, p, ell = random_sequence(rng, depth)
             profile = DensityProfile(ell=ell, theta=theta, p=p)
             cls = classify(theta, p, ell, random_config(rng), n=depth)
             values = field.values if trial % 3 else rng.normal(size=field.values.shape)
-            same_transform(atoms, values, cls, profile)
+            same_transform(atoms, values, cls, profile, field)
 
     def test_transform_notes(self):
         atoms, field, _, _ = lemma_inputs(1, 0.5, [0.25] * 5)
@@ -995,11 +1050,11 @@ class TestSharedReducers:
         cls = classify(theta, p, ell, StopConfig(B=101.0), n=5)
         assert [rec.standard for rec in cls.j_intervals] == [False]
         profile = DensityProfile(ell=ell, theta=theta, p=p)
-        notes = same_transform(atoms, field, cls, profile)
+        notes = same_transform(atoms, field, cls, profile, field)
         # the spike leaves the band of q = 0 at once, and potentials too
         # large for the entry condition close every later window
         remote = DensityProfile(ell=ell, theta=theta, p=np.r_[p[:2], [1e9] * 4])
-        notes |= same_transform(atoms, field, cls, remote)
+        notes |= same_transform(atoms, field, cls, remote, field)
         assert TRANSFORM_NOTES <= notes
         # only a negative leading density, with potentials too large for the
         # later windows, left lemaux11 no window; such a profile is refused
@@ -1046,14 +1101,13 @@ class TestSharedReducers:
         theta = np.array([1.0, 1e160, 1e160, 1.0, 1.0])
         with np.errstate(over="ignore"):
             huge = classify(theta, theta, 0.25 ** np.arange(5), StopConfig(B=101.0, N_L=1), n=4)
-        for values, cls_, name in ((nan_field, cls, "lemnab"), (field, huge, "lemlongood")):
-            errors = []
-            for verify in (verify_transform_lemmas, legacy_verify_transform_lemmas):
+        # lemnab no longer reads the field, so the NaN reaches lemdes11 first
+        for values, cls_, names in ((nan_field, cls, ("lemdes11", "lemnab")),
+                                    (field, huge, ("lemlongood", "lemlongood"))):
+            for verify, name in zip((verify_transform_lemmas, legacy_verify_transform_lemmas), names):
                 with pytest.raises(ParameterError) as exc:
                     verify(atoms, values, cls_, prof)
-                errors.append(str(exc.value))
-            assert errors[0] == errors[1]
-            assert errors[0].startswith(f"{name}: ")
+                assert str(exc.value) == f"{name}: sides must be finite and nonnegative"
 
 
 def test_stopping_search_smoke(capsys):
