@@ -41,7 +41,8 @@ def main(argv=None) -> int:
                     for _ in range(args.depth))
         params = CantorParams(d=args.d, s=args.s, lam=lam)
         prof = build_profile(params)
-        rep = verify_sequence_lemmas(prof.theta, prof.p, prof.ell, cfg, n=args.depth)
+        cls = classify(prof.theta, prof.p, prof.ell, cfg, n=args.depth)
+        rep = verify_sequence_lemmas(cls)
         for check in rep:
             if not check.hard or check.constant is None or check.rhs <= 0:
                 continue
@@ -51,7 +52,6 @@ def main(argv=None) -> int:
         if not rep.hard_pass:
             hard_failures.append((trial, list(rep.failures())))
 
-        cls = classify(prof.theta, prof.p, prof.ell, cfg, n=args.depth)
         for rec in cls.intervals:
             kind_counts[rec.kind] += 1
         for block in cls.j_intervals:

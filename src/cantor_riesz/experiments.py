@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .martingale import decompose
 from .quadrature import atomize
-from .riesz import KernelSpec, eval_brute, l2_norm_sq
+from .riesz import KernelSpec, eval_brute
 from .rng import case_stream
 from .stopping import classify, verify_sequence_lemmas, verify_transform_lemmas
 from .svgplot import bar_plot, line_plot
@@ -185,9 +185,9 @@ def _ratio_case(config: ExperimentConfig, case: Case, transform_lemmas: bool) ->
 
     field, engine = _transform_field(config, atoms)
     profile = build_profile(params)
-    norm = l2_norm_sq(field, atoms)
     ssq = profile.sum_theta_sq(0, case.depth)
     report = decompose(field.values, atoms)
+    norm = report.f_norm_sq
     cancel = np.einsum("n,nc->c", atoms.masses, field.values)
     rec.update(
         engine=engine,
@@ -206,7 +206,7 @@ def _ratio_case(config: ExperimentConfig, case: Case, transform_lemmas: bool) ->
     if transform_lemmas:
         cls = classify(profile.theta, profile.p, profile.ell,
                        config.stop, n=case.depth)
-        lemmas = verify_transform_lemmas(atoms, field, cls, profile)
+        lemmas = verify_transform_lemmas(atoms, field, cls)
         rec["transform_lemmas"] = lemmas.to_json()
     return rec
 
@@ -253,9 +253,8 @@ def _override_profile(config: ExperimentConfig) -> DensityProfile:
 
 
 def _stopping_case(case_id, profile, n: int, config: ExperimentConfig, **meta) -> dict:
-    theta, p, ell = profile.theta, profile.p, profile.ell
-    report = verify_sequence_lemmas(theta, p, ell, config.stop, n=n)
-    cls = classify(theta, p, ell, config.stop, n=n)
+    cls = classify(profile.theta, profile.p, profile.ell, config.stop, n=n)
+    report = verify_sequence_lemmas(cls)
     failures = list(report.failures())
     return {
         "case_id": case_id,

@@ -108,6 +108,7 @@ class DecompositionReport:
     f_norm_sq: float
     telescope_err: float
     parseval_rel_err: float
+    d_sups: tuple[float, ...] = ()  # per generation j, the largest |D_j f| over cubes
 
     def to_json(self) -> dict:
         return {
@@ -132,6 +133,7 @@ def decompose(f, atoms: AtomSet) -> DecompositionReport:
         for j in range(n_gen)
     ]
     d_norms = tuple(_cell_norm_sq(c, atoms) for c in diffs)
+    d_sups = tuple(float(np.sqrt((c.values**2).sum(axis=1)).max()) for c in diffs)
     s0 = _cell_norm_sq(cells[0], atoms)
     s_n = _cell_norm_sq(cells[n_gen], atoms)
     # every D_j is constant on generation-N cubes, so the Gram matrix and
@@ -160,6 +162,7 @@ def decompose(f, atoms: AtomSet) -> DecompositionReport:
         f_norm_sq=f_norm,
         telescope_err=telescope_err,
         parseval_rel_err=parseval_rel,
+        d_sups=d_sups,
     )
 
 

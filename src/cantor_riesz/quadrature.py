@@ -109,9 +109,11 @@ class AtomSet:
             fh.write("\n".join(lines) + "\n")
 
 
-def _leaf_corners(params: CantorParams) -> np.ndarray:
-    """Corners of all generation-N cubes in path-lexicographic order."""
-    d, ell, bits = params.d, params.ell, _corner_bits(params.d)
+def _leaf_corners(params: CantorParams, d: int | None = None) -> np.ndarray:
+    """Corners of all generation-N cubes in path-lexicographic order, in dimension d
+    (by default params.d)."""
+    d = params.d if d is None else d
+    ell, bits = params.ell, _corner_bits(d)
     corners = np.zeros((1, d))
     for i in range(params.depth):
         offsets = bits * (ell[i] - ell[i + 1])
@@ -122,7 +124,11 @@ def _leaf_corners(params: CantorParams) -> np.ndarray:
 def atomize(
     params: CantorParams, refine_k: int, budget: int = DEFAULT_ATOM_BUDGET
 ) -> AtomSet:
-    """Place refine_k^d equal-mass atoms at sub-grid centers of every leaf."""
+    """Place refine_k^d equal-mass atoms at sub-grid centers of every leaf.
+
+    Atoms that would coincide in floating point raise BudgetError, as a set
+    over the budget does (from N = 18 at d = 1, lambda = 0.1, refine_k 1).
+    """
     if not (is_int(refine_k) and refine_k >= 1):
         raise ParameterError(f"refine_k must be an integer >= 1, got {refine_k!r}")
     d, n_gen = params.d, params.depth
@@ -132,12 +138,16 @@ def atomize(
         raise BudgetError(
             f"atomize would create {n_atoms} atoms, exceeding budget {budget}"
         )
-    corners = _leaf_corners(params)
-    side = params.leaf_side
     grids = np.meshgrid(*([np.arange(refine_k)] * d), indexing="ij")
     sub_idx = np.stack(grids, axis=-1).reshape(-1, d)  # row-major, last axis fastest
-    sub_off = (sub_idx + 0.5) * (side / refine_k)
-    points = (corners[:, None, :] + sub_off[None, :, :]).reshape(n_atoms, d)
+    sub_off = (sub_idx + 0.5) * (params.leaf_side / refine_k)
+    points = (_leaf_corners(params)[:, None, :] + sub_off[None, :, :]).reshape(n_atoms, d)
+    # every axis holds the coordinates of the d = 1 atoms of the same ratios,
+    # which increase strictly unless two of them coincide
+    axis = (_leaf_corners(params, 1) + sub_off[:refine_k, -1]).ravel()
+    if not np.all(axis[1:] > axis[:-1]):
+        raise BudgetError(f"atomize would place coincident atoms at depth {n_gen}, refine_k "
+                          f"{refine_k}: an offset vanishes against a coordinate in floating point")
     mass = 2.0 ** (-n_gen * d) / refine_k**d
     masses = np.full(n_atoms, mass)
     leaf_rank = np.repeat(np.arange(n_leaves, dtype=np.int64), refine_k**d)

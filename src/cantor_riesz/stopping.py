@@ -7,15 +7,16 @@ intervals are typed by which band edge fired (increasing / decreasing /
 terminal), labeled good/bad and long/short, and paired into larger blocks
 whose internal structure drives the lower bound for the transform norm.
 
-compute_stops, classify and verify_sequence_lemmas read only the sequences
-theta, p and ell, and are exact float combinatorics, so the inequalities with
-explicit constants are asserted outright.  verify_transform_lemmas reads a
-computed field at the atoms as well, through martingale.difference / decompose
-for the cube means and difference layers.  Its lemnab check reads the atoms
-alone: it builds the untruncated field from outside each cube with the shared
-pair kernel, from the set's self-similarity, whatever engine or eps produced
-the field.  Its inequalities have existential constants, so they are only
-measured and reported, as lemamax11 and lemjh are.
+Both lemma checks take the Classification of classify, which carries the
+theta, p and ell it labeled.  verify_sequence_lemmas reads only those, exact
+float combinatorics, so its inequalities with explicit constants are asserted
+outright.  verify_transform_lemmas reads a field at the atoms as well,
+through one martingale.decompose for the difference layers and their sups.
+Its lemnab check reads the atoms alone: it builds the untruncated field from
+outside each cube with the shared pair kernel, from the set's
+self-similarity, whatever engine or eps produced the field.  Its
+inequalities have existential constants, so they are only measured and
+reported, as lemamax11 and lemjh are.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, is_int, is_real
 from .geometry import _corner_bits
-from .martingale import decompose, difference
+from .martingale import decompose
 from .riesz import KernelSpec, _direct_field
 
 __all__ = [
@@ -123,7 +124,7 @@ class StopSet:
 
 
 def _density_array(theta) -> np.ndarray:
-    th = np.asarray(theta, dtype=float).ravel()
+    th = np.array(theta, dtype=float).ravel()
     if th.size == 0:
         raise ParameterError("density sequence is empty")
     if not np.all(np.isfinite(th)) or not np.all(th > 0):
@@ -132,8 +133,8 @@ def _density_array(theta) -> np.ndarray:
 
 
 def _check_ell_p(el: np.ndarray, pr: np.ndarray, n: int) -> None:
-    if n and not (np.all(el[:n] > 0) and np.all(np.isfinite(pr[:n]))):
-        raise ParameterError(f"ell must be positive and p finite on 0..{n - 1}")
+    if min(el.size, pr.size) < n or not (np.all(el[:n] > 0) and np.all(np.isfinite(pr[:n]))):
+        raise ParameterError(f"ell and p must cover 0..{n - 1}, ell positive and p finite")
 
 
 def compute_stops(theta, config: StopConfig, n: int | None = None) -> StopSet:
@@ -234,13 +235,20 @@ class JIntervalRecord:
 
 @dataclass(frozen=True)
 class Classification:
-    """Full labeling of one density sequence; iterates as (good, intervals, j_intervals)."""
+    """Full labeling of one density sequence; iterates as (good, intervals, j_intervals).
+
+    theta, p and ell are the labeled sequences, read-only and whole (they may
+    run past stops.n), left out of equality, hashing and to_json.
+    """
 
     good: frozenset
     intervals: tuple[IntervalRecord, ...]
     j_intervals: tuple[JIntervalRecord, ...]
     stops: StopSet
     config: StopConfig
+    theta: np.ndarray = field(compare=False, repr=False)
+    p: np.ndarray = field(compare=False, repr=False)
+    ell: np.ndarray = field(compare=False, repr=False)
 
     def __iter__(self):
         return iter((self.good, self.intervals, self.j_intervals))
@@ -277,7 +285,8 @@ def classify(theta, p, ell, config: StopConfig, n: int | None = None) -> Classif
     len(theta) - 1).  Good scales are those with p_j <= good_factor*theta_j;
     an interval is good when it has good scales and they carry at least
     good_fraction of its squared-density mass, long when it has at least N_L
-    scales.
+    scales.  Sequences whose squares would overflow the lemma checks' sums
+    are refused first.
 
     A paired block joins a consecutive (ID, DD-or-terminal) interval pair; a
     leading DD interval forms block 0 on its own.  Within a block, t_h is the
@@ -286,14 +295,12 @@ def classify(theta, p, ell, config: StopConfig, n: int | None = None) -> Classif
     is standard by convention, and t_h == 0 makes the left side 0).
     """
     th = _density_array(theta)
-    pr = np.asarray(p, dtype=float).ravel()
-    el = np.asarray(ell, dtype=float).ravel()
+    pr, el = (np.array(v, dtype=float).ravel() for v in (p, ell))
+    # the lemma checks sum squares of theta and p and scale the sums by up to 4
+    if not 4.0 * math.hypot(*th, *pr) < math.sqrt(sys.float_info.max):
+        raise ParameterError("squares of theta and p must sum to a finite float")
     stops = compute_stops(th, config, n=n)
     n_eff = stops.n
-    if pr.size < n_eff or el.size < n_eff:
-        raise ParameterError(
-            f"p ({pr.size}) and ell ({el.size}) must cover indices 0..{n_eff - 1}"
-        )
     _check_ell_p(el, pr, n_eff)
 
     good = frozenset(
@@ -323,11 +330,8 @@ def classify(theta, p, ell, config: StopConfig, n: int | None = None) -> Classif
         theta_max = float(th[lo:hi].max())
         threshold = theta_max / math.sqrt(config.B)
         t_h = next(j for j in range(lo, hi) if th[j] > threshold)
-        if h == 0:
-            standard = True
-        else:
-            lhs = 0.0 if t_h == 0 else (el[t_h] / el[t_h - 1]) * pr[t_h - 1]
-            standard = lhs <= config.C10 * theta_max
+        lhs = 0.0 if h == 0 or t_h == 0 else (el[t_h] / el[t_h - 1]) * pr[t_h - 1]
+        standard = h == 0 or lhs <= config.C10 * theta_max
         return JIntervalRecord(
             h=h,
             members=members,
@@ -368,13 +372,10 @@ def classify(theta, p, ell, config: StopConfig, n: int | None = None) -> Classif
     if run and not _run_pattern_ok(run):
         raise AssertionError(f"interval run {run} violates the DD-then-ID structure")
 
-    return Classification(
-        good=good,
-        intervals=tuple(intervals),
-        j_intervals=tuple(j_intervals),
-        stops=stops,
-        config=config,
-    )
+    for arr in (th, pr, el):
+        arr.flags.writeable = False
+    return Classification(good=good, intervals=tuple(intervals), j_intervals=tuple(j_intervals),
+                          stops=stops, config=config, theta=th, p=pr, ell=el)
 
 
 @dataclass(frozen=True)
@@ -470,10 +471,8 @@ def _total(name, num, den, zero_note, undefined_note) -> LemmaCheck:
     return _measured(name, num, den, None, note=undefined_note)
 
 
-def verify_sequence_lemmas(
-    theta, p, ell, config: StopConfig, n: int | None = None
-) -> LemmaReport:
-    """Check the sequence-level inequalities of the stopping machinery.
+def verify_sequence_lemmas(classification: Classification) -> LemmaReport:
+    """Check the sequence-level inequalities on the sequences a classification carries.
 
     Hard checks (pass/fail, explicit constants):
       eqpjtj           sum_{j<=M} p_j^2 <= 4 * sum_{j<=M} theta_j^2, all M
@@ -487,13 +486,8 @@ def verify_sequence_lemmas(
                        against the two flanking peak densities
       lemjh            total short-interval mass against all peak densities
     """
-    th = _density_array(theta)
-    pr = np.asarray(p, dtype=float).ravel()
-    # the checks sum squares of theta and p and scale the sums by up to 4:
-    # refuse, before squaring anything, sequences for which that overflows
-    if not 4.0 * math.hypot(*th, *pr) < math.sqrt(sys.float_info.max):
-        raise ParameterError("squares of theta and p must sum to a finite float")
-    cls = classify(theta, p, ell, config, n=n)
+    cls = classification
+    th, pr, config = cls.theta, cls.p, cls.config
     n_eff = cls.stops.n
     checks: list[LemmaCheck] = []
 
@@ -568,17 +562,18 @@ def verify_sequence_lemmas(
     return LemmaReport(tuple(checks))
 
 
-def verify_transform_lemmas(atoms, field_values, classification: Classification, profile) -> LemmaReport:
+def verify_transform_lemmas(atoms, field_values, classification: Classification) -> LemmaReport:
     """Measure the transform-side inequalities on a computed vector field.
 
     Every inequality here carries an existential constant, so nothing is
     asserted beyond finiteness and nonnegativity of the reported sides;
     `constant` is the measured worst-case ratio, or None when no instance
     qualifies.  `field_values` must hold the transform of the atom measure at
-    the atoms themselves with the self term excluded, and `classification`
-    and `profile` must describe the same construction as `atoms`; a profile
-    is refused, as classify refuses its sequences, unless theta is positive
-    and finite, ell positive and p finite.
+    the atoms themselves with the self term excluded.  `classification` is
+    classify's labeling of the profile of the construction of `atoms`; its
+    depth must be the atoms' N and its ell and p must cover generation N,
+    which lemnab reads.  That the sequences belong to the atoms is the
+    caller's to ensure.
 
     Checks reported:
       lemnab      oscillation, over each cube, of the untruncated field of
@@ -586,7 +581,8 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
                   it reads the atoms, not `field_values`, with one call of the
                   pair kernel riesz._direct_field per generation: N calls and
                   n^2 (1 - 4^(-Nd)) / (2^d + 1) pairs in all
-      lemdes11    parent-to-child jump of cube means against p_j
+      lemdes11    parent-to-child jump of cube means against p_j, read from
+                  the decomposition's per-generation sups of |D_j|
       lemfa1      squared norm of the deepest projection against the
                   squared-density sum over 0..N-1
       mainlem     the same density sum against the total squared norm of the
@@ -610,12 +606,10 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
         raise ParameterError(
             f"field must give one vector per atom: expected {(atoms.n, atoms.d)}, got {values.shape}"
         )
-    if classification.stops.n != n_gen or profile.depth != n_gen:
-        raise ParameterError(
-            "classification/profile depth does not match the atom set"
-        )
-    th, pr, el = _density_array(profile.theta), profile.p, profile.ell
-    _check_ell_p(el, pr, n_gen + 1)
+    if classification.stops.n != n_gen:
+        raise ParameterError("classification depth does not match the atom set")
+    th, pr, el = classification.theta, classification.p, classification.ell
+    _check_ell_p(el, pr, n_gen + 1)  # lemnab reads ell_N; classify checked 0..N-1
     d = atoms.d
     spec = KernelSpec(s=atoms.params.s)
     cfg = classification.config
@@ -652,12 +646,9 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification,
 
     add(_extreme("lemnab", oscillations()))
 
-    def jump(j: int) -> float:  # largest parent-to-child jump of the cube means
-        return float(np.sqrt((difference(values, atoms, j).values ** 2).sum(axis=1)).max())
+    add(_extreme("lemdes11", zip(rep.d_sups, (float(v) for v in pr[:n_gen]))))
 
-    add(_extreme("lemdes11", ((jump(j), float(pr[j])) for j in range(n_gen))))
-
-    head = profile.sum_theta_sq(0, n_gen - 1)
+    head = sigma(th, range(n_gen))
     add(_measured("lemfa1", rep.sN_norm, head, _ratio(rep.sN_norm, head)))
     total_d = float(prefix_d[-1])
     add(_measured("mainlem", head, total_d, _ratio(head, total_d)))

@@ -48,6 +48,19 @@ class _Canvas:
             f'height="{_H - _MT - _MB:.6g}" fill="none" stroke="#888"/>',
         ]
 
+    def y_ticks(self, lo: float, hi: float) -> None:
+        """Tick marks and labels on the left axis for the y range [lo, hi]."""
+        for t in _ticks(lo, hi):
+            py = _y_of(t, lo, hi)
+            self.parts.append(
+                f'<line x1="{_ML - 4:.6g}" y1="{py:.6g}" x2="{_ML:.6g}" '
+                f'y2="{py:.6g}" stroke="#888"/>'
+            )
+            self.parts.append(
+                f'<text x="{_ML - 6:.6g}" y="{py + 3:.6g}" font-family="monospace" '
+                f'font-size="10" text-anchor="end">{_fmt(t)}</text>'
+            )
+
     def finish(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
@@ -101,16 +114,7 @@ def line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
             f'<text x="{px:.6g}" y="{_H - _MB + 16:.6g}" font-family="monospace" '
             f'font-size="10" text-anchor="middle">{_fmt(t)}</text>'
         )
-    for t in _ticks(y_lo, y_hi):
-        py = _y_of(t, y_lo, y_hi)
-        cv.parts.append(
-            f'<line x1="{_ML - 4:.6g}" y1="{py:.6g}" x2="{_ML:.6g}" '
-            f'y2="{py:.6g}" stroke="#888"/>'
-        )
-        cv.parts.append(
-            f'<text x="{_ML - 6:.6g}" y="{py + 3:.6g}" font-family="monospace" '
-            f'font-size="10" text-anchor="end">{_fmt(t)}</text>'
-        )
+    cv.y_ticks(y_lo, y_hi)
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(
@@ -148,16 +152,7 @@ def bar_plot(values, title: str, xlabel: str, ylabel: str) -> str:
     y_lo, y_hi = _spread(min(0.0, min(values)), max(0.0, max(values)))
     x_lo, x_hi = -0.75, len(values) - 0.25
     cv = _Canvas(title, xlabel, ylabel)
-    for t in _ticks(y_lo, y_hi):
-        py = _y_of(t, y_lo, y_hi)
-        cv.parts.append(
-            f'<line x1="{_ML - 4:.6g}" y1="{py:.6g}" x2="{_ML:.6g}" '
-            f'y2="{py:.6g}" stroke="#888"/>'
-        )
-        cv.parts.append(
-            f'<text x="{_ML - 6:.6g}" y="{py + 3:.6g}" font-family="monospace" '
-            f'font-size="10" text-anchor="end">{_fmt(t)}</text>'
-        )
+    cv.y_ticks(y_lo, y_hi)
     base = _y_of(max(y_lo, min(0.0, y_hi)), y_lo, y_hi)
     width = (_W - _ML - _MR) / (x_hi - x_lo) * 0.7
     step = max(1, len(values) // 16)

@@ -119,7 +119,7 @@ def test_01_exact_constant_inequalities_hold():
             lam = draw.resolve(32, case_stream(20260825, 6 * rep + d))
             params = CantorParams(d=d, s=s_factor * d, lam=lam)
             prof = build_profile(params)
-            rpt = verify_sequence_lemmas(prof.theta, prof.p, prof.ell, cfg, n=32)
+            rpt = verify_sequence_lemmas(classify(prof.theta, prof.p, prof.ell, cfg, n=32))
             cases += 1
             if not rpt.hard_pass:
                 failures.append((d, s_factor, rep, list(rpt.failures())))

@@ -169,6 +169,16 @@ class TestExitCodes:
         assert "corner offset 9e-19 vanishes against a box corner" in rec["skip_reason"]
         assert "wolff case c000 skipped: generation-19 corner offset" in caplog.text
 
+    def test_coincident_atoms_are_skipped(self, tmp_path, caplog):
+        # 262 144 atoms at 196 608 points: the brute field ran for minutes
+        code = main(["ratio", "--d", "1", "--s", "0.5", "--N", "18", "--lambda", "0.1",
+                     "--refine-k", "1", "--out", str(tmp_path)])
+        assert code == 0
+        (rec,) = json.loads((tmp_path / "ratio.json").read_text())["cases"]
+        assert rec["skipped"] and "norm_Rmu_sq" not in rec
+        assert "coincident atoms at depth 18, refine_k 1" in rec["skip_reason"]
+        assert "case c000 skipped: atomize would place coincident atoms" in caplog.text
+
     def test_negative_depth_rejected(self, tmp_path, capsys):
         code = main(["profile", "--N", "-1", "--out", str(tmp_path)])
         assert code == 2

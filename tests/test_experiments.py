@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from cantor_riesz import CantorParams, build_profile
+from cantor_riesz import CantorParams, KernelSpec, atomize, build_profile, eval_brute, l2_norm_sq
 from cantor_riesz.config import ExperimentConfig, LambdaSpec, TreeSettings
 from cantor_riesz import experiments as ex
 
@@ -110,6 +110,16 @@ class TestRatioExperiment:
             )
             assert r["cap_formula"] > 0
             assert len(r["d_norms"]) == r["N"]
+
+    def test_energy_is_the_l2_norm_of_the_field(self):
+        # read from the decomposition, bitwise the same sum as l2_norm_sq
+        for d, s, lam in [(1, 0.5, (0.25,) * 6), (2, 1.0, (0.2, 0.3, 0.4)), (3, 1.5, (0.25, 0.3))]:
+            (rec,) = ex.run_ratio_experiment(
+                make_config(d=d, s=s, depths=(len(lam),), lam=LambdaSpec(kind="list", values=lam))
+            )["cases"]
+            atoms = atomize(CantorParams(d=d, s=s, lam=lam), 2)
+            field = eval_brute(atoms, atoms.points, KernelSpec(s=s), self_exclude=True)
+            assert rec["norm_Rmu_sq"] == l2_norm_sq(field, atoms)
 
     def test_global_cancellation(self, ratio_table):
         # sum of mass-weighted field values vanishes for the full measure

@@ -141,6 +141,21 @@ class TestDecompose:
         assert set(blob) == {"d_norms", "s0_norm", "sN_norm", "max_cross_inner"}
         assert len(blob["d_norms"]) == 3
 
+    @pytest.mark.parametrize("cols", [1, None])
+    @pytest.mark.parametrize("d, depth, refine_k", [(1, 5, 2), (2, 3, 2), (3, 2, 2)])
+    def test_sups_are_those_of_difference(self, d, depth, refine_k, cols):
+        # the largest |D_j f| per generation, from the layers decompose forms,
+        # bitwise as from difference(), which projects twice more per generation
+        rng = np.random.default_rng(7 * d + depth)
+        atoms = atomize(CantorParams(d=d, s=0.5, lam=tuple(rng.uniform(0.1, 0.45, depth))),
+                        refine_k=refine_k)
+        f = rng.normal(size=(atoms.n, d) if cols is None else (atoms.n,))
+        want = []
+        for j in range(depth):
+            v = difference(f, atoms, j).values
+            want.append(float(np.sqrt((v.reshape(v.shape[0], -1) ** 2).sum(axis=1)).max()))
+        assert decompose(f, atoms).d_sups == tuple(want)
+
     def test_norms_nonnegative(self, atoms, rng):
         rep = decompose(random_samples(atoms, rng), atoms)
         assert all(v >= 0.0 for v in rep.d_norms)

@@ -36,6 +36,7 @@ from cantor_riesz.quadrature import (
     _ball_box_volume,
     _ball_interval_length,
     _box_near_far_sq,
+    _leaf_corners,
 )
 
 
@@ -165,6 +166,18 @@ def legacy_ball_mass(params, x, r, volume=None):
     return mass + density * vol
 
 
+def legacy_atom_points(params, refine_k):
+    """atomize()'s points before it refused coincident atoms, verbatim."""
+    d = params.d
+    n_atoms = (1 << (d * params.depth)) * refine_k**d
+    corners = _leaf_corners(params)
+    side = params.leaf_side
+    grids = np.meshgrid(*([np.arange(refine_k)] * d), indexing="ij")
+    sub_idx = np.stack(grids, axis=-1).reshape(-1, d)  # row-major, last axis fastest
+    sub_off = (sub_idx + 0.5) * (side / refine_k)
+    return (corners[:, None, :] + sub_off[None, :, :]).reshape(n_atoms, d)
+
+
 class TestAtomize:
     def test_counts_and_masses(self, params_small):
         atoms = atomize(params_small, refine_k=3)
@@ -205,6 +218,25 @@ class TestAtomize:
     def test_budget_guard(self, params_small):
         with pytest.raises(BudgetError):
             atomize(params_small, refine_k=2, budget=10)
+
+    @pytest.mark.parametrize("d, lam, refine_k", [
+        (1, (0.1,) * 18, 1),  # 262 144 atoms at 196 608 points
+        (1, (0.1,) * 17, 2),
+        (2, (1e-17, 0.25), 2),  # the generation-2 offset is lost against 1 - 1e-17
+    ])
+    def test_coincident_atoms_refused(self, d, lam, refine_k):
+        with pytest.raises(BudgetError, match="coincident atoms"):
+            atomize(CantorParams(d=d, s=0.5, lam=lam), refine_k)
+
+    @pytest.mark.parametrize("d, lam, refine_k", [
+        (1, (0.1,) * 17, 1), (1, (0.1,) * 16, 2), (2, (1e-15, 0.25), 2), (2, (0.1,) * 6, 2),
+        (3, (0.1,) * 4, 2), (1, (0.25,) * 12, 4),
+    ])
+    def test_distinct_atoms_unchanged(self, d, lam, refine_k):
+        params = CantorParams(d=d, s=0.5, lam=lam)
+        atoms = atomize(params, refine_k)
+        assert np.array_equal(atoms.points, legacy_atom_points(params, refine_k))
+        assert np.unique(atoms.points, axis=0).shape[0] == atoms.n
 
     @pytest.mark.parametrize("bad", [0, -1, 2.0, None, True])
     def test_refine_k_validation(self, params_small, bad):
@@ -486,7 +518,7 @@ class TestBlockSize:
             lambda: project(pts[:, 0], atoms, 1),
             lambda: decompose(pts, atoms),
             lambda: eval_treecode(atoms, pts, KernelSpec(s=0.5), self_exclude=True),
-            lambda: verify_transform_lemmas(atoms, pts, cls, prof),
+            lambda: verify_transform_lemmas(atoms, pts, cls),
         ]
         messages = set()
         for call in calls:
@@ -527,7 +559,7 @@ class TestBlockSize:
                 atoms, pts, KernelSpec(s=0.5),
                 TreeCodeConfig(theta_open=0.01, leaf_cap=1), self_exclude=True,
             ),
-            lambda: verify_transform_lemmas(atoms, pts, cls, prof),
+            lambda: verify_transform_lemmas(atoms, pts, cls),
         ]
         messages = set()
         for call in calls:

@@ -40,6 +40,8 @@ from cantor_riesz import (
     verify_sequence_lemmas,
     verify_transform_lemmas,
 )
+import cantor_riesz.experiments as experiments_mod
+import cantor_riesz.martingale as martingale_mod
 import cantor_riesz.stopping as stopping_mod
 from cantor_riesz.experiments import run_ratio_experiment
 from cantor_riesz.geometry import DensityProfile
@@ -362,7 +364,7 @@ def profile_case(lam, d=1, s=0.5):
 class TestSequenceLemmas:
     def test_names_and_kinds(self, profile_mixed):
         rep = verify_sequence_lemmas(
-            profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG
+            classify(profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG)
         )
         names = [c.name for c in rep]
         assert names == [
@@ -379,7 +381,7 @@ class TestSequenceLemmas:
 
     def test_lookup_and_failures(self, profile_mixed):
         rep = verify_sequence_lemmas(
-            profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG
+            classify(profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG)
         )
         assert rep["eqpjtj"].constant == 4.0
         with pytest.raises(KeyError):
@@ -390,13 +392,13 @@ class TestSequenceLemmas:
     @given(lam=ratio_lists)
     def test_hard_checks_hold_on_real_profiles(self, lam):
         prof = profile_case(lam)
-        rep = verify_sequence_lemmas(prof.theta, prof.p, prof.ell, CFG)
+        rep = verify_sequence_lemmas(classify(prof.theta, prof.p, prof.ell, CFG))
         assert rep.hard_pass, rep.failures()
 
     @given(lam=ratio_lists)
     def test_hard_checks_hold_in_plane(self, lam):
         prof = profile_case(lam, d=2, s=1.2)
-        rep = verify_sequence_lemmas(prof.theta, prof.p, prof.ell, CFG)
+        rep = verify_sequence_lemmas(classify(prof.theta, prof.p, prof.ell, CFG))
         assert rep.hard_pass, rep.failures()
 
     def test_engineered_failure_is_detected(self):
@@ -405,20 +407,21 @@ class TestSequenceLemmas:
         theta = np.array([1.0, 1.0])
         p = np.array([1.0, 11.0])
         ell = np.array([1.0, 0.25])
-        rep = verify_sequence_lemmas(theta, p, ell, CFG, n=2)
+        rep = verify_sequence_lemmas(classify(theta, p, ell, CFG, n=2))
         assert not rep.hard_pass
         assert "eqpjtj" in rep.failures()
 
     @pytest.mark.parametrize("big", [1e200, 1e154])  # theta^2 or 4 * sum theta^2 overflows
     def test_overflowing_squares_refused_before_squaring(self, big):
-        # warnings are errors here, so an overflow warning would fail the test first
+        # warnings are errors here, so an overflow warning would fail the test
+        # first; classify refuses, so no lemma check sees such a sequence
         theta = np.array([1.0, big, 1.0])
         with pytest.raises(ParameterError, match="sum to a finite float"):
-            verify_sequence_lemmas(theta, theta, 0.25 ** np.arange(3), CFG)
+            classify(theta, theta, 0.25 ** np.arange(3), CFG)
 
     def test_measured_checks_never_fail(self):
         th, p, ell = fabricated([1.0, 2000.0, 1.0, 2000.0, 1.0])
-        rep = verify_sequence_lemmas(th, p, ell, CFG, n=5)
+        rep = verify_sequence_lemmas(classify(th, p, ell, CFG, n=5))
         assert rep.hard_pass
         amax = rep["lemamax11"]
         assert not amax.hard and amax.passed is None
@@ -430,7 +433,7 @@ class TestSequenceLemmas:
         import json
 
         rep = verify_sequence_lemmas(
-            profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG
+            classify(profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG)
         )
         blob = json.loads(json.dumps(rep.to_json()))
         assert blob[0]["name"] == "eqpjtj"
@@ -454,7 +457,7 @@ TRANSFORM_LEMMA_NAMES = [
 @pytest.fixture(scope="module")
 def report(atoms_mixed, field_mixed, profile_mixed):
     cls = classify(profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG, n=4)
-    return verify_transform_lemmas(atoms_mixed, field_mixed, cls, profile_mixed)
+    return verify_transform_lemmas(atoms_mixed, field_mixed, cls)
 
 
 class TestTransformLemmas:
@@ -482,13 +485,9 @@ class TestTransformLemmas:
     def test_depth_zero_empty(self):
         from cantor_riesz import atomize
 
-        params = CantorParams(d=1, s=0.5)
-        atoms = atomize(params, refine_k=2)
-        prof = build_profile(params)
+        atoms = atomize(CantorParams(d=1, s=0.5), refine_k=2)
         cls = classify([1.0], [1.0], [1.0], CFG, n=0)
-        rep = verify_transform_lemmas(
-            atoms, np.zeros((atoms.n, 1)), cls, prof
-        )
+        rep = verify_transform_lemmas(atoms, np.zeros((atoms.n, 1)), cls)
         assert len(rep) == 0
 
     def test_shape_guard(self, atoms_mixed, profile_mixed):
@@ -496,30 +495,37 @@ class TestTransformLemmas:
             profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG, n=4
         )
         with pytest.raises(ParameterError):
-            verify_transform_lemmas(
-                atoms_mixed, np.zeros((3, 1)), cls, profile_mixed
-            )
+            verify_transform_lemmas(atoms_mixed, np.zeros((3, 1)), cls)
 
     def test_depth_mismatch_guard(self, atoms_mixed, field_mixed, profile_small):
         cls = classify(
             profile_small.theta, profile_small.p, profile_small.ell, CFG, n=3
         )
         with pytest.raises(ParameterError):
-            verify_transform_lemmas(atoms_mixed, field_mixed, cls, profile_small)
+            verify_transform_lemmas(atoms_mixed, field_mixed, cls)
 
     @pytest.mark.parametrize("name, index, value", [
         ("theta", 0, -1.0), ("theta", 2, np.inf), ("ell", 4, 0.0), ("p", 1, np.nan),
     ])
     def test_profile_guard(self, atoms_mixed, field_mixed, profile_mixed, name, index, value):
-        # the sequences classify would refuse; a negative leading density used
-        # to yield a lemaux11 note instead
-        cls = classify(
-            profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG, n=4
-        )
+        # classify refuses the sequences on 0..N-1; the transform lemmas also
+        # need ell_N, which lemnab reads
         arrays = {k: getattr(profile_mixed, k).copy() for k in ("ell", "theta", "p")}
         arrays[name][index] = value
-        with pytest.raises(ParameterError):
-            verify_transform_lemmas(atoms_mixed, field_mixed, cls, DensityProfile(**arrays))
+        args = (arrays["theta"], arrays["p"], arrays["ell"], CFG)
+        if index < 4:
+            with pytest.raises(ParameterError, match="positive and finite|sum to a finite"):
+                classify(*args, n=4)
+        else:
+            with pytest.raises(ParameterError, match="must cover 0..4, ell positive"):
+                verify_transform_lemmas(atoms_mixed, field_mixed, classify(*args, n=4))
+
+    def test_sequences_reach_generation_N(self, atoms_mixed, field_mixed, profile_mixed):
+        # n = len(theta) lets classify label depth 4 from four values of each
+        th, p, ell = (getattr(profile_mixed, k)[:4] for k in ("theta", "p", "ell"))
+        cls = classify(th, p, ell, CFG, n=4)
+        with pytest.raises(ParameterError, match="must cover 0..4"):
+            verify_transform_lemmas(atoms_mixed, field_mixed, cls)
 
 
 def legacy_lemnab(atoms, values, profile):
@@ -583,7 +589,7 @@ class TestLemnabKernel:
         rng = np.random.default_rng(100 * d + depth)
         lam = [0.25] * depth if ratios == "constant" else rng.uniform(0.1, 0.45, depth)
         atoms, field, cls, prof = lemma_inputs(d, s, lam, refine_k)
-        got = verify_transform_lemmas(atoms, field, cls, prof)["lemnab"]
+        got = verify_transform_lemmas(atoms, field, cls)["lemnab"]
         want = legacy_lemnab(atoms, field.values, prof)
         for a, b in zip((got.lhs, got.rhs, got.constant), want):
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
@@ -614,7 +620,7 @@ class TestLemnabKernel:
         monkeypatch.setattr(stopping_mod, "_direct_field",
                             lambda px, ms, tx, *a: pairs.append(px.shape[1] * tx.shape[1])
                             or kernel(px, ms, tx, *a))
-        verify_transform_lemmas(atoms, field, cls, prof)
+        verify_transform_lemmas(atoms, field, cls)
         assert len(pairs) == depth
         leaf = atoms.atoms_per_leaf
         assert sum(pairs) * (2**d + 1) == atoms.n**2 - leaf**2
@@ -624,7 +630,7 @@ class TestLemnabKernel:
         atoms, field, cls, prof = lemma_inputs(1, 0.5, [0.25] * 10, refine_k=4)
         tracemalloc.start()
         try:
-            verify_transform_lemmas(atoms, field, cls, prof)
+            verify_transform_lemmas(atoms, field, cls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -978,7 +984,7 @@ def same_reports(got, want) -> set:
 def same_transform(atoms, values, cls, profile, brute) -> set:
     """The legacy report, but lemnab, bitwise; lemnab, which reads the atoms
     and not `values`, within rel 1e-12 of the legacy on the brute field."""
-    got = verify_transform_lemmas(atoms, values, cls, profile)
+    got = verify_transform_lemmas(atoms, values, cls)
     want = legacy_verify_transform_lemmas(atoms, values, cls, profile)
     close_lemnab(got["lemnab"], legacy_verify_transform_lemmas(atoms, brute, cls, profile)["lemnab"])
 
@@ -1022,7 +1028,7 @@ class TestSharedReducers:
             cfg = random_config(rng)
             # n = len(theta) reads the last density too
             n = None if rng.random() < 0.7 else theta.size
-            got = verify_sequence_lemmas(theta, p, ell, cfg, n=n)
+            got = verify_sequence_lemmas(classify(theta, p, ell, cfg, n=n))
             want = legacy_verify_sequence_lemmas(theta, p, ell, cfg, n=n)
             notes |= same_reports(got, want)
         assert SEQUENCE_NOTES <= notes
@@ -1044,26 +1050,29 @@ class TestSharedReducers:
 
     def test_transform_notes(self):
         atoms, field, _, _ = lemma_inputs(1, 0.5, [0.25] * 5)
-        # one block, (ID, DD), made nonstandard by a large p_0
         theta, p, ell = fabricated([1.0, 200.0, 1.0, 1.0, 1.0, 1.0])
         p[0] = 1000.0
-        cls = classify(theta, p, ell, StopConfig(B=101.0), n=5)
-        assert [rec.standard for rec in cls.j_intervals] == [False]
-        profile = DensityProfile(ell=ell, theta=theta, p=p)
-        notes = same_transform(atoms, field, cls, profile, field)
-        # the spike leaves the band of q = 0 at once, and potentials too
-        # large for the entry condition close every later window
-        remote = DensityProfile(ell=ell, theta=theta, p=np.r_[p[:2], [1e9] * 4])
-        notes |= same_transform(atoms, field, cls, remote, field)
+        # the spike leaves the band of q = 0 at once, and with `remote`
+        # potentials too large for the entry condition close every later window
+        remote = np.r_[p[:2], [1e9] * 4]
+        notes = set()
+        for pr, in_band in ((p, True), (remote, False)):
+            cls = classify(theta, pr, ell, StopConfig(B=101.0), n=5)
+            # one block, (ID, DD), made nonstandard by the large p_0
+            assert [rec.standard for rec in cls.j_intervals] == [False]
+            profile = DensityProfile(ell=ell, theta=theta, p=pr)
+            found = same_transform(atoms, field, cls, profile, field)
+            assert ("no in-band window qualifies" not in found) is in_band
+            notes |= found
         assert TRANSFORM_NOTES <= notes
         # only a negative leading density, with potentials too large for the
-        # later windows, left lemaux11 no window; such a profile is refused
+        # later windows, left lemaux11 no window; classify refuses the sequence
         negative = DensityProfile(ell=ell, theta=[-1e6] + [1.0] * 5, p=[1e9] * 6)
         assert "no window meets the entry condition" in {
             c.note for c in legacy_verify_transform_lemmas(atoms, field, cls, negative)
         }
         with pytest.raises(ParameterError, match="positive and finite"):
-            verify_transform_lemmas(atoms, field, cls, negative)
+            classify(negative.theta, negative.p, negative.ell, StopConfig(B=101.0), n=5)
 
     def test_underflowing_peaks_give_no_ratio(self):
         # both peaks square to 0.0: the old loop divided by zero here, while
@@ -1074,7 +1083,7 @@ class TestSharedReducers:
         with np.errstate(all="ignore"):
             with pytest.raises(ZeroDivisionError):
                 legacy_verify_sequence_lemmas(theta, theta, ell, cfg)
-            check = verify_sequence_lemmas(theta, theta, ell, cfg)["lemamax11"]
+            check = verify_sequence_lemmas(classify(theta, theta, ell, cfg))["lemamax11"]
         assert (check.lhs, check.rhs, check.constant, check.note) == (0.0, 0.0, None, "")
 
     def test_underflowing_densities_keep_hard_checks(self):
@@ -1087,7 +1096,7 @@ class TestSharedReducers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cls = classify(prof.theta, prof.p, prof.ell, cfg)
-            report = verify_sequence_lemmas(prof.theta, prof.p, prof.ell, cfg)
+            report = verify_sequence_lemmas(cls)
         assert cls.good == {0, 1, 3}
         assert [rec.good for rec in cls.intervals] == [True, True, False, True, False]
         assert report.hard_pass
@@ -1097,24 +1106,79 @@ class TestSharedReducers:
         atoms, field, cls, prof = lemma_inputs(1, 0.5, [0.25] * 4)
         nan_field = field.values.copy()
         nan_field[3, 0] = np.nan
-        # every interval long and good, one of them with an overflowing sigma
-        theta = np.array([1.0, 1e160, 1e160, 1.0, 1.0])
-        with np.errstate(over="ignore"):
-            huge = classify(theta, theta, 0.25 ** np.arange(5), StopConfig(B=101.0, N_L=1), n=4)
+        # a constant field whose squared norm overflows; a sigma can no longer
+        # overflow, since classify refuses such a sequence
+        huge = np.full_like(field.values, 1.4e154)
         # lemnab no longer reads the field, so the NaN reaches lemdes11 first
-        for values, cls_, names in ((nan_field, cls, ("lemdes11", "lemnab")),
-                                    (field, huge, ("lemlongood", "lemlongood"))):
-            for verify, name in zip((verify_transform_lemmas, legacy_verify_transform_lemmas), names):
-                with pytest.raises(ParameterError) as exc:
-                    verify(atoms, values, cls_, prof)
+        for values, names in ((nan_field, ("lemdes11", "lemnab")), (huge, ("lemfa1", "lemfa1"))):
+            for name, verify, args in ((names[0], verify_transform_lemmas, (cls,)),
+                                       (names[1], legacy_verify_transform_lemmas, (cls, prof))):
+                with np.errstate(all="ignore"), pytest.raises(ParameterError) as exc:
+                    verify(atoms, values, *args)
                 assert str(exc.value) == f"{name}: sides must be finite and nonnegative"
 
 
-def test_stopping_search_smoke(capsys):
+class TestOneClassification:
+    """classify labels a sequence once, and both lemma checks read that labeling."""
+
+    def test_carries_its_sequences(self):
+        theta, p, ell = fabricated([1.0, 2000.0, 1.0, 1.0])
+        cls = classify(theta, p, ell, CFG, n=3)
+        for got, want in ((cls.theta, theta), (cls.p, p), (cls.ell, ell)):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        theta[1] = 5.0  # the classification holds its own copy
+        assert cls.theta[1] == 2000.0
+        # p_3 and ell_3 lie past the depth: the labels, equality, hash and
+        # JSON ignore them
+        other = classify(cls.theta, np.r_[p[:3], 7.0], np.r_[ell[:3], 1e-9], CFG, n=3)
+        assert other == cls and hash(other) == hash(cls)
+        assert json.dumps(other.to_json()) == json.dumps(cls.to_json())
+        assert other.p[3] == 7.0
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """A classify that records its calls, patched over every package binding."""
+        def counted(*args, **kwargs):
+            counted.calls += 1
+            return classify(*args, **kwargs)
+
+        counted.calls = 0
+        for mod in (stopping_mod, experiments_mod):
+            monkeypatch.setattr(mod, "classify", counted)
+        return counted
+
+    def test_stopping_case_classifies_once(self, counted):
+        report = experiments_mod.run_stopping_report(ExperimentConfig(d=1, s=0.5, depths=(6,)))
+        assert report["all_hard_pass"]
+        assert counted.calls == 1
+
+    def test_search_classifies_once_per_trial(self, counted, monkeypatch, capsys):
+        script = load_stopping_search()
+        monkeypatch.setattr(script, "classify", counted)
+        assert script.main(["--trials", "3", "--depth", "8"]) == 0
+        assert counted.calls == 3
+
+    def test_transform_lemmas_project_once_per_generation(self, monkeypatch):
+        # N + 1 projections, all in decompose; lemdes11's differences made 2N more
+        atoms, field, cls, _ = lemma_inputs(1, 0.5, [0.25] * 5)
+        gens = []
+        project_ = martingale_mod.project
+        monkeypatch.setattr(martingale_mod, "project",
+                            lambda f, a, j: gens.append(j) or project_(f, a, j))
+        verify_transform_lemmas(atoms, field, cls)
+        assert sorted(gens) == list(range(6))
+
+
+def load_stopping_search():
     path = Path(__file__).parents[1] / "scripts" / "stopping_search.py"
     spec = importlib.util.spec_from_file_location("stopping_search", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_stopping_search_smoke(capsys):
+    script = load_stopping_search()
     assert script.main(["--trials", "20", "--depth", "12"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("20 trials, depth 12")
