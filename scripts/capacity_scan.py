@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     for lam in args.ratios:
         params = CantorParams(d=args.d, s=args.s, lam=(lam,) * args.depth)
         cap = capacity_wolff(params)
-        est = gamma_plus_lower_bound(atomize(params, args.refine_k), params)
+        est = gamma_plus_lower_bound(atomize(params, args.refine_k))
         rows.append((lam, cap, est.value, est.value / cap, est.halo_points))
 
     print(f"{'lam':>6} {'formula':>12} {'lower bound':>12} {'quotient':>9} {'halo':>6}")

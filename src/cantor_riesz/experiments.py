@@ -204,10 +204,8 @@ def _ratio_case(config: ExperimentConfig, case: Case, transform_lemmas: bool) ->
         cap_formula=capacity_wolff(params) if case.depth >= 1 else None,
     )
     if transform_lemmas:
-        cls = classify(profile.theta, profile.p, profile.ell,
-                       config.stop, n=case.depth)
-        lemmas = verify_transform_lemmas(atoms, field, cls)
-        rec["transform_lemmas"] = lemmas.to_json()
+        cls = classify(profile.theta, profile.p, profile.ell, config.stop, n=case.depth)
+        rec["transform_lemmas"] = verify_transform_lemmas(atoms, report, cls).to_json()
     return rec
 
 
@@ -370,7 +368,7 @@ def _capacity_case(config: ExperimentConfig, case: Case) -> dict:
         # ball_mass refuses d >= 4: find out from the samples before the halo field
         samples = _wolff_samples(config, params)
         halo = HaloGridSpec(extent=config.halo_extent, spacing=config.halo_spacing)
-        est = gamma_plus_lower_bound(atoms, params, halo)
+        est = gamma_plus_lower_bound(atoms, halo)
     except BudgetError as exc:
         log.warning("capacity case %s skipped: %s", case.case_id, exc)
         rec.update(skipped=True, skip_reason=str(exc), gamma_plus_est=None)

@@ -266,15 +266,15 @@ def ball_mass(
     """mu(closed ball B(x, r)) for the depth-N measure.
 
     r may be one radius (a float is returned) or an array of radii (an
-    array of masses is returned).  All radii share one descent: a cube is
-    kept while the sphere of at least one radius straddles it, with a
-    per-radius live mask, and each radius reads exactly the cubes it alone
-    would have visited, so the masses equal radius-by-radius calls bit for bit.
-    Before the (box, radius) mask would pass DEFAULT_ATOM_BUDGET cells, each
-    half of the radii descends again on its own; one radius raises BudgetError.
-    The leaf volumes are exact up to d = 3; d >= 4 raises BudgetError up front,
-    and so does a generation whose corner offset is lost against a kept box's
-    corner coordinate, since its sibling cubes would then share one corner.
+    array of masses is returned); a non-finite x raises ParameterError.  All
+    radii share one descent: a cube is kept while the sphere of at least one
+    radius straddles it, with a per-radius live mask, and each radius reads
+    exactly the cubes it alone would have visited, so the masses equal
+    radius-by-radius calls bit for bit.  Before the (box, radius) mask would
+    pass DEFAULT_ATOM_BUDGET cells, each half of the radii descends again on
+    its own; one radius raises BudgetError.  The leaf volumes are exact up to
+    d = 3; d >= 4 raises BudgetError up front, and so does a generation whose
+    corner offset vanishes against a kept box's corner: siblings would coincide.
     """
     radii = np.asarray(r, dtype=float)
     scalar = radii.ndim == 0
@@ -282,9 +282,11 @@ def ball_mass(
     if not np.all(radii > 0.0):
         raise ParameterError(f"ball radius must be positive, got {r}")
     d, n_gen, ell = params.d, params.depth, params.ell
+    x = _point(x, d)
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"point must be finite, got {x}")
     if d > 3:
         raise BudgetError(f"ball volume has no exact rule in d = {d}; it has one for d <= 3")
-    x = _point(x, d)
     r2 = radii * radii
     bits = _corner_bits(d)
     mass = np.zeros(radii.shape[0])

@@ -6,7 +6,7 @@ m_a * K(p_a - t) over atoms with |p_a - t| > eps (strict).  Sums are
 accumulated by a balanced adjacent-pair cascade in atom-index order, which
 makes every result deterministic for a fixed atom ordering.
 
-Direct sums (eval_brute, the tree code's leaves and the transform lemmas)
+Direct sums (eval_brute, the tree code's leaves and _outside_fields)
 share one pair kernel.  It is coordinate-major: atoms and targets come as
 (d, n) arrays, and each coordinate of a chunk's separations is one
 contiguous (targets, atoms) array, so every numpy call runs over pairs
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SingularityError
+from .geometry import _corner_bits
 from .quadrature import AtomSet
 
 __all__ = [
@@ -188,6 +189,27 @@ def _direct_field(
             diffs[k] *= w
             out[k, t0 : t0 + chunk] = pairwise_sum(diffs[k], axis=1)
     return out
+
+
+def _outside_fields(atoms: AtomSet):
+    """For j = 1..N, the untruncated field at every atom from the atoms outside
+    its generation-j cube, as one (n, d) array that each generation overwrites:
+    the running sum of the field a child gets from its siblings, one kernel call
+    per generation for child 0 of cube 0, mirrored to child c in the axes of c.
+    """
+    d = atoms.d
+    spec = KernelSpec(s=atoms.params.s)
+    px = np.ascontiguousarray(atoms.points.T)
+    outside = np.zeros((atoms.n, d))
+    for j in range(1, atoms.params.depth + 1):
+        bs, parent = atoms.block_size(j), atoms.block_size(j - 1)
+        child0 = _direct_field(px[:, bs:parent], atoms.masses[bs:parent], px[:, :bs],
+                               spec, np.arange(bs)).T
+        siblings = np.empty((parent, d))
+        for code, bits in enumerate(_corner_bits(d)):
+            siblings[atoms._reflection(j - 1, code)[:bs]] = child0 * (1.0 - 2.0 * bits)
+        outside.reshape(-1, parent, d)[:] += siblings
+        yield outside
 
 
 def eval_brute(

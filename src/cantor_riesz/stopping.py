@@ -8,15 +8,13 @@ terminal), labeled good/bad and long/short, and paired into larger blocks
 whose internal structure drives the lower bound for the transform norm.
 
 Both lemma checks take the Classification of classify, which carries the
-theta, p and ell it labeled.  verify_sequence_lemmas reads only those, exact
-float combinatorics, so its inequalities with explicit constants are asserted
-outright.  verify_transform_lemmas reads a field at the atoms as well,
-through one martingale.decompose for the difference layers and their sups.
-Its lemnab check reads the atoms alone: it builds the untruncated field from
-outside each cube with the shared pair kernel, from the set's
-self-similarity, whatever engine or eps produced the field.  Its
-inequalities have existential constants, so they are only measured and
-reported, as lemamax11 and lemjh are.
+theta, p and ell it labeled, and only reduce.  verify_sequence_lemmas reads
+those sequences, exact float combinatorics, so its inequalities with
+explicit constants are asserted outright.  verify_transform_lemmas also
+reads the martingale decomposition of a field at the atoms, and lemnab the
+fields from outside each cube that riesz._outside_fields builds from the
+atoms.  Its inequalities have existential constants, so they are only
+measured and reported, as lemamax11 and lemjh are.
 """
 
 from __future__ import annotations
@@ -28,9 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParameterError, is_int, is_real
-from .geometry import _corner_bits
-from .martingale import decompose
-from .riesz import KernelSpec, _direct_field
+from .riesz import _outside_fields
 
 __all__ = [
     "KIND_DD",
@@ -562,25 +558,23 @@ def verify_sequence_lemmas(classification: Classification) -> LemmaReport:
     return LemmaReport(tuple(checks))
 
 
-def verify_transform_lemmas(atoms, field_values, classification: Classification) -> LemmaReport:
-    """Measure the transform-side inequalities on a computed vector field.
+def verify_transform_lemmas(atoms, decomposition, classification: Classification) -> LemmaReport:
+    """Measure the transform-side inequalities of a field at the atoms.
 
     Every inequality here carries an existential constant, so nothing is
     asserted beyond finiteness and nonnegativity of the reported sides;
     `constant` is the measured worst-case ratio, or None when no instance
-    qualifies.  `field_values` must hold the transform of the atom measure at
-    the atoms themselves with the self term excluded.  `classification` is
-    classify's labeling of the profile of the construction of `atoms`; its
-    depth must be the atoms' N and its ell and p must cover generation N,
-    which lemnab reads.  That the sequences belong to the atoms is the
-    caller's to ensure.
+    qualifies.  `decomposition` is martingale.decompose's report of a field
+    at the atoms, with one norm and one sup of D_j per generation.
+    `classification` is classify's labeling of the profile of the
+    construction of `atoms`; its depth must be the atoms' N and its ell and p
+    must cover generation N, which lemnab reads.  That the decomposition and
+    the sequences belong to the atoms is the caller's to ensure.
 
     Checks reported:
       lemnab      oscillation, over each cube, of the untruncated field of
-                  the atoms outside it, against (ell_j/ell_{j-1}) * p_{j-1};
-                  it reads the atoms, not `field_values`, with one call of the
-                  pair kernel riesz._direct_field per generation: N calls and
-                  n^2 (1 - 4^(-Nd)) / (2^d + 1) pairs in all
+                  the atoms outside it (riesz._outside_fields), against
+                  (ell_j/ell_{j-1}) * p_{j-1}
       lemdes11    parent-to-child jump of cube means against p_j, read from
                   the decomposition's per-generation sups of |D_j|
       lemfa1      squared norm of the deepest projection against the
@@ -601,21 +595,18 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification)
     n_gen = atoms.params.depth
     if n_gen == 0:
         return LemmaReport(())
-    values = np.asarray(getattr(field_values, "values", field_values), dtype=float)
-    if values.shape != (atoms.n, atoms.d):
-        raise ParameterError(
-            f"field must give one vector per atom: expected {(atoms.n, atoms.d)}, got {values.shape}"
-        )
+    d_norms, d_sups, s_n = decomposition.d_norms, decomposition.d_sups, decomposition.sN_norm
+    if not len(d_norms) == len(d_sups) == n_gen:
+        raise ParameterError(f"decomposition must hold N = {n_gen} norms and sups of D_j, got "
+                             f"{len(d_norms)} and {len(d_sups)}")
     if classification.stops.n != n_gen:
         raise ParameterError("classification depth does not match the atom set")
     th, pr, el = classification.theta, classification.p, classification.ell
     _check_ell_p(el, pr, n_gen + 1)  # lemnab reads ell_N; classify checked 0..N-1
     d = atoms.d
-    spec = KernelSpec(s=atoms.params.s)
     cfg = classification.config
-    rep = decompose(values, atoms)
     # difference-layer masses, prefix-summed so windows are O(1)
-    prefix_d = np.concatenate(([0.0], np.cumsum(rep.d_norms)))
+    prefix_d = np.concatenate(([0.0], np.cumsum(d_norms)))
     prefix_th = np.concatenate(([0.0], np.cumsum(th[:n_gen])))
     checks: list[LemmaCheck] = []
 
@@ -626,30 +617,18 @@ def verify_transform_lemmas(atoms, field_values, classification: Classification)
         checks.append(check)
 
     def oscillations():
-        # every generation-j cube receives the same field from its 2^d - 1
-        # siblings at matching atoms, and child c is child 0 mirrored in the
-        # axes of its code c; the field from outside a cube is the running sum
-        px = np.ascontiguousarray(atoms.points.T)
-        outside = np.zeros((atoms.n, d))
-        for j in range(1, n_gen + 1):
-            bs, parent = atoms.block_size(j), atoms.block_size(j - 1)
-            child0 = _direct_field(px[:, bs:parent], atoms.masses[bs:parent], px[:, :bs],
-                                   spec, np.arange(bs)).T
-            siblings = np.empty((parent, d))
-            for code, bits in enumerate(_corner_bits(d)):
-                siblings[atoms._reflection(j - 1, code)[:bs]] = child0 * (1.0 - 2.0 * bits)
-            outside.reshape(-1, parent, d)[:] += siblings
-            cubes = outside.reshape(-1, bs, d)
+        for j, outside in enumerate(_outside_fields(atoms), start=1):
+            cubes = outside.reshape(-1, atoms.block_size(j), d)
             osc = np.sqrt(((cubes.max(axis=1) - cubes.min(axis=1)) ** 2).sum(axis=1))
             denom = (el[j] / el[j - 1]) * pr[j - 1]
             yield from ((o, denom) for o in osc.tolist())
 
     add(_extreme("lemnab", oscillations()))
 
-    add(_extreme("lemdes11", zip(rep.d_sups, (float(v) for v in pr[:n_gen]))))
+    add(_extreme("lemdes11", zip(d_sups, (float(v) for v in pr[:n_gen]))))
 
     head = sigma(th, range(n_gen))
-    add(_measured("lemfa1", rep.sN_norm, head, _ratio(rep.sN_norm, head)))
+    add(_measured("lemfa1", s_n, head, _ratio(s_n, head)))
     total_d = float(prefix_d[-1])
     add(_measured("mainlem", head, total_d, _ratio(head, total_d)))
 

@@ -130,6 +130,8 @@ def _potential(
 ) -> float:
     """int (mu(B(x,r))/r^exponent)^power dr/r: shell sum plus analytic tails."""
     pt = _point(x, params.d)
+    if not np.all(np.isfinite(pt)):
+        raise ParameterError(f"point must be finite, got {pt}")
     total, r_hi, r_min = _shell_sum(params, pt, exponent, power, shells_per_octave)
     total += r_hi ** (-exponent * power) / (exponent * power)
     if containing_cube(params, pt, params.depth) is not None:
@@ -285,19 +287,15 @@ def _drop_near_atoms(grid: np.ndarray, atoms: AtomSet, cutoff: float) -> np.ndar
 
 
 def gamma_plus_lower_bound(
-    atoms: AtomSet,
-    params: CantorParams,
-    halo_spec: HaloGridSpec | None = None,
+    atoms: AtomSet, halo_spec: HaloGridSpec | None = None
 ) -> GammaPlusEstimate:
     """Estimate the positive capacity via mu/sup|transform of mu|.
 
     The measure normalized by the sampled field sup is admissible up to grid
     resolution, so its total mass 1/M lower-bounds the positive capacity in
-    that approximate sense; the caveat travels with the result.  params
-    must be the geometry the atoms were built from (atoms.params).
+    that approximate sense; the caveat travels with the result.
     """
-    if params != atoms.params:
-        raise ParameterError(f"params {params} do not match the atoms' {atoms.params}")
+    params = atoms.params
     spec_h = halo_spec if halo_spec is not None else HaloGridSpec()
     kspec = KernelSpec(s=params.s, eps=0.0)
     grid = halo_grid(params, spec_h)  # refuse an over-budget grid before any field work

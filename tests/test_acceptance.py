@@ -327,9 +327,9 @@ def test_09_capacity_lower_bound_stability():
     """The positive-measure bound is finite, positive, and discretization-stable."""
     params = CantorParams(d=1, s=0.5, lam=(0.25,) * 6)
     cap = capacity_wolff(params)
-    base = gamma_plus_lower_bound(atomize(params, 4), params)
-    fine = gamma_plus_lower_bound(atomize(params, 8), params)
-    wide = gamma_plus_lower_bound(atomize(params, 4), params, HaloGridSpec(extent=1.0))
+    base = gamma_plus_lower_bound(atomize(params, 4))
+    fine = gamma_plus_lower_bound(atomize(params, 8))
+    wide = gamma_plus_lower_bound(atomize(params, 4), HaloGridSpec(extent=1.0))
     product = base.value / cap
     refine_drift = abs(fine.value - base.value) / base.value
     halo_drift = abs(wide.value - base.value) / base.value

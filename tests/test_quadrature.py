@@ -393,6 +393,18 @@ class TestRadiiDescent:
             ball_mass(params, [0.5] * 4, 0.3)
         assert calls == []
 
+    @pytest.mark.parametrize("point", [[np.nan, 0.1], [np.inf, 0.1], [0.1, -np.inf]])
+    def test_nonfinite_point_refused_before_the_descent(self, point, monkeypatch):
+        # a NaN coordinate used to fail every box test and give mass 0
+        calls = []
+        box_dists = quadrature_mod._box_near_far_sq
+        monkeypatch.setattr(quadrature_mod, "_box_near_far_sq",
+                            lambda *a: calls.append(a) or box_dists(*a))
+        params = CantorParams(d=2, s=1.0, lam=(0.25,) * 3)
+        with pytest.raises(ParameterError, match="point must be finite"):
+            ball_mass(params, point, [0.1, 0.5, 2.0])
+        assert calls == []
+
 
 class TestBallVolume:
     """The d = 3 tanh-sinh rule against closed forms and the subdivision."""
@@ -513,12 +525,13 @@ class TestBlockSize:
         pts = atoms.points
         prof = build_profile(params)
         cls = classify(prof.theta, prof.p, prof.ell, StopConfig(), n=6)
+        rep = decompose(canonical.points, canonical)  # lemnab reads the atoms
         calls = [
             lambda: atoms.block_size(1),
             lambda: project(pts[:, 0], atoms, 1),
             lambda: decompose(pts, atoms),
             lambda: eval_treecode(atoms, pts, KernelSpec(s=0.5), self_exclude=True),
-            lambda: verify_transform_lemmas(atoms, pts, cls),
+            lambda: verify_transform_lemmas(atoms, rep, cls),
         ]
         messages = set()
         for call in calls:
@@ -551,6 +564,8 @@ class TestBlockSize:
         )
         prof = build_profile(params)
         cls = classify(prof.theta, prof.p, prof.ell, StopConfig(), n=4)
+        canonical = atomize(params, refine_k=1)
+        rep = decompose(canonical.points, canonical)  # lemnab reads the atoms
         calls = [
             lambda: atoms.block_size(2),
             lambda: project(pts[:, 0], atoms, 1),
@@ -559,7 +574,7 @@ class TestBlockSize:
                 atoms, pts, KernelSpec(s=0.5),
                 TreeCodeConfig(theta_open=0.01, leaf_cap=1), self_exclude=True,
             ),
-            lambda: verify_transform_lemmas(atoms, pts, cls),
+            lambda: verify_transform_lemmas(atoms, rep, cls),
         ]
         messages = set()
         for call in calls:

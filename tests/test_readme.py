@@ -1,13 +1,18 @@
-"""The README's library quick start runs, and its entry-point table names
-only what the package exports, so a changed signature cannot leave it stale."""
+"""The README's library quick start and command lines run, and its entry-point
+table and flag list name only what the package and parser offer, so a changed
+signature or option cannot leave it stale."""
 
+import argparse
 import math
 import re
+import shlex
 from pathlib import Path
 
 import cantor_riesz
+from cantor_riesz import cli
 
-README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_quick_start_runs(capsys):
@@ -23,3 +28,36 @@ def test_entry_point_table_names_exports():
     names = re.findall(r"`(\w+)`", table)
     assert len(names) >= 20
     assert [n for n in names if n not in cantor_riesz.__all__] == []
+
+
+def test_command_lines_run(tmp_path, monkeypatch, capsys):
+    # the paths are the repo root's; outputs go under tmp_path
+    monkeypatch.chdir(ROOT)
+    (block,) = re.findall(r"^```sh\n(cantor-riesz .*?)^```", README, re.S | re.M)
+    commands = []
+    for line in block.splitlines():
+        prog, *argv = shlex.split(line)
+        assert prog == "cantor-riesz"
+        args = cli.build_parser().parse_args(argv)
+        assert args.config is None or Path(args.config).is_file()
+        cli.load_config(args)
+        commands.append(args.command)
+        # acceptance test 10 runs the sweep; the others are quick
+        if args.command != "sweep":
+            out = argv.index("--out") + 1
+            argv[out] = str(tmp_path / argv[out])
+            assert cli.main(argv) == 0
+            assert f"wrote {tmp_path}" in capsys.readouterr().out
+    assert commands == ["sweep", "ratio", "stopping", "profile"]
+
+
+def test_listed_flags_are_the_parser_options():
+    subcommands = re.search(r"^Subcommands: (.*)$", README, re.M).group(1)
+    common = re.search(r"Each accepts (.*?)\(`--theta` on `stopping` only\)", README, re.S).group(1)
+    flags = set(re.findall(r"--[\w-]+", common))
+    (action,) = (a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    assert re.findall(r"`(\w+)`", subcommands) == list(action.choices)
+    for name, parser in action.choices.items():
+        options = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+        assert options == flags | ({"--theta"} if name == "stopping" else set()), name

@@ -7,6 +7,7 @@ good sets, block membership, entry scales t_h, and standardness — including
 two deliberately non-standard blocks.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -42,6 +43,7 @@ from cantor_riesz import (
 )
 import cantor_riesz.experiments as experiments_mod
 import cantor_riesz.martingale as martingale_mod
+import cantor_riesz.riesz as riesz_mod
 import cantor_riesz.stopping as stopping_mod
 from cantor_riesz.experiments import run_ratio_experiment
 from cantor_riesz.geometry import DensityProfile
@@ -455,9 +457,14 @@ TRANSFORM_LEMMA_NAMES = [
 
 
 @pytest.fixture(scope="module")
-def report(atoms_mixed, field_mixed, profile_mixed):
+def rep_mixed(atoms_mixed, field_mixed):
+    return decompose(field_mixed.values, atoms_mixed)
+
+
+@pytest.fixture(scope="module")
+def report(atoms_mixed, rep_mixed, profile_mixed):
     cls = classify(profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG, n=4)
-    return verify_transform_lemmas(atoms_mixed, field_mixed, cls)
+    return verify_transform_lemmas(atoms_mixed, rep_mixed, cls)
 
 
 class TestTransformLemmas:
@@ -487,27 +494,35 @@ class TestTransformLemmas:
 
         atoms = atomize(CantorParams(d=1, s=0.5), refine_k=2)
         cls = classify([1.0], [1.0], [1.0], CFG, n=0)
-        rep = verify_transform_lemmas(atoms, np.zeros((atoms.n, 1)), cls)
+        rep = verify_transform_lemmas(atoms, decompose(np.zeros((atoms.n, 1)), atoms), cls)
         assert len(rep) == 0
 
-    def test_shape_guard(self, atoms_mixed, profile_mixed):
+    def test_shape_guard(self, atoms_mixed, rep_mixed, profile_mixed):
+        # one norm and one sup of D_j per generation: an empty d_sups, the
+        # report's default, would have left lemdes11 without an instance
         cls = classify(
             profile_mixed.theta, profile_mixed.p, profile_mixed.ell, CFG, n=4
         )
-        with pytest.raises(ParameterError):
-            verify_transform_lemmas(atoms_mixed, np.zeros((3, 1)), cls)
+        reps = [dataclasses.replace(rep_mixed, d_norms=rep_mixed.d_norms[:3]),
+                dataclasses.replace(rep_mixed, d_sups=())]
+        for depth in (3, 5):  # the decompositions of shallower and deeper sets
+            atoms = atomize(CantorParams(d=1, s=0.5, lam=(0.25,) * depth), refine_k=2)
+            reps.append(decompose(atoms.points, atoms))
+        for rep in reps:
+            with pytest.raises(ParameterError, match="must hold N = 4 norms and sups"):
+                verify_transform_lemmas(atoms_mixed, rep, cls)
 
-    def test_depth_mismatch_guard(self, atoms_mixed, field_mixed, profile_small):
+    def test_depth_mismatch_guard(self, atoms_mixed, rep_mixed, profile_small):
         cls = classify(
             profile_small.theta, profile_small.p, profile_small.ell, CFG, n=3
         )
         with pytest.raises(ParameterError):
-            verify_transform_lemmas(atoms_mixed, field_mixed, cls)
+            verify_transform_lemmas(atoms_mixed, rep_mixed, cls)
 
     @pytest.mark.parametrize("name, index, value", [
         ("theta", 0, -1.0), ("theta", 2, np.inf), ("ell", 4, 0.0), ("p", 1, np.nan),
     ])
-    def test_profile_guard(self, atoms_mixed, field_mixed, profile_mixed, name, index, value):
+    def test_profile_guard(self, atoms_mixed, rep_mixed, profile_mixed, name, index, value):
         # classify refuses the sequences on 0..N-1; the transform lemmas also
         # need ell_N, which lemnab reads
         arrays = {k: getattr(profile_mixed, k).copy() for k in ("ell", "theta", "p")}
@@ -518,14 +533,14 @@ class TestTransformLemmas:
                 classify(*args, n=4)
         else:
             with pytest.raises(ParameterError, match="must cover 0..4, ell positive"):
-                verify_transform_lemmas(atoms_mixed, field_mixed, classify(*args, n=4))
+                verify_transform_lemmas(atoms_mixed, rep_mixed, classify(*args, n=4))
 
-    def test_sequences_reach_generation_N(self, atoms_mixed, field_mixed, profile_mixed):
+    def test_sequences_reach_generation_N(self, atoms_mixed, rep_mixed, profile_mixed):
         # n = len(theta) lets classify label depth 4 from four values of each
         th, p, ell = (getattr(profile_mixed, k)[:4] for k in ("theta", "p", "ell"))
         cls = classify(th, p, ell, CFG, n=4)
         with pytest.raises(ParameterError, match="must cover 0..4"):
-            verify_transform_lemmas(atoms_mixed, field_mixed, cls)
+            verify_transform_lemmas(atoms_mixed, rep_mixed, cls)
 
 
 def legacy_lemnab(atoms, values, profile):
@@ -589,7 +604,7 @@ class TestLemnabKernel:
         rng = np.random.default_rng(100 * d + depth)
         lam = [0.25] * depth if ratios == "constant" else rng.uniform(0.1, 0.45, depth)
         atoms, field, cls, prof = lemma_inputs(d, s, lam, refine_k)
-        got = verify_transform_lemmas(atoms, field, cls)["lemnab"]
+        got = verify_transform_lemmas(atoms, decompose(field.values, atoms), cls)["lemnab"]
         want = legacy_lemnab(atoms, field.values, prof)
         for a, b in zip((got.lhs, got.rhs, got.constant), want):
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
@@ -615,12 +630,13 @@ class TestLemnabKernel:
         # sum_j b_j (b_{j-1} - b_j) = n^2 (1 - 4^(-Nd)) / (2^d + 1) pairs,
         # where b_j = n / 2^(jd) atoms lie in a generation-j cube
         atoms, field, cls, prof = lemma_inputs(d, s, [0.25] * depth)
+        rep = decompose(field.values, atoms)
         pairs = []
-        kernel = stopping_mod._direct_field
-        monkeypatch.setattr(stopping_mod, "_direct_field",
+        kernel = riesz_mod._direct_field
+        monkeypatch.setattr(riesz_mod, "_direct_field",
                             lambda px, ms, tx, *a: pairs.append(px.shape[1] * tx.shape[1])
                             or kernel(px, ms, tx, *a))
-        verify_transform_lemmas(atoms, field, cls)
+        verify_transform_lemmas(atoms, rep, cls)
         assert len(pairs) == depth
         leaf = atoms.atoms_per_leaf
         assert sum(pairs) * (2**d + 1) == atoms.n**2 - leaf**2
@@ -628,9 +644,10 @@ class TestLemnabKernel:
     def test_memory_is_one_chunk(self):
         # 4 096 atoms: the pair matrices took ~160 MB at the first generation
         atoms, field, cls, prof = lemma_inputs(1, 0.5, [0.25] * 10, refine_k=4)
+        rep = decompose(field.values, atoms)
         tracemalloc.start()
         try:
-            verify_transform_lemmas(atoms, field, cls)
+            verify_transform_lemmas(atoms, rep, cls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -984,7 +1001,7 @@ def same_reports(got, want) -> set:
 def same_transform(atoms, values, cls, profile, brute) -> set:
     """The legacy report, but lemnab, bitwise; lemnab, which reads the atoms
     and not `values`, within rel 1e-12 of the legacy on the brute field."""
-    got = verify_transform_lemmas(atoms, values, cls)
+    got = verify_transform_lemmas(atoms, decompose(values, atoms), cls)
     want = legacy_verify_transform_lemmas(atoms, values, cls, profile)
     close_lemnab(got["lemnab"], legacy_verify_transform_lemmas(atoms, brute, cls, profile)["lemnab"])
 
@@ -1039,7 +1056,7 @@ class TestSharedReducers:
         rng = np.random.default_rng(10 * d + depth + (ratios == "random"))
         lam = [0.25] * depth if ratios == "constant" else rng.uniform(0.1, 0.45, depth)
         atoms, field, cls, prof = lemma_inputs(d, s, lam)
-        same_transform(atoms, field, cls, prof, field)
+        same_transform(atoms, field.values, cls, prof, field)
         # random profiles and fields of the same depth reach the other branches
         for trial in range(24):
             theta, p, ell = random_sequence(rng, depth)
@@ -1061,7 +1078,7 @@ class TestSharedReducers:
             # one block, (ID, DD), made nonstandard by the large p_0
             assert [rec.standard for rec in cls.j_intervals] == [False]
             profile = DensityProfile(ell=ell, theta=theta, p=pr)
-            found = same_transform(atoms, field, cls, profile, field)
+            found = same_transform(atoms, field.values, cls, profile, field)
             assert ("no in-band window qualifies" not in found) is in_band
             notes |= found
         assert TRANSFORM_NOTES <= notes
@@ -1111,10 +1128,12 @@ class TestSharedReducers:
         huge = np.full_like(field.values, 1.4e154)
         # lemnab no longer reads the field, so the NaN reaches lemdes11 first
         for values, names in ((nan_field, ("lemdes11", "lemnab")), (huge, ("lemfa1", "lemfa1"))):
-            for name, verify, args in ((names[0], verify_transform_lemmas, (cls,)),
-                                       (names[1], legacy_verify_transform_lemmas, (cls, prof))):
+            with np.errstate(all="ignore"):
+                rep = decompose(values, atoms)
+            for name, verify, args in ((names[0], verify_transform_lemmas, (rep, cls)),
+                                       (names[1], legacy_verify_transform_lemmas, (values, cls, prof))):
                 with np.errstate(all="ignore"), pytest.raises(ParameterError) as exc:
-                    verify(atoms, values, *args)
+                    verify(atoms, *args)
                 assert str(exc.value) == f"{name}: sides must be finite and nonnegative"
 
 
@@ -1159,14 +1178,40 @@ class TestOneClassification:
         assert counted.calls == 3
 
     def test_transform_lemmas_project_once_per_generation(self, monkeypatch):
-        # N + 1 projections, all in decompose; lemdes11's differences made 2N more
+        # N + 1 projections, all in the caller's decompose; the check itself
+        # decomposed the field again, and lemdes11's differences made 2N more
         atoms, field, cls, _ = lemma_inputs(1, 0.5, [0.25] * 5)
         gens = []
         project_ = martingale_mod.project
         monkeypatch.setattr(martingale_mod, "project",
                             lambda f, a, j: gens.append(j) or project_(f, a, j))
-        verify_transform_lemmas(atoms, field, cls)
+        rep = decompose(field.values, atoms)
         assert sorted(gens) == list(range(6))
+        verify_transform_lemmas(atoms, rep, cls)
+        assert sorted(gens) == list(range(6))
+
+
+class TestOneDecomposition:
+    """The ratio runner decomposes its field once, and the lemma check reads that."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """A decompose that records the depth of each call, over every package binding."""
+        def counted(f, atoms):
+            counted.depths.append(atoms.params.depth)
+            return decompose(f, atoms)
+
+        counted.depths = []
+        for mod in (martingale_mod, experiments_mod, stopping_mod):
+            if hasattr(mod, "decompose"):
+                monkeypatch.setattr(mod, "decompose", counted)
+        return counted
+
+    def test_ratio_case_decomposes_once(self, counted):
+        table = run_ratio_experiment(ExperimentConfig(d=1, s=0.5, depths=(4, 5), refine_k=2),
+                                     transform_lemmas=True)
+        assert all(len(rec["transform_lemmas"]) == 9 for rec in table["cases"])
+        assert counted.depths == [4, 5]
 
 
 def load_stopping_search():
