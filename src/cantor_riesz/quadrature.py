@@ -1,8 +1,8 @@
 """Atomic quadrature for the natural measure and exact ball masses.
 
-atomize() replaces each generation-N leaf cube by refine_k^d equal-mass
-point atoms on a uniform sub-grid, ordered leaf-by-leaf (path-lexicographic)
-and row-major inside a leaf.  ball_mass() computes mu(closed ball) by tree
+An AtomSet is built from its parameters alone, so its docstring states the
+one atom layout that every layer's block arithmetic reads; atomize() builds
+one under an atom budget.  ball_mass() computes mu(closed ball) by tree
 descent, summing cubes fully inside and resolving straddling leaves with the
 exact volume of the ball inside each (closed forms for d <= 2, a piecewise
 tanh-sinh integral of the d = 2 area over z for d = 3); one descent answers
@@ -11,7 +11,6 @@ a whole array of radii.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +23,48 @@ __all__ = ["AtomSet", "atomize", "ball_mass", "DEFAULT_ATOM_BUDGET"]
 DEFAULT_ATOM_BUDGET = 4_000_000
 
 
+def _check_refine_k(refine_k) -> None:
+    if not (is_int(refine_k) and refine_k >= 1):
+        raise ParameterError(f"refine_k must be an integer >= 1, got {refine_k!r}")
+
+
 @dataclass(frozen=True)
 class AtomSet:
-    """Equal-mass atoms approximating the depth-N measure."""
+    """Equal-mass atoms approximating the depth-N measure, built from its parameters.
+
+    Every generation-N leaf cube holds refine_k^d atoms of mass
+    2^(-N*d) / refine_k^d at the centres of a uniform sub-grid, leaf by leaf
+    in path-lex order and row-major inside a leaf.  So every generation-j cube
+    is one contiguous run of block_size(j) atoms, and a translate of cube 0
+    with the same atom pattern.  Sets of equal parameters are equal and hash
+    alike; points (n, d) and masses (n,) are read-only arrays built on
+    construction, with no atom budget: atomize() is the entry point that
+    refuses an oversized set before allocating it.  Atoms that would coincide
+    in floating point raise BudgetError (from N = 18 at d = 1, lambda = 0.1,
+    refine_k 1).
+    """
 
     params: CantorParams
     refine_k: int
-    points: np.ndarray  # (n, d)
-    masses: np.ndarray  # (n,)
-    leaf_rank: np.ndarray  # (n,) path-lex rank of the containing leaf
 
     def __post_init__(self):
-        for name in ("points", "masses", "leaf_rank"):
-            getattr(self, name).flags.writeable = False
+        _check_refine_k(self.refine_k)
+        params, k = self.params, self.refine_k
+        d, n_gen = params.d, params.depth
+        grids = np.meshgrid(*([np.arange(k)] * d), indexing="ij")
+        sub_idx = np.stack(grids, axis=-1).reshape(-1, d)  # row-major, last axis fastest
+        sub_off = (sub_idx + 0.5) * (params.leaf_side / k)
+        points = (_leaf_corners(params)[:, None, :] + sub_off[None, :, :]).reshape(-1, d)
+        # every axis holds the coordinates of the d = 1 atoms of the same ratios,
+        # which increase strictly unless two of them coincide
+        axis = (_leaf_corners(params, 1) + sub_off[:k, -1]).ravel()
+        if not np.all(axis[1:] > axis[:-1]):
+            raise BudgetError(f"atomize would place coincident atoms at depth {n_gen}, refine_k "
+                              f"{k}: an offset vanishes against a coordinate in floating point")
+        masses = np.full(points.shape[0], 2.0 ** (-n_gen * d) / k**d)
+        for name, arr in (("points", points), ("masses", masses)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -50,32 +78,11 @@ class AtomSet:
     def atoms_per_leaf(self) -> int:
         return self.refine_k**self.params.d
 
-    @functools.cached_property
-    def _layout_error(self) -> str | None:
-        """Why the set is not in atomize()'s layout, or None; checked once per set."""
-        n_leaves = 1 << (self.params.d * self.params.depth)
-        expected = n_leaves * self.atoms_per_leaf
-        if self.n != expected:
-            return f"expected {expected} atoms, got {self.n}"
-        if not np.array_equal(
-            self.leaf_rank, np.repeat(np.arange(n_leaves), self.atoms_per_leaf)
-        ):
-            return "atoms are not grouped leaf by leaf in path-lex order"
-        return None
-
     def block_size(self, j: int) -> int:
-        """Atoms per generation-j cube in atomize()'s layout.
-
-        Every generation-j cube is one contiguous run of this many atoms; a
-        set of any other size, or whose leaf_rank does not run 0, ..., 0, 1,
-        ... with refine_k^d atoms per leaf, is refused, since no block
-        arithmetic holds.
-        """
+        """Atoms per generation-j cube, each cube one contiguous run of them."""
         d, n_gen = self.params.d, self.params.depth
         if not 0 <= j <= n_gen:
             raise DepthError(f"generation {j} outside [0, {n_gen}]")
-        if self._layout_error is not None:
-            raise ParameterError(f"atom set is not atomize()'s layout: {self._layout_error}")
         return self.n >> (d * j)
 
     def _reflection(self, j: int, code: int) -> np.ndarray:
@@ -94,8 +101,10 @@ class AtomSet:
         return np.flip(index, dims + [levels * d + a for a in axes]).ravel()
 
     def leaf_of(self, i: int) -> CubeId:
-        """Leaf cube containing atom i."""
-        return cube_from_rank(int(self.leaf_rank[i]), self.params.depth, self.params.d)
+        """Leaf cube containing atom i, for 0 <= i < n."""
+        if not (is_int(i) and 0 <= i < self.n):
+            raise ParameterError(f"atom index must be an integer in [0, {self.n}), got {i!r}")
+        return cube_from_rank(i // self.atoms_per_leaf, self.params.depth, self.params.d)
 
     def to_csv(self, path) -> None:
         header = ",".join([f"x{k}" for k in range(self.d)] + ["mass", "leaf_path"])
@@ -124,40 +133,15 @@ def _leaf_corners(params: CantorParams, d: int | None = None) -> np.ndarray:
 def atomize(
     params: CantorParams, refine_k: int, budget: int = DEFAULT_ATOM_BUDGET
 ) -> AtomSet:
-    """Place refine_k^d equal-mass atoms at sub-grid centers of every leaf.
-
-    Atoms that would coincide in floating point raise BudgetError, as a set
-    over the budget does (from N = 18 at d = 1, lambda = 0.1, refine_k 1).
-    """
-    if not (is_int(refine_k) and refine_k >= 1):
-        raise ParameterError(f"refine_k must be an integer >= 1, got {refine_k!r}")
-    d, n_gen = params.d, params.depth
-    n_leaves = 1 << (d * n_gen)
-    n_atoms = n_leaves * refine_k**d
+    """The AtomSet of params and refine_k, refused before any allocation when it
+    would hold more than `budget` atoms."""
+    _check_refine_k(refine_k)
+    n_atoms = (1 << (params.d * params.depth)) * refine_k**params.d
     if n_atoms > budget:
         raise BudgetError(
             f"atomize would create {n_atoms} atoms, exceeding budget {budget}"
         )
-    grids = np.meshgrid(*([np.arange(refine_k)] * d), indexing="ij")
-    sub_idx = np.stack(grids, axis=-1).reshape(-1, d)  # row-major, last axis fastest
-    sub_off = (sub_idx + 0.5) * (params.leaf_side / refine_k)
-    points = (_leaf_corners(params)[:, None, :] + sub_off[None, :, :]).reshape(n_atoms, d)
-    # every axis holds the coordinates of the d = 1 atoms of the same ratios,
-    # which increase strictly unless two of them coincide
-    axis = (_leaf_corners(params, 1) + sub_off[:refine_k, -1]).ravel()
-    if not np.all(axis[1:] > axis[:-1]):
-        raise BudgetError(f"atomize would place coincident atoms at depth {n_gen}, refine_k "
-                          f"{refine_k}: an offset vanishes against a coordinate in floating point")
-    mass = 2.0 ** (-n_gen * d) / refine_k**d
-    masses = np.full(n_atoms, mass)
-    leaf_rank = np.repeat(np.arange(n_leaves, dtype=np.int64), refine_k**d)
-    return AtomSet(
-        params=params,
-        refine_k=refine_k,
-        points=points,
-        masses=masses,
-        leaf_rank=leaf_rank,
-    )
+    return AtomSet(params, refine_k)
 
 
 def _box_near_far_sq(corners: np.ndarray, side: float, x: np.ndarray):

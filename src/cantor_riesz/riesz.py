@@ -119,6 +119,8 @@ def _as_targets(targets, atoms: AtomSet, self_exclude: bool) -> np.ndarray:
         arr = arr.reshape(-1, 1) if d == 1 else arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ParameterError(f"targets must be a (m, {d}) array")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("targets must be finite")
     if self_exclude and not np.array_equal(arr, atoms.points):
         raise ParameterError("self_exclude requires the atom positions, in atom order, as targets")
     return arr
@@ -196,6 +198,8 @@ def _outside_fields(atoms: AtomSet):
     its generation-j cube, as one (n, d) array that each generation overwrites:
     the running sum of the field a child gets from its siblings, one kernel call
     per generation for child 0 of cube 0, mirrored to child c in the axes of c.
+    AtomSet's layout guarantees the mirror: every cube is a translate of cube 0,
+    symmetric in its centre planes.
     """
     d = atoms.d
     spec = KernelSpec(s=atoms.params.s)

@@ -5,11 +5,18 @@ one set of node arrays per level; nothing is built by recursion.  Levels
 0..N are the cube generations: node (g, q) is the q-th generation-g cube in
 path-lex order and covers atoms [q*b, (q+1)*b) with b = atoms.block_size(g),
 so its children are nodes (g+1, 2^d*q + c).  Below generation N a leaf
-cube's sub-grid keeps halving, children (g+1, 2q + c), while its blocks are
-even and hold more than leaf_cap atoms; an odd block stays a leaf.  All
-nodes of a level have the same size, so a level is a leaf level or none of
-its nodes is a leaf, and its bounding boxes, mass centers and central
-moments come from one reshape of the atoms to (d, nodes, b).
+cube's row-major sub-grid keeps halving, children (g+1, 2q + c), while its
+blocks hold more than leaf_cap atoms and their halves hold r * refine_k^m
+atoms with r dividing refine_k.  Any other half would run from one grid
+row into the next, and the halves would not be translates (at refine_k 6,
+d = 2, the halves of an 18-atom block are point reflections of each other,
+so such blocks stay leaves).  All nodes of a level have the same size, so
+a level is a leaf level or none of its nodes is a leaf, and its bounding
+boxes and mass centers come from one reshape of the atoms to (d, nodes, b).
+Every node of a level is thus a translate of node 0 carrying the same
+masses (AtomSet's layout), so the level takes its central moments, and the
+expansion built from them, once from node 0's atoms, whose small
+coordinates carry the least rounding.
 
 Everything the traversal touches is coordinate-major: atoms, targets,
 bounding boxes and mass centers are (d, n) arrays with one contiguous row
@@ -75,21 +82,22 @@ class TreeCodeConfig:
 class _Level(NamedTuple):
     """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs).
 
-    lo, hi and com are coordinate-major (d, nodes); trace, const, lin, octu
-    and hexa hold the expansion of each node as _far_field uses it.
+    lo, hi and com are coordinate-major (d, nodes); mass, trace, const, lin,
+    octu and hexa are the expansion every node of the level shares, as
+    _far_field uses it.
     """
 
     bs: int
     lo: np.ndarray
     hi: np.ndarray
     com: np.ndarray
-    mass: np.ndarray
+    mass: float
     diam2: np.ndarray
-    trace: np.ndarray  # (nodes, 2): scalar terms t2, t4
-    const: np.ndarray  # (nodes, 2d): constant terms of v2 w4
-    lin: np.ndarray  # (nodes, 4d, d): linear terms of v2 w4 v4 w6, on y
-    octu: np.ndarray  # (nodes, 2d, d^2): quadratic terms of v4 w6, on y (x) y
-    hexa: np.ndarray  # (nodes, 2d, d^3): cubic terms of v6 w8, on y (x) y (x) y
+    trace: np.ndarray  # (2,): scalar terms t2, t4
+    const: np.ndarray  # (2d,): constant terms of v2 w4
+    lin: np.ndarray  # (4d, d): linear terms of v2 w4 v4 w6, on y
+    octu: np.ndarray  # (2d, d^2): quadratic terms of v4 w6, on y (x) y
+    hexa: np.ndarray  # (2d, d^3): cubic terms of v6 w8, on y (x) y (x) y
 
 
 def _block_sizes(atoms: AtomSet, leaf_cap: int) -> list[int]:
@@ -99,53 +107,59 @@ def _block_sizes(atoms: AtomSet, leaf_cap: int) -> list[int]:
         g = len(sizes)
         if g <= atoms.params.depth:
             sizes.append(atoms.block_size(g))
-        elif sizes[-1] % 2 == 0:
+        elif sizes[-1] % 2 == 0 and _tiles_by_translates(sizes[-1] // 2, atoms.refine_k):
             sizes.append(sizes[-1] // 2)
         else:
             break
     return sizes
 
 
+def _tiles_by_translates(b: int, k: int) -> bool:
+    """Whether runs of b atoms tile a row-major k^d sub-grid (b dividing k^d,
+    k >= 2) by translates: b = r k^m with r dividing k."""
+    while b % k == 0:
+        b //= k
+    return k % b == 0
+
+
 def _level(px: np.ndarray, masses: np.ndarray, bs: int, u: float) -> _Level:
-    """Boxes, mass centres and expansion coefficients of one level, kernel power u."""
+    """Boxes and mass centres of one level's nodes, and node 0's expansion, kernel power u."""
     d = px.shape[0]
     block = px.reshape(d, -1, bs)
-    w = masses.reshape(-1, bs)
+    w = masses[:bs]
     lo, hi = block.min(axis=2), block.max(axis=2)
-    mass = w.sum(axis=1)
+    mass = w.sum()
     com = (w * block).sum(axis=2) / mass
-    nodes = mass.shape[0]
-    # central moments as full symmetric tensors, node axis first
-    delta = (block - com[:, :, None]).transpose(1, 0, 2)
-    pairs = (delta[:, :, None] * delta[:, None]).reshape(nodes, d * d, bs)
-    wpairs = pairs * w[:, None, :]
-    quad = wpairs.sum(axis=2).reshape(nodes, d, d)
-    octu = (wpairs @ delta.transpose(0, 2, 1)).reshape(nodes, d, d, d)
-    hexa = (wpairs @ pairs.transpose(0, 2, 1)).reshape(nodes, d, d, d, d)
-    oi = np.trace(octu, axis1=2, axis2=3)  # O_abb
-    hi_mat = np.trace(hexa, axis1=1, axis2=2)  # H_bbde
+    # node 0's central moments as full symmetric tensors
+    delta = block[:, 0] - com[:, :1]
+    pairs = (delta[:, None] * delta[None]).reshape(d * d, bs)
+    wpairs = pairs * w
+    quad = wpairs.sum(axis=1).reshape(d, d)
+    octu = (wpairs @ delta.T).reshape(d, d, d)
+    hexa = (wpairs @ pairs.T).reshape(d, d, d, d)
+    oi = np.trace(octu, axis1=1, axis2=2)  # O_abb
+    hi_mat = np.trace(hexa, axis1=0, axis2=1)  # H_bbde
     # rows v2 w4 v4 w6 v6 w8 of _far_field, each a vector polynomial in y
     # built from the quadrupole, octupole and hexadecapole, the trace vector
     # O_abb and the trace matrix H_bbde, with the kernel's Taylor factors
     c2 = u * (u + 2.0)
     c3 = c2 * (u + 4.0)
-    octu = octu.reshape(nodes, d, d * d)
-    hexa = hexa.reshape(nodes, d, d**3)
+    octu = octu.reshape(d, d * d)
+    hexa = hexa.reshape(d, d**3)
     return _Level(
         bs, lo, hi, com, mass, ((hi - lo) ** 2).sum(axis=0),
-        trace=np.stack([
-            -(u / 2.0) * np.trace(quad, axis1=1, axis2=2),
-            (c2 / 8.0) * np.trace(hi_mat, axis1=1, axis2=2),
-        ], axis=1),
-        const=np.concatenate([-(u / 2.0) * oi, (c2 / 2.0) * oi], axis=1),
+        trace=np.array([-(u / 2.0) * np.trace(quad), (c2 / 8.0) * np.trace(hi_mat)]),
+        const=np.concatenate([-(u / 2.0) * oi, (c2 / 2.0) * oi]),
         lin=np.concatenate([
             -u * quad, (c2 / 2.0) * quad, (c2 / 2.0) * hi_mat, -(c3 / 4.0) * hi_mat,
-        ], axis=1),
-        octu=np.concatenate([(c2 / 2.0) * octu, -(c3 / 6.0) * octu], axis=1),
-        hexa=np.concatenate([-(c3 / 6.0) * hexa, (c3 * (u + 6.0) / 24.0) * hexa], axis=1),
+        ]),
+        octu=np.concatenate([(c2 / 2.0) * octu, -(c3 / 6.0) * octu]),
+        hexa=np.concatenate([-(c3 / 6.0) * hexa, (c3 * (u + 6.0) / 24.0) * hexa]),
     )
 
 
+# q is unused: every cell of a level shares lv's expansion.  It stays so that
+# the reference tests can patch in the per-node expansions this replaced.
 def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
     """Multipole contribution of cell q at separations y = com - target, (d, n).
 
@@ -156,7 +170,7 @@ def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
 
     with v = v2 + r^-2 (v4 + r^-2 v6) and w = w4 + r^-2 (w6 + r^-2 w8),
     vector polynomials of degree <= 3 in y whose coefficient maps, like the
-    scalars t2 and t4, _level takes from the node's central moments.
+    scalars t2 and t4, _level takes from node 0's central moments.
     """
     d, n = y.shape
     r2 = (y * y).sum(axis=0)
@@ -164,8 +178,8 @@ def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
     inv = 1.0 / r2
     # monopole, written exactly like the direct method's weight so a
     # point cell reproduces eval_brute bit for bit
-    mw = lv.mass[q] / nrm**u
-    p2 = mw * inv / lv.mass[q]  # r^(-u-2), reusing the computed power
+    mw = lv.mass / nrm**u
+    p2 = mw * inv / lv.mass  # r^(-u-2), reusing the computed power
     yy = (y[:, None] * y).reshape(d * d, n)
     powers = (y, yy, (yy[:, None] * y).reshape(d**3, n))
     if n == 1:
@@ -173,11 +187,11 @@ def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
         # keeps every target's value the same however targets are grouped
         powers = [np.repeat(p, 2, axis=1) for p in powers]
     lin, quadratic, cubic = (
-        np.einsum("rj,jn->rn", m[q], p)[:, :n]
+        np.einsum("rj,jn->rn", m, p)[:, :n]
         for m, p in zip((lv.lin, lv.octu, lv.hexa), powers)
     )
-    vw = lv.const[q, :, None] + lin[:2 * d] + inv * (lin[2 * d:] + quadratic + inv * cubic)
-    t2, t4 = lv.trace[q]
+    vw = lv.const[:, None] + lin[:2 * d] + inv * (lin[2 * d:] + quadratic + inv * cubic)
+    t2, t4 = lv.trace
     scale = mw + p2 * (t2 + inv * (t4 + (y * vw[d:]).sum(axis=0)))
     return y * scale + p2 * vw[:d]
 

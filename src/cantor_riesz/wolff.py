@@ -263,22 +263,15 @@ def _drop_near_atoms(grid: np.ndarray, atoms: AtomSet, cutoff: float) -> np.ndar
     so points inside half an atom pitch carry no usable information (and an
     exact hit would be a genuine singularity).
 
-    atomize() puts the atoms on a product lattice A x ... x A, one atom for
-    every choice of coordinates, so a point's least squared distance to the
-    set is the sum over axes of its least squared gap to A.  Rounding is
-    monotone in each term, so that sum is also, bit for bit, the least of the
-    rounded full sums over all atoms.  Each gap comes from the two values of
-    A that bracket the coordinate, found by one binary search; a set that is
-    not such a lattice (n != |A|^d, or an atom repeated) is refused.  Cost
+    An AtomSet's atoms form a product lattice A x ... x A, one atom for every
+    choice of coordinates, so a point's least squared distance to the set is
+    the sum over axes of its least squared gap to A.  Rounding is monotone in
+    each term, so that sum is also, bit for bit, the least of the rounded
+    full sums over all atoms.  Each gap comes from the two values of A that
+    bracket the coordinate, found by one binary search.  Cost
     O((grid + atoms) * d * log |A|).
     """
-    if atoms.n == 0:
-        return grid
     coords = np.unique(atoms.points)
-    place = coords.size ** np.arange(atoms.d)  # digit weights of a cell's rank
-    if coords.size**atoms.d != atoms.n or np.bincount(
-            np.searchsorted(coords, atoms.points) @ place).max() > 1:
-        raise ParameterError("atom set is not atomize()'s product lattice")
     below = np.concatenate(([-np.inf], coords))
     above = np.concatenate((coords, [np.inf]))
     i = np.searchsorted(coords, grid)  # below[i] < grid <= above[i]

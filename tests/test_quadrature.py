@@ -1,5 +1,6 @@
 """Atomization of the natural measure and exact ball masses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,21 +13,12 @@ from cantor_riesz import (
     BudgetError,
     CantorParams,
     DepthError,
-    KernelSpec,
     ParameterError,
-    StopConfig,
-    TreeCodeConfig,
     atomize,
     ball_mass,
-    build_profile,
-    classify,
     containing_cube,
     cube_from_rank,
     cube_position,
-    decompose,
-    eval_treecode,
-    project,
-    verify_transform_lemmas,
 )
 import cantor_riesz.quadrature as quadrature_mod
 from cantor_riesz.experiments import _sample_points
@@ -198,7 +190,6 @@ class TestAtomize:
         for i in range(0, atoms.n, 7):
             cube = containing_cube(params_mixed, atoms.points[i], depth)
             assert cube is not None
-            assert cube.flat_rank(params_mixed.d) == atoms.leaf_rank[i]
             assert atoms.leaf_of(i) == cube
 
     def test_two_atom_positions(self):
@@ -210,14 +201,25 @@ class TestAtomize:
 
     def test_leaf_order_is_path_lexicographic(self, params_small):
         atoms = atomize(params_small, refine_k=2)
-        assert np.all(np.diff(atoms.leaf_rank) >= 0)
+        ranks = np.array([atoms.leaf_of(i).flat_rank(1) for i in range(atoms.n)])
+        assert np.all(np.diff(ranks) >= 0)
         # within a leaf the sub-grid is row-major, hence increasing in x
-        first = atoms.points[atoms.leaf_rank == 0]
+        first = atoms.points[ranks == 0]
         assert np.all(np.diff(first[:, 0]) > 0)
 
     def test_budget_guard(self, params_small):
         with pytest.raises(BudgetError):
             atomize(params_small, refine_k=2, budget=10)
+
+    def test_refusal_order(self):
+        # refine_k first, then the budget before any allocation, then coincidence
+        params = CantorParams(d=1, s=0.5, lam=(0.1,) * 18)  # coincident at refine_k 1
+        with pytest.raises(ParameterError, match="refine_k must be an integer"):
+            atomize(params, refine_k=0, budget=10)
+        with pytest.raises(BudgetError, match="exceeding budget 10"):
+            atomize(params, refine_k=1, budget=10)
+        with pytest.raises(BudgetError, match="coincident atoms"):
+            atomize(params, refine_k=1)
 
     @pytest.mark.parametrize("d, lam, refine_k", [
         (1, (0.1,) * 18, 1),  # 262 144 atoms at 196 608 points
@@ -456,16 +458,34 @@ class TestBallVolume:
         assert _ball_box_volume(corners, 0.1, x, r) == pytest.approx(want, rel=1e-14)
 
 
-class TestAtomSetConstruction:
-    def test_post_init_freezes(self, params_small):
-        pts = np.zeros((2, 1))
-        masses = np.full(2, 0.5)
-        ranks = np.zeros(2, dtype=np.int64)
-        aset = AtomSet(
-            params=params_small, refine_k=1, points=pts, masses=masses, leaf_rank=ranks
-        )
-        assert not aset.points.flags.writeable
-        assert aset.n == 2
+class TestAtomSetValue:
+    """An AtomSet is its parameters: built from them, compared and hashed by them."""
+
+    def test_fields_are_the_parameters(self):
+        assert [f.name for f in dataclasses.fields(AtomSet)] == ["params", "refine_k"]
+
+    def test_built_from_parameters(self, params_mixed, atoms_mixed):
+        atoms = AtomSet(params_mixed, 2)
+        assert np.array_equal(atoms.points, atoms_mixed.points)
+        assert np.array_equal(atoms.masses, atoms_mixed.masses)
+        assert not atoms.points.flags.writeable and not atoms.masses.flags.writeable
+
+    @pytest.mark.parametrize("bad", [0, 2.0, True])
+    def test_construction_checks_refine_k(self, params_small, bad):
+        with pytest.raises(ParameterError, match="refine_k must be an integer"):
+            AtomSet(params_small, bad)
+
+    def test_equal_parameters_equal_sets(self, params_small):
+        a, b = atomize(params_small, 2), atomize(params_small, 2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, atomize(params_small, 3)}) == 2
+        assert a != atomize(CantorParams(d=1, s=0.5, lam=(0.25,) * 3), 2)
+
+    def test_leaf_of_range(self, atoms_small):
+        assert atoms_small.leaf_of(atoms_small.n - 1).path == (1, 1, 1, 1)
+        for bad in (-1, atoms_small.n, 1.0):
+            with pytest.raises(ParameterError, match="atom index"):
+                atoms_small.leaf_of(bad)
 
 
 class TestReflection:
@@ -497,89 +517,15 @@ class TestBlockSize:
     @pytest.mark.parametrize("d, refine_k", [(1, 3), (2, 2), (3, 1)])
     def test_contiguous_cube_runs(self, d, refine_k):
         atoms = atomize(CantorParams(d=d, s=0.5, lam=(0.25, 0.3)), refine_k=refine_k)
+        ranks = np.array([atoms.leaf_of(i).flat_rank(d) for i in range(atoms.n)])
         for j in range(3):
             bs = atoms.block_size(j)
             assert bs * 2 ** (j * d) == atoms.n
             # generation-j cube q is atoms [q*bs, (q+1)*bs): one ancestor each
-            anc = atoms.leaf_rank.reshape(-1, bs) >> ((2 - j) * d)
+            anc = ranks.reshape(-1, bs) >> ((2 - j) * d)
             assert np.array_equal(anc, np.repeat(np.arange(2 ** (j * d)), bs).reshape(-1, bs))
 
     def test_depth_outside_range(self, atoms_small):
         for j in (-1, atoms_small.params.depth + 1):
             with pytest.raises(DepthError):
                 atoms_small.block_size(j)
-
-    def test_one_refusal_for_a_permuted_set(self):
-        # the right number of atoms in another order: the cube means of
-        # project() came out as [0.510, 0.490] here instead of [0.125, 0.875]
-        params = CantorParams(d=1, s=0.5, lam=(0.25,) * 6)
-        canonical = atomize(params, refine_k=2)
-        perm = np.random.default_rng(5).permutation(canonical.n)
-        atoms = AtomSet(
-            params=params,
-            refine_k=2,
-            points=canonical.points[perm],
-            masses=canonical.masses[perm],
-            leaf_rank=canonical.leaf_rank[perm],
-        )
-        pts = atoms.points
-        prof = build_profile(params)
-        cls = classify(prof.theta, prof.p, prof.ell, StopConfig(), n=6)
-        rep = decompose(canonical.points, canonical)  # lemnab reads the atoms
-        calls = [
-            lambda: atoms.block_size(1),
-            lambda: project(pts[:, 0], atoms, 1),
-            lambda: decompose(pts, atoms),
-            lambda: eval_treecode(atoms, pts, KernelSpec(s=0.5), self_exclude=True),
-            lambda: verify_transform_lemmas(atoms, rep, cls),
-        ]
-        messages = set()
-        for call in calls:
-            with pytest.raises(ParameterError, match="not grouped leaf by leaf") as err:
-                call()
-            messages.add(str(err.value))
-        assert len(messages) == 1
-        assert np.allclose(project(canonical.points[:, 0], canonical, 1).values, [0.125, 0.875])
-
-    def test_layout_checked_once_per_set(self, atoms_small, monkeypatch):
-        atoms_small.block_size(0)
-        calls = []
-        monkeypatch.setattr(np, "array_equal", lambda *a: calls.append(a) or True)
-        for j in range(atoms_small.params.depth + 1):
-            atoms_small.block_size(j)
-        assert calls == []
-
-    def test_one_refusal_for_a_hand_made_set(self):
-        # 301 atoms are not 2^(Nd) * refine_k^d, so no cube is a block; the
-        # projection, decomposition, tree code and transform lemmas all
-        # refuse through the same check
-        params = CantorParams(d=1, s=0.5, lam=(0.25,) * 4)
-        pts = np.linspace(0.0, 1.0, 301).reshape(-1, 1)
-        atoms = AtomSet(
-            params=params,
-            refine_k=1,
-            points=pts,
-            masses=np.full(301, 1.0 / 301),
-            leaf_rank=np.zeros(301, dtype=np.int64),
-        )
-        prof = build_profile(params)
-        cls = classify(prof.theta, prof.p, prof.ell, StopConfig(), n=4)
-        canonical = atomize(params, refine_k=1)
-        rep = decompose(canonical.points, canonical)  # lemnab reads the atoms
-        calls = [
-            lambda: atoms.block_size(2),
-            lambda: project(pts[:, 0], atoms, 1),
-            lambda: decompose(pts, atoms),
-            lambda: eval_treecode(
-                atoms, pts, KernelSpec(s=0.5),
-                TreeCodeConfig(theta_open=0.01, leaf_cap=1), self_exclude=True,
-            ),
-            lambda: verify_transform_lemmas(atoms, rep, cls),
-        ]
-        messages = set()
-        for call in calls:
-            with pytest.raises(ParameterError, match="expected 16 atoms, got 301") as err:
-                call()
-            assert not isinstance(err.value, DepthError)
-            messages.add(str(err.value))
-        assert len(messages) == 1

@@ -13,8 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cantor_riesz.riesz as riesz_mod
+import cantor_riesz.treecode as treecode_mod
 from cantor_riesz import (
-    AtomSet,
     CantorParams,
     KernelSpec,
     ParameterError,
@@ -22,6 +22,7 @@ from cantor_riesz import (
     VecField,
     atomize,
     eval_brute,
+    eval_treecode,
     kernel,
     l2_norm_sq,
     pairwise_sum,
@@ -128,16 +129,6 @@ def legacy_direct_field(
         diffs *= w[:, :, None]
         out[t0 : t0 + chunk] = legacy_pairwise_sum(diffs, axis=1)
     return out
-
-
-def single_atom(x=0.25, mass=1.0):
-    return AtomSet(
-        params=CantorParams(d=1, s=0.5),
-        refine_k=1,
-        points=np.array([[x]]),
-        masses=np.array([mass]),
-        leaf_rank=np.zeros(1, dtype=np.int64),
-    )
 
 
 class TestKernelSpec:
@@ -298,10 +289,11 @@ class TestEvalBrute:
         assert l2_norm_sq(f, atoms) == pytest.approx(1 / 3, rel=1e-14)
 
     def test_off_set_target(self):
-        atoms = single_atom(x=0.25, mass=0.5)
-        f = eval_brute(atoms, [[1.25]], KernelSpec(s=0.5))
-        # mass * (x_a - t)/|x_a - t|^(3/2) = 0.5 * (-1) / 1
-        assert f.values[0, 0] == pytest.approx(-0.5)
+        # the depth-0 set is one atom of mass 1 at 1/2
+        atoms = atomize(CantorParams(d=1, s=0.5), refine_k=1)
+        f = eval_brute(atoms, [[1.5]], KernelSpec(s=0.5))
+        # mass * (x_a - t)/|x_a - t|^(3/2) = 1 * (-1) / 1
+        assert f.values[0, 0] == pytest.approx(-1.0)
 
     @given(lam=st.floats(min_value=0.05, max_value=0.49))
     def test_global_cancellation(self, lam):
@@ -346,6 +338,21 @@ class TestEvalBrute:
     def test_order_guard(self, atoms_small):
         with pytest.raises(ParameterError):
             eval_brute(atoms_small, [[0.5]], KernelSpec(s=1.5))
+
+    @pytest.mark.parametrize("engine", [eval_brute, eval_treecode])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_refused_before_pair_work(self, atoms_plane, engine, bad,
+                                                          monkeypatch):
+        # a NaN ran the whole pair sum before VecField refused the field, and
+        # an infinity warned "invalid value encountered in multiply" first
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("pair sum reached")
+
+        monkeypatch.setattr(riesz_mod, "_direct_field", no_pairs)
+        monkeypatch.setattr(treecode_mod, "_direct_field", no_pairs)
+        targets = np.array([[0.3, 0.2], [bad, 0.1]])
+        with pytest.raises(ParameterError, match="targets must be finite"):
+            engine(atoms_plane, targets, KernelSpec(s=1.0))
 
     def test_chunking_bitwise(self, atoms_mixed, monkeypatch):
         spec = KernelSpec(s=0.5)
@@ -409,18 +416,13 @@ class TestPairKernelMatchesLegacy:
     def test_exact_hit_beside_self_pair(self):
         # two atoms share a position: with self pairs excluded, each still
         # hits the other
-        atoms = AtomSet(
-            params=CantorParams(d=1, s=0.5),
-            refine_k=1,
-            points=np.array([[0.1], [0.4], [0.4]]),
-            masses=np.full(3, 1.0 / 3.0),
-            leaf_rank=np.zeros(3, dtype=np.int64),
-        )
+        pts = np.array([[0.1], [0.4], [0.4]])
+        masses, ids = np.full(3, 1.0 / 3.0), np.arange(3)
         spec = KernelSpec(s=0.5)
         with pytest.raises(SingularityError) as legacy:
-            legacy_brute(atoms, atoms.points, spec, self_exclude=True)
+            legacy_direct_field(pts, masses, pts, spec, ids, 0, True)
         with pytest.raises(SingularityError) as new:
-            eval_brute(atoms, atoms.points, spec, self_exclude=True)
+            riesz_mod._direct_field(pts.T, masses, pts.T, spec, ids, 0, True)
         assert str(new.value) == str(legacy.value)
         assert "atom 2 coincides with target 1" in str(new.value)
 

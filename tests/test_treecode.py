@@ -195,22 +195,6 @@ class TestContract:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
-    def test_rejects_non_canonical_atom_set(self):
-        # 301 atoms cannot be split into equal halves down the tree; the
-        # tree used to drop atoms silently (max rel. error 0.19 on this set)
-        params = CantorParams(d=1, s=0.5, lam=(0.25,) * 4)
-        pts = np.linspace(0.0, 1.0, 301).reshape(-1, 1)
-        atoms = AtomSet(
-            params=params,
-            refine_k=1,
-            points=pts,
-            masses=np.full(301, 1.0 / 301),
-            leaf_rank=np.zeros(301, dtype=np.int64),
-        )
-        cfg = TreeCodeConfig(theta_open=0.01, leaf_cap=1)
-        with pytest.raises(ParameterError, match="301"):
-            eval_treecode(atoms, pts, KernelSpec(s=0.5), cfg, self_exclude=True)
-
     def test_self_exclude_needs_matching_targets(self, deep_atoms):
         # too few targets, and as many targets as atoms but shifted off them
         atoms = atomize(CantorParams(d=1, s=0.5, lam=(0.25,) * 3), refine_k=2)
@@ -437,6 +421,38 @@ class TestLevelTreeMatchesRecursive:
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
 
 
+class TestLevelsAreTranslates:
+    """Every node of a level is a translate of node 0, which _level relies on."""
+
+    @pytest.mark.parametrize("leaf_cap", [1, 4, 17, 128])
+    @pytest.mark.parametrize("d, ks", [(1, range(1, 19)), (2, range(1, 13)), (3, range(1, 9))])
+    def test_blocks_translate_block_zero(self, d, ks, leaf_cap):
+        for k in ks:
+            lam = tuple(np.random.default_rng(10 * d + k).uniform(0.1, 0.4, 1))
+            atoms = atomize(CantorParams(d=d, s=0.5, lam=lam), refine_k=k)
+            for bs in treecode_mod._block_sizes(atoms, leaf_cap):
+                blocks = atoms.points.reshape(-1, bs, d)
+                shape = blocks - blocks[:, :1]
+                assert np.abs(shape - shape[0]).max() <= 1e-14, (k, bs)
+
+    def test_rows_are_not_split(self):
+        # a 36-atom leaf of refine_k 6 halves to 18 = 3 rows of 6; its halves
+        # of 9 would be point reflections of each other, with octupoles of
+        # opposite sign, so it stays a leaf
+        lam = tuple(np.random.default_rng(5).uniform(0.2, 0.3, 2))
+        atoms = atomize(CantorParams(d=2, s=1.0, lam=lam), refine_k=6)
+        cfg = TreeCodeConfig(leaf_cap=4)
+        assert treecode_mod._block_sizes(atoms, cfg.leaf_cap) == [576, 144, 36, 18]
+        spec = KernelSpec(s=1.0)
+        outside = np.random.default_rng(6).uniform(-0.2, 1.2, size=(64, 2))
+        for tgts, excl in ((atoms.points, True), (outside, False)):
+            want = eval_brute(atoms, tgts, spec, excl)
+            got = eval_treecode(atoms, tgts, spec, cfg, self_exclude=excl)
+            # splitting the rows left a third-order error of 2.8e-5 and 4.4e-5
+            # here; the fifth-order expansion of whole rows gives 9e-8
+            assert rel_err(got.values, want.values) < 1e-6
+
+
 # --- The (n, d) level tree that the coordinate-major one replaced, kept
 # verbatim but for names: _level as it was, and eval_treecode's traversal.
 
@@ -511,12 +527,14 @@ def _legacy_treecode(atoms, tgts, spec, config, self_exclude):
 class TestCoordinateMajorMatchesLegacy:
     @pytest.mark.parametrize("d, s", [(1, 0.5), (2, 1.0), (3, 1.5)])
     def test_far_field_random_cells(self, d, s):
-        # random clouds with random masses, so no symmetry hides a term
+        # one random cloud with random masses, so no symmetry hides a term,
+        # translated to random node offsets as a level's cubes are
         rng = np.random.default_rng(40 + d)
         nodes, bs = 6, 24
-        pts = rng.uniform(0.0, 1.0, size=(nodes * bs, d)) * 0.2
-        pts += np.repeat(rng.uniform(0.0, 1.0, size=(nodes, d)), bs, axis=0)
-        cloud = SimpleNamespace(points=pts, masses=rng.uniform(0.2, 1.0, nodes * bs), d=d)
+        base = rng.uniform(0.0, 1.0, size=(bs, d)) * 0.2
+        pts = (rng.uniform(0.0, 1.0, size=(nodes, 1, d)) + base).reshape(-1, d)
+        masses = np.tile(rng.uniform(0.2, 1.0, bs), nodes)
+        cloud = SimpleNamespace(points=pts, masses=masses, d=d)
         old = _legacy_level(cloud, bs)
         new = treecode_mod._level(
             np.ascontiguousarray(pts.T), cloud.masses, bs, s + 1.0
@@ -721,9 +739,41 @@ class TestTensorMatchesMonomial:
         monkeypatch.setattr(treecode_mod, "_far_field", _monomial_far_field)
         for (tgts, excl), new in zip(runs, got):
             want = eval_treecode(atoms, tgts, spec, cfg, self_exclude=excl).values
-            if d == 1 or ratios == "constant":
+            if ratios == "constant":
                 assert np.array_equal(new, want)
             else:
-                # the symmetric tensors sum each monomial's terms separately
-                scale = np.sqrt((want**2).sum(axis=1, keepdims=True))
-                assert np.all(np.abs(new - want) <= 1e-15 * scale)
+                # the reference takes every node's moments from its own
+                # rounded coordinates, the tree node 0's, and is the less
+                # accurate side: on TestLevelMomentsOracle's d = 1 set its
+                # quadrupole traces are off by up to 1.3e-9 relative, node 0's
+                # by 4.4e-16
+                rms = np.sqrt((want**2).sum(axis=1).mean())
+                assert np.abs(new - want).max() <= 1e-11 * rms
+
+
+class TestLevelMomentsOracle:
+    """Each level's expansion, taken from node 0, against extended precision."""
+
+    @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 14), (2, 1.0, 6), (3, 1.5, 4)])
+    def test_quadrupole_trace(self, d, s, depth):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("np.longdouble is no wider than double here, so it is no oracle")
+        lam = tuple(np.random.default_rng(60 + d).uniform(0.1, 0.4, depth))
+        atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=2)
+        # atomize()'s layout rebuilt from the same ratios in extended precision
+        ell = np.cumprod(np.array((1.0,) + lam, dtype=np.longdouble))
+        corners = np.zeros((1, d), dtype=np.longdouble)
+        bits = np.array([[c >> a & 1 for a in range(d)] for c in range(1 << d)])
+        for i in range(depth):
+            corners = (corners[:, None] + bits * (ell[i] - ell[i + 1])).reshape(-1, d)
+        sub = (bits[:, ::-1] + np.longdouble(0.5)) * (ell[-1] / 2)  # row-major sub-grid
+        exact = (corners[:, None] + sub).reshape(-1, d)
+        assert np.allclose(exact.astype(float), atoms.points, rtol=0.0, atol=1e-15)
+        px, u = np.ascontiguousarray(atoms.points.T), s + 1.0
+        for g in range(depth + 1):
+            bs = atoms.block_size(g)
+            node0 = exact[:bs]
+            delta = node0 - node0.mean(axis=0)
+            want = -(u / 2.0) * atoms.masses[0] * (delta * delta).sum()
+            t2 = np.asarray(treecode_mod._level(px, atoms.masses, bs, u).trace)[..., 0]
+            assert np.all(np.abs(t2 - want) <= 1e-14 * abs(want)), g

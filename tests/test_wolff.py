@@ -17,7 +17,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantor_riesz import (
-    AtomSet,
     CantorParams,
     BudgetError,
     DEFAULT_ATOM_BUDGET,
@@ -358,20 +357,6 @@ class TestPerAxisFilterMatchesLegacy:
         got = _drop_near_atoms(grid, atoms, cutoff)
         np.testing.assert_array_equal(got, legacy_drop_near_atoms(grid, atoms, cutoff))
         assert 0 < got.shape[0] < grid.shape[0]
-
-    @pytest.mark.parametrize("change", ["moved", "repeated"])
-    def test_refuses_non_product_set(self, change):
-        good = atomize(CantorParams(d=2, s=1.0, lam=(0.25, 0.25)), refine_k=2)
-        points = good.points.copy()
-        if change == "moved":
-            points[5, 0] += 1e-3  # a coordinate no other atom has
-        else:
-            points[5] = points[6]  # same coordinates, one lattice cell empty
-        atoms = AtomSet(params=good.params, refine_k=2, points=points,
-                        masses=good.masses, leaf_rank=good.leaf_rank)
-        grid = halo_grid(good.params, HaloGridSpec())
-        with pytest.raises(ParameterError, match="product lattice"):
-            _drop_near_atoms(grid, atoms, self.cutoff(atoms))
 
 
 class TestGammaPlusLowerBound:
