@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .martingale import decompose
 from .quadrature import atomize
-from .riesz import KernelSpec, eval_brute
+from .riesz import KernelSpec, eval_brute, l2_norm_sq
 from .rng import case_stream
 from .stopping import classify, verify_sequence_lemmas, verify_transform_lemmas
 from .svgplot import bar_plot, line_plot
@@ -187,7 +187,7 @@ def _ratio_case(config: ExperimentConfig, case: Case, transform_lemmas: bool) ->
     profile = build_profile(params)
     ssq = profile.sum_theta_sq(0, case.depth)
     report = decompose(field.values, atoms)
-    norm = report.f_norm_sq
+    norm = l2_norm_sq(field, atoms)
     cancel = np.einsum("n,nc->c", atoms.masses, field.values)
     rec.update(
         engine=engine,

@@ -12,7 +12,8 @@ ancestor-weighted potential of scale j is
 
 CantorParams.ell is the one side-length table: every layer that walks the
 cube hierarchy reads ell_0..ell_N from it, so all of them multiply the same
-ratios in the same order and agree bit for bit.
+ratios in the same order and agree bit for bit.  Only this module turns
+corner codes into coordinates, with one step that every corner walk takes.
 """
 
 from __future__ import annotations
@@ -233,19 +234,24 @@ def _point(x, d: int) -> np.ndarray:
     return pt
 
 
+def _child_corners(corners: np.ndarray, ell, g: int) -> np.ndarray:
+    """Corners, path-lex, of the children of generation-g cubes with corners (cubes, d)."""
+    d = corners.shape[1]
+    return (corners[:, None] + _corner_bits(d) * (ell[g] - ell[g + 1])).reshape(-1, d)
+
+
 def cube_position(params: CantorParams, cube: CubeId) -> tuple[np.ndarray, float]:
     """Lower-left corner and side length of a cube, or raise DepthError."""
     if cube.gen > params.depth:
         raise DepthError(
             f"cube generation {cube.gen} exceeds construction depth {params.depth}"
         )
-    d, ell, bits = params.d, params.ell, _corner_bits(params.d)
-    corner = np.zeros(d)
-    for i, code in enumerate(cube.path):
+    d, corner = params.d, np.zeros((1, params.d))
+    for g, code in enumerate(cube.path):
         if code >> d:
             raise ParameterError(f"corner code {code} out of range for d={d}")
-        corner += bits[code] * (ell[i] - ell[i + 1])
-    return corner, ell[cube.gen]
+        corner = _child_corners(corner, params.ell, g)[code, None]
+    return corner[0], params.ell[cube.gen]
 
 
 def containing_cube(params: CantorParams, x, n: int) -> CubeId | None:

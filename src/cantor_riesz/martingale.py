@@ -105,7 +105,6 @@ class DecompositionReport:
     s0_norm: float
     sN_norm: float
     max_cross_inner: float
-    f_norm_sq: float
     telescope_err: float
     parseval_rel_err: float
     d_sups: tuple[float, ...] = ()  # per generation j, the largest |D_j f| over cubes
@@ -153,13 +152,11 @@ def decompose(f, atoms: AtomSet) -> DecompositionReport:
     parseval_rhs = s0 + np.sum(d_norms)
     denom = max(abs(parseval_lhs), np.finfo(float).tiny)
     parseval_rel = abs(parseval_lhs - parseval_rhs) / denom
-    f_norm = float(pairwise_sum(atoms.masses * (arr**2).sum(axis=1)))
     return DecompositionReport(
         d_norms=d_norms,
         s0_norm=s0,
         sN_norm=s_n,
         max_cross_inner=max_cross,
-        f_norm_sq=f_norm,
         telescope_err=telescope_err,
         parseval_rel_err=parseval_rel,
         d_sups=d_sups,

@@ -6,7 +6,7 @@ one under an atom budget.  ball_mass() computes mu(closed ball) by tree
 descent, summing cubes fully inside and resolving straddling leaves with the
 exact volume of the ball inside each (closed forms for d <= 2, a piecewise
 tanh-sinh integral of the d = 2 area over z for d = 3); one descent answers
-a whole array of radii.
+a whole array of radii.  Both build cube corners with geometry's child-corner step.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DepthError, ParameterError, is_int
-from .geometry import CantorParams, CubeId, _corner_bits, _point, cube_from_rank
+from .geometry import CantorParams, CubeId, _child_corners, _point, cube_from_rank
 
 __all__ = ["AtomSet", "atomize", "ball_mass", "DEFAULT_ATOM_BUDGET"]
 
@@ -54,10 +54,13 @@ class AtomSet:
         grids = np.meshgrid(*([np.arange(k)] * d), indexing="ij")
         sub_idx = np.stack(grids, axis=-1).reshape(-1, d)  # row-major, last axis fastest
         sub_off = (sub_idx + 0.5) * (params.leaf_side / k)
-        points = (_leaf_corners(params)[:, None, :] + sub_off[None, :, :]).reshape(-1, d)
         # every axis holds the coordinates of the d = 1 atoms of the same ratios,
         # which increase strictly unless two of them coincide
-        axis = (_leaf_corners(params, 1) + sub_off[:k, -1]).ravel()
+        corners, axis = np.zeros((1, d)), np.zeros((1, 1))
+        for g in range(n_gen):
+            corners, axis = (_child_corners(c, params.ell, g) for c in (corners, axis))
+        points = (corners[:, None, :] + sub_off[None, :, :]).reshape(-1, d)
+        axis = (axis + sub_off[:k, -1]).ravel()
         if not np.all(axis[1:] > axis[:-1]):
             raise BudgetError(f"atomize would place coincident atoms at depth {n_gen}, refine_k "
                               f"{k}: an offset vanishes against a coordinate in floating point")
@@ -116,18 +119,6 @@ class AtomSet:
             lines.append(",".join(cells))
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def _leaf_corners(params: CantorParams, d: int | None = None) -> np.ndarray:
-    """Corners of all generation-N cubes in path-lexicographic order, in dimension d
-    (by default params.d)."""
-    d = params.d if d is None else d
-    ell, bits = params.ell, _corner_bits(d)
-    corners = np.zeros((1, d))
-    for i in range(params.depth):
-        offsets = bits * (ell[i] - ell[i + 1])
-        corners = (corners[:, None, :] + offsets[None, :, :]).reshape(-1, d)
-    return corners
 
 
 def atomize(
@@ -272,7 +263,6 @@ def ball_mass(
     if d > 3:
         raise BudgetError(f"ball volume has no exact rule in d = {d}; it has one for d <= 3")
     r2 = radii * radii
-    bits = _corner_bits(d)
     mass = np.zeros(radii.shape[0])
     boxes = np.zeros((1, d))
     live = np.ones((1, radii.shape[0]), dtype=bool)  # (box, radius): straddled
@@ -295,7 +285,7 @@ def ball_mass(
         if np.any(boxes + step == boxes):
             raise BudgetError(f"generation-{g + 1} corner offset {step:.3g} vanishes against"
                               " a box corner in floating point; sibling cubes would coincide")
-        boxes = (boxes[:, None, :] + (bits * step)[None, :, :]).reshape(-1, d)
+        boxes = _child_corners(boxes, ell, g)
         live = np.repeat(live, 1 << d, axis=0)
     if boxes.shape[0]:
         for k in np.flatnonzero(live.any(axis=0)):

@@ -11,12 +11,12 @@ atoms with r dividing refine_k.  Any other half would run from one grid
 row into the next, and the halves would not be translates (at refine_k 6,
 d = 2, the halves of an 18-atom block are point reflections of each other,
 so such blocks stay leaves).  All nodes of a level have the same size, so
-a level is a leaf level or none of its nodes is a leaf, and its bounding
-boxes and mass centers come from one reshape of the atoms to (d, nodes, b).
-Every node of a level is thus a translate of node 0 carrying the same
-masses (AtomSet's layout), so the level takes its central moments, and the
-expansion built from them, once from node 0's atoms, whose small
-coordinates carry the least rounding.
+a level is a leaf level or none of its nodes is a leaf.  Every node of a
+level is node 0 moved to the node's first atom, with the same masses
+(AtomSet's layout), and that atom is its least in every coordinate.  So a
+level reads node 0's atoms alone, whose small coordinates carry the least
+rounding: box extent, mass-center offset from the first atom and expansion;
+each node adds only its first atom, read through a strided view.
 
 Everything the traversal touches is coordinate-major: atoms, targets,
 bounding boxes and mass centers are (d, n) arrays with one contiguous row
@@ -82,9 +82,9 @@ class TreeCodeConfig:
 class _Level(NamedTuple):
     """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs).
 
-    lo, hi and com are coordinate-major (d, nodes); mass, trace, const, lin,
-    octu and hexa are the expansion every node of the level shares, as
-    _far_field uses it.
+    lo, hi and com are coordinate-major (d, nodes), node 0's moved to each
+    node's first atom; diam2, mass, trace, const, lin, octu and hexa are
+    node 0's, shared by every node of the level as _far_field uses them.
     """
 
     bs: int
@@ -123,15 +123,15 @@ def _tiles_by_translates(b: int, k: int) -> bool:
 
 
 def _level(px: np.ndarray, masses: np.ndarray, bs: int, u: float) -> _Level:
-    """Boxes and mass centres of one level's nodes, and node 0's expansion, kernel power u."""
+    """One level's nodes, node 0 moved to each node's first atom, kernel power u."""
     d = px.shape[0]
-    block = px.reshape(d, -1, bs)
-    w = masses[:bs]
-    lo, hi = block.min(axis=2), block.max(axis=2)
+    block, w, first = px[:, :bs], masses[:bs], px[:, ::bs]
+    # each node's first atom is its box's low corner
+    extent = block.max(axis=1) - block[:, 0]
     mass = w.sum()
-    com = (w * block).sum(axis=2) / mass
+    com0 = (w * block).sum(axis=1) / mass
     # node 0's central moments as full symmetric tensors
-    delta = block[:, 0] - com[:, :1]
+    delta = block - com0[:, None]
     pairs = (delta[:, None] * delta[None]).reshape(d * d, bs)
     wpairs = pairs * w
     quad = wpairs.sum(axis=1).reshape(d, d)
@@ -147,7 +147,8 @@ def _level(px: np.ndarray, masses: np.ndarray, bs: int, u: float) -> _Level:
     octu = octu.reshape(d, d * d)
     hexa = hexa.reshape(d, d**3)
     return _Level(
-        bs, lo, hi, com, mass, ((hi - lo) ** 2).sum(axis=0),
+        bs, first, first + extent[:, None], first + (com0 - block[:, 0])[:, None], mass,
+        np.broadcast_to((extent**2).sum(), first.shape[1:]),
         trace=np.array([-(u / 2.0) * np.trace(quad), (c2 / 8.0) * np.trace(hi_mat)]),
         const=np.concatenate([-(u / 2.0) * oi, (c2 / 2.0) * oi]),
         lin=np.concatenate([

@@ -42,6 +42,17 @@ def test_traced_names_resolve_to_functions(monkeypatch):
         assert inspect.isfunction(fn), name
 
 
+def test_every_traced_span_is_reached(monkeypatch, tmp_path):
+    # a span no run reaches reads 0 on every workload and times nothing
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        ex.run_sweep(tiny_config(), out_dir=tmp_path, workers=1)
+        ex.run_ratio_experiment(tiny_config(tree=TreeSettings(enabled=True)), workers=1)
+        ex.run_ratio_experiment(tiny_config(), workers=1, transform_lemmas=True)
+    assert set(spans.TRACED) - {sp.name for sp in tracer.spans} == set()
+
+
 def test_runners_accept_one_worker(tmp_path):
     sweep = ex.run_sweep(tiny_config(), out_dir=tmp_path, workers=1)
     assert sweep["manifest"]["all_hard_pass"]

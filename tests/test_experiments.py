@@ -112,7 +112,7 @@ class TestRatioExperiment:
             assert len(r["d_norms"]) == r["N"]
 
     def test_energy_is_the_l2_norm_of_the_field(self):
-        # read from the decomposition, bitwise the same sum as l2_norm_sq
+        # the runner's energy is l2_norm_sq of the field, bit for bit
         for d, s, lam in [(1, 0.5, (0.25,) * 6), (2, 1.0, (0.2, 0.3, 0.4)), (3, 1.5, (0.25, 0.3))]:
             (rec,) = ex.run_ratio_experiment(
                 make_config(d=d, s=s, depths=(len(lam),), lam=LambdaSpec(kind="list", values=lam))

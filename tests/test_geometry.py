@@ -18,8 +18,7 @@ from cantor_riesz import (
     cube_position,
     p_between,
 )
-from cantor_riesz.geometry import _corner_bits
-from cantor_riesz.quadrature import _leaf_corners
+from cantor_riesz.geometry import _child_corners, _corner_bits
 
 ratios = st.lists(
     st.floats(min_value=0.05, max_value=0.49, allow_nan=False), min_size=1, max_size=12
@@ -280,6 +279,15 @@ def legacy_leaf_corners(params):
     return corners
 
 
+def corners_by_step(params, gen):
+    """Corners of all generation-gen cubes in path-lex order, by geometry's
+    child-corner step, as the atom layout and ball_mass build them."""
+    corners = np.zeros((1, params.d))
+    for g in range(gen):
+        corners = _child_corners(corners, params.ell, g)
+    return corners
+
+
 def legacy_leaf_density(params):
     return 2.0 ** (-params.depth * params.d) / params.leaf_side**params.d
 
@@ -343,7 +351,15 @@ class TestHierarchyMatchesLegacy:
 
     def test_leaf_corners(self, d, depth):  # at most 2^12 leaves
         params, _ = random_params(d, min(depth, 12 // d))
-        assert np.array_equal(_leaf_corners(params), legacy_leaf_corners(params))
+        assert np.array_equal(corners_by_step(params, params.depth), legacy_leaf_corners(params))
+
+    def test_cube_position_is_a_row_of_the_step(self, d, depth):  # at most 2^8 cubes
+        params, _ = random_params(d, min(depth, 8 // d))
+        for gen in range(params.depth + 1):
+            corners = corners_by_step(params, gen)
+            for rank, want in enumerate(corners):
+                corner, side = cube_position(params, cube_from_rank(rank, gen, d))
+                assert np.array_equal(corner, want) and side == params.ell[gen]
 
 
 def test_dyadic_faces_match_legacy():
@@ -357,4 +373,4 @@ def test_dyadic_faces_match_legacy():
     assert containing_cube(params, [0.75, 1.0], 1) == CubeId(1, (3,))
     assert containing_cube(params, [np.nan, 0.0], 1) is None
     assert containing_cube(params, [np.nan, 0.0], 0) is None
-    assert np.array_equal(_leaf_corners(params), legacy_leaf_corners(params))
+    assert np.array_equal(corners_by_step(params, 4), legacy_leaf_corners(params))

@@ -28,7 +28,6 @@ from cantor_riesz.quadrature import (
     _ball_box_volume,
     _ball_interval_length,
     _box_near_far_sq,
-    _leaf_corners,
 )
 
 
@@ -159,10 +158,15 @@ def legacy_ball_mass(params, x, r, volume=None):
 
 
 def legacy_atom_points(params, refine_k):
-    """atomize()'s points before it refused coincident atoms, verbatim."""
+    """atomize()'s points before it refused coincident atoms, verbatim, with
+    the leaf-corner walk of the _leaf_corners it called inlined."""
     d = params.d
     n_atoms = (1 << (d * params.depth)) * refine_k**d
-    corners = _leaf_corners(params)
+    ell, bits = params.ell, _corner_bits(d)
+    corners = np.zeros((1, d))
+    for i in range(params.depth):
+        offsets = bits * (ell[i] - ell[i + 1])
+        corners = (corners[:, None, :] + offsets[None, :, :]).reshape(-1, d)
     side = params.leaf_side
     grids = np.meshgrid(*([np.arange(refine_k)] * d), indexing="ij")
     sub_idx = np.stack(grids, axis=-1).reshape(-1, d)  # row-major, last axis fastest

@@ -422,18 +422,32 @@ class TestLevelTreeMatchesRecursive:
 
 
 class TestLevelsAreTranslates:
-    """Every node of a level is a translate of node 0, which _level relies on."""
+    """Every node of a level is node 0 moved to its first atom, which _level relies on."""
 
     @pytest.mark.parametrize("leaf_cap", [1, 4, 17, 128])
     @pytest.mark.parametrize("d, ks", [(1, range(1, 19)), (2, range(1, 13)), (3, range(1, 9))])
     def test_blocks_translate_block_zero(self, d, ks, leaf_cap):
         for k in ks:
-            lam = tuple(np.random.default_rng(10 * d + k).uniform(0.1, 0.4, 1))
+            lam = tuple(np.random.default_rng(10 * d + k).uniform(0.1, 0.4, 2))
             atoms = atomize(CantorParams(d=d, s=0.5, lam=lam), refine_k=k)
+            px = np.ascontiguousarray(atoms.points.T)
             for bs in treecode_mod._block_sizes(atoms, leaf_cap):
                 blocks = atoms.points.reshape(-1, bs, d)
                 shape = blocks - blocks[:, :1]
                 assert np.abs(shape - shape[0]).max() <= 1e-14, (k, bs)
+                # _level moves node 0 to each node's first atom, its least in
+                # every coordinate; the reference is the per-node reductions
+                # that _level replaced, verbatim
+                block = px.reshape(d, -1, bs)
+                w = atoms.masses[:bs]
+                lo, hi = block.min(axis=2), block.max(axis=2)
+                mass = w.sum()
+                com = (w * block).sum(axis=2) / mass
+                assert np.array_equal(block[:, :, 0], lo), (k, bs)
+                lv = treecode_mod._level(px, atoms.masses, bs, 1.5)
+                assert np.array_equal(lv.lo, lo), (k, bs)
+                assert np.abs(lv.hi - hi).max() <= 1e-15, (k, bs)
+                assert np.abs(lv.com - com).max() <= 1e-15, (k, bs)
 
     def test_rows_are_not_split(self):
         # a 36-atom leaf of refine_k 6 halves to 18 = 3 rows of 6; its halves
