@@ -10,10 +10,41 @@ Note the exponent convention: the dimension enters as d - alpha*p (and the
 sub-leaf tail as d - e), which is exactly the normalization under which the
 choice alpha = (2/3)(d - s), p = 3/2 turns the integrand into
 (mu(B(x, r))/r^s)^2.
+
+The capacity lower bound takes the sup of |R mu| over the atoms and over the
+kept points of a halo lattice around the set.  A lattice point is kept when
+it lies farther than half an atom pitch from every atom: that close, the
+discrete field blows up like mass/dist^s, an artifact of atomization that the
+continuum field does not have.  The atoms form a product lattice A^d, so a
+point's least squared distance to them is the sum over axes of its least
+squared gap to A; rounding is monotone in each term, so that sum, added in
+axis order, is bit for bit the least of the rounded full sums over the atoms.
+
+The halo sup is exact over the kept points but evaluates only a few of them:
+a best-first search over boxes of the lattice bounds every point x of a box
+B by
+
+    |R mu(x)| <= U(B) = sum_i m_i / dist(B, y_i)^s,
+
+with dist(B, y_i) built from the per-axis gaps between y_i and the box's
+extreme coordinates.  Where an atom coordinate a lies below the box's least
+coordinate lo on an axis, the gap is fl(lo - a), and every point x of the box
+has |fl(a - x)| = fl(x - a) >= fl(lo - a) because rounding is monotone (and
+alike above the box).  Squares and their sum in axis order are monotone too,
+so the rounded squared distance to the box never exceeds the one the direct
+sum forms for any point of it.  U and the field then differ only by the
+rounding of their sums, far inside the margin 1e-12: a box is pruned when
+U(B) (1 + 1e-12) is below the best halo value evaluated so far.  The direct
+sum handles each target in its own cascade, so a point's value does not
+depend on which points share the call, and the sup of the evaluated points
+equals the sup over the whole kept lattice to the bit.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -36,6 +67,8 @@ __all__ = [
     "wolff_potential",
     "wolff_potential_s",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -211,8 +244,9 @@ class HaloGridSpec:
         object.__setattr__(self, "spacing", None if self.spacing is None else float(self.spacing))
 
 
-def halo_grid(params: CantorParams, spec: HaloGridSpec) -> np.ndarray:
-    """Materialize the halo grid points, budget-checked."""
+def _halo_axis(params: CantorParams, spec: HaloGridSpec) -> np.ndarray:
+    """The halo grid's coordinates on one axis (every axis has the same),
+    refused before any allocation when the grid would be over budget."""
     spacing = spec.spacing if spec.spacing is not None else params.leaf_side / 2.0
     span = 1.0 + 2.0 * spec.extent
     cells = span / spacing  # a count that overflows to inf is over budget too
@@ -222,8 +256,12 @@ def halo_grid(params: CantorParams, spec: HaloGridSpec) -> np.ndarray:
             f"halo grid would need {per_axis}^{params.d} points; pass a coarser spacing"
         )
     step = span / per_axis
-    axis = -spec.extent + (np.arange(per_axis) + 0.5) * step
-    grids = np.meshgrid(*([axis] * params.d), indexing="ij")
+    return -spec.extent + (np.arange(per_axis) + 0.5) * step
+
+
+def halo_grid(params: CantorParams, spec: HaloGridSpec) -> np.ndarray:
+    """Materialize the halo grid points, budget-checked."""
+    grids = np.meshgrid(*([_halo_axis(params, spec)] * params.d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
@@ -255,28 +293,105 @@ _GAMMA_CAVEAT = (
 )
 
 
-def _drop_near_atoms(grid: np.ndarray, atoms: AtomSet, cutoff: float) -> np.ndarray:
-    """Remove grid points within cutoff of any atom.
+# The halo search: a box of at most _BOX_POINTS lattice points is evaluated
+# rather than split, kept points go to eval_brute about _BATCH_POINTS at a
+# time, and _PRUNE_MARGIN covers the rounding of the bound and of the field.
+_BOX_POINTS = 32
+_BATCH_POINTS = 256
+_PRUNE_MARGIN = 1e-12
 
-    The discrete field blows up like mass/dist^s arbitrarily close to an
-    atom, an artifact of atomization that the continuum field does not have,
-    so points inside half an atom pitch carry no usable information (and an
-    exact hit would be a genuine singularity).
 
-    An AtomSet's atoms form a product lattice A x ... x A, one atom for every
-    choice of coordinates, so a point's least squared distance to the set is
-    the sum over axes of its least squared gap to A.  Rounding is monotone in
-    each term, so that sum is also, bit for bit, the least of the rounded
-    full sums over all atoms.  Each gap comes from the two values of A that
-    bracket the coordinate, found by one binary search.  Cost
-    O((grid + atoms) * d * log |A|).
-    """
-    coords = np.unique(atoms.points)
+def _gap2(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Squared gap from each x to the nearest of the sorted coords, from the
+    two values of coords that bracket x (one binary search)."""
     below = np.concatenate(([-np.inf], coords))
     above = np.concatenate((coords, [np.inf]))
-    i = np.searchsorted(coords, grid)  # below[i] < grid <= above[i]
-    gap2 = np.minimum((grid - below[i]) ** 2, (grid - above[i]) ** 2)
-    return grid[gap2.sum(axis=1) > cutoff * cutoff]
+    i = np.searchsorted(coords, x)  # below[i] < x <= above[i]
+    return np.minimum((x - below[i]) ** 2, (x - above[i]) ** 2)
+
+
+def _lattice_sum(per_axis: list[np.ndarray]) -> np.ndarray:
+    """v_0[i_0] + v_1[i_1] + ... over a box of the lattice, added in axis
+    order, with one array axis per lattice axis (ij order)."""
+    total = per_axis[0]
+    for v in per_axis[1:]:
+        total = total[..., None] + v
+    return total
+
+
+def _bound(box, axis: np.ndarray, coords: np.ndarray, mass: float, s: float) -> float:
+    """U(box): the sum over atoms of mass / dist(box, atom)^s, for the atoms
+    coords^d of equal mass.
+
+    A box is a tuple of index ranges (i0, i1), one per axis of the lattice
+    axis^d.  U is inf when the box holds an atom.
+    """
+    gap2 = []
+    for i0, i1 in box:
+        g = np.maximum(np.maximum(axis[i0] - coords, coords - axis[i1 - 1]), 0.0)
+        gap2.append(g * g)
+    with np.errstate(divide="ignore"):
+        return mass * float(np.sum(_lattice_sum(gap2) ** (-0.5 * s)))
+
+
+def _split(box):
+    """The boxes made by halving every axis of the box longer than one point."""
+    halves = [
+        ((i0, (i0 + i1) // 2), ((i0 + i1) // 2, i1)) if i1 - i0 > 1 else ((i0, i1),)
+        for i0, i1 in box
+    ]
+    return itertools.product(*halves)
+
+
+def _halo_sup(atoms: AtomSet, axis: np.ndarray) -> tuple[float, int]:
+    """(sup of the field magnitude, count) over the kept points of the
+    lattice axis^d, the points farther than half an atom pitch from every atom.
+
+    Best-first over boxes by their bound U: a box whose U cannot beat the best
+    value evaluated so far is pruned, and a small one that can has its kept
+    points evaluated.  Every pruned point's value lies below that best value,
+    so the sup is the one over all kept points, bit for bit.
+    """
+    d, s = atoms.d, atoms.params.s
+    coords = np.unique(atoms.points)  # every axis holds the same coordinates
+    cutoff = 0.5 * atoms.params.leaf_side / atoms.refine_k
+    gap2 = _gap2(axis, coords)
+    kept = int(np.count_nonzero(_lattice_sum([gap2] * d) > cutoff * cutoff))
+    kspec, mass = KernelSpec(s=s), float(atoms.masses[0])
+    tick = itertools.count()
+    heap = [(-math.inf, next(tick), ((0, axis.size),) * d)]
+    best, batch, visited, evaluated = 0.0, [], 0, 0
+
+    def flush():
+        nonlocal best, evaluated
+        pts = np.concatenate(batch)
+        batch.clear()
+        best = max(best, float(eval_brute(atoms, pts, kspec).magnitudes().max()))
+        evaluated += pts.shape[0]
+
+    while heap:
+        neg_u, _, box = heapq.heappop(heap)
+        if -neg_u * (1.0 + _PRUNE_MARGIN) < best:
+            break  # every box left is bounded by this one's U
+        visited += 1
+        if math.prod(i1 - i0 for i0, i1 in box) > _BOX_POINTS:
+            for child in _split(box):
+                u = _bound(child, axis, coords, mass, s)
+                if not u * (1.0 + _PRUNE_MARGIN) < best:
+                    heapq.heappush(heap, (-u, next(tick), child))
+            continue
+        ranges = [slice(i0, i1) for i0, i1 in box]
+        keep = _lattice_sum([gap2[r] for r in ranges]) > cutoff * cutoff
+        if keep.any():
+            grids = np.meshgrid(*[axis[r] for r in ranges], indexing="ij")
+            batch.append(np.stack([g[keep] for g in grids], axis=-1))
+            if sum(b.shape[0] for b in batch) >= _BATCH_POINTS:
+                flush()
+    if batch:
+        flush()
+    log.debug("halo grid: %d points kept, %d evaluated, %d boxes visited",
+              kept, evaluated, visited)
+    return best, kept
 
 
 def gamma_plus_lower_bound(
@@ -290,16 +405,10 @@ def gamma_plus_lower_bound(
     """
     params = atoms.params
     spec_h = halo_spec if halo_spec is not None else HaloGridSpec()
-    kspec = KernelSpec(s=params.s, eps=0.0)
-    grid = halo_grid(params, spec_h)  # refuse an over-budget grid before any field work
-    at_atoms = eval_brute(atoms, atoms.points, kspec, self_exclude=True)
+    axis = _halo_axis(params, spec_h)  # refuse an over-budget grid before any field work
+    at_atoms = eval_brute(atoms, atoms.points, KernelSpec(s=params.s), self_exclude=True)
     sup_atoms = float(at_atoms.magnitudes().max())
-    grid = _drop_near_atoms(grid, atoms, 0.5 * params.leaf_side / max(1, atoms.refine_k))
-    if grid.shape[0]:
-        at_halo = eval_brute(atoms, grid, kspec)
-        sup_halo = float(at_halo.magnitudes().max())
-    else:
-        sup_halo = 0.0
+    sup_halo, halo_points = _halo_sup(atoms, axis)
     sup = max(sup_atoms, sup_halo)
     if not sup > 0:
         raise RuntimeError("field sup vanished on a nonempty atom set")
@@ -308,6 +417,6 @@ def gamma_plus_lower_bound(
         sup_field=sup,
         sup_atoms=sup_atoms,
         sup_halo=sup_halo,
-        halo_points=grid.shape[0],
+        halo_points=halo_points,
         caveat=_GAMMA_CAVEAT,
     )

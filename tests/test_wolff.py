@@ -8,7 +8,9 @@ inside [1.09, 1.50] and refining shells 4 -> 8 moves values by at most 0.7%.
 """
 
 import importlib.util
+import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +19,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantor_riesz import (
+    AtomSet,
     CantorParams,
     BudgetError,
     DEFAULT_ATOM_BUDGET,
     ExperimentConfig,
     HaloGridSpec,
+    KernelSpec,
     ParameterError,
     WolffParams,
     atomize,
     build_profile,
     capacity_wolff,
     capacity_wolff_from0,
+    eval_brute,
     gamma_plus_lower_bound,
     halo_grid,
     wolff_discrete_s,
@@ -37,7 +42,24 @@ from cantor_riesz import (
 from cantor_riesz import wolff
 from cantor_riesz.experiments import _sample_points, enumerate_cases
 from cantor_riesz.geometry import cube_from_rank, cube_position
-from cantor_riesz.wolff import _drop_near_atoms
+from cantor_riesz.wolff import _GAMMA_CAVEAT, GammaPlusEstimate
+
+
+def keep_mask(grid, atoms, cutoff):
+    """The near-atom rule of gamma_plus_lower_bound at arbitrary points: the
+    per-axis squared gaps to the atom coordinates, added in axis order."""
+    coords = np.unique(atoms.points)
+    total = wolff._gap2(grid[:, 0], coords)
+    for k in range(1, grid.shape[1]):
+        total = total + wolff._gap2(grid[:, k], coords)
+    return total > cutoff * cutoff
+
+
+def lattice_keep_mask(params, spec, atoms, cutoff):
+    """The same rule as gamma_plus_lower_bound applies it, over the whole halo
+    lattice, in the row order of halo_grid."""
+    gap2 = wolff._gap2(wolff._halo_axis(params, spec), np.unique(atoms.points))
+    return (wolff._lattice_sum([gap2] * params.d) > cutoff * cutoff).ravel()
 
 
 def brute_drop_near_atoms(grid, atoms, cutoff):
@@ -69,6 +91,66 @@ def legacy_drop_near_atoms(grid, atoms, cutoff):
         near[gi[d2 <= cut2]] = True
         g0 = g1
     return grid[~near]
+
+
+def _drop_near_atoms(grid: np.ndarray, atoms: AtomSet, cutoff: float) -> np.ndarray:
+    """Remove grid points within cutoff of any atom.
+
+    The discrete field blows up like mass/dist^s arbitrarily close to an
+    atom, an artifact of atomization that the continuum field does not have,
+    so points inside half an atom pitch carry no usable information (and an
+    exact hit would be a genuine singularity).
+
+    An AtomSet's atoms form a product lattice A x ... x A, one atom for every
+    choice of coordinates, so a point's least squared distance to the set is
+    the sum over axes of its least squared gap to A.  Rounding is monotone in
+    each term, so that sum is also, bit for bit, the least of the rounded
+    full sums over all atoms.  Each gap comes from the two values of A that
+    bracket the coordinate, found by one binary search.  Cost
+    O((grid + atoms) * d * log |A|).
+    """
+    coords = np.unique(atoms.points)
+    below = np.concatenate(([-np.inf], coords))
+    above = np.concatenate((coords, [np.inf]))
+    i = np.searchsorted(coords, grid)  # below[i] < grid <= above[i]
+    gap2 = np.minimum((grid - below[i]) ** 2, (grid - above[i]) ** 2)
+    return grid[gap2.sum(axis=1) > cutoff * cutoff]
+
+
+# The full-grid gamma_plus_lower_bound that the bound-and-prune search
+# replaced, kept verbatim (renamed, with _drop_near_atoms above) as its reference.
+def full_grid_gamma_plus_lower_bound(
+    atoms: AtomSet, halo_spec: HaloGridSpec | None = None
+) -> GammaPlusEstimate:
+    """Estimate the positive capacity via mu/sup|transform of mu|.
+
+    The measure normalized by the sampled field sup is admissible up to grid
+    resolution, so its total mass 1/M lower-bounds the positive capacity in
+    that approximate sense; the caveat travels with the result.
+    """
+    params = atoms.params
+    spec_h = halo_spec if halo_spec is not None else HaloGridSpec()
+    kspec = KernelSpec(s=params.s, eps=0.0)
+    grid = halo_grid(params, spec_h)  # refuse an over-budget grid before any field work
+    at_atoms = eval_brute(atoms, atoms.points, kspec, self_exclude=True)
+    sup_atoms = float(at_atoms.magnitudes().max())
+    grid = _drop_near_atoms(grid, atoms, 0.5 * params.leaf_side / max(1, atoms.refine_k))
+    if grid.shape[0]:
+        at_halo = eval_brute(atoms, grid, kspec)
+        sup_halo = float(at_halo.magnitudes().max())
+    else:
+        sup_halo = 0.0
+    sup = max(sup_atoms, sup_halo)
+    if not sup > 0:
+        raise RuntimeError("field sup vanished on a nonempty atom set")
+    return GammaPlusEstimate(
+        value=1.0 / sup,
+        sup_field=sup,
+        sup_atoms=sup_atoms,
+        sup_halo=sup_halo,
+        halo_points=grid.shape[0],
+        caveat=_GAMMA_CAVEAT,
+    )
 
 
 def leaf_centers(params, stride=1):
@@ -292,7 +374,7 @@ class TestHaloGrid:
 
     def test_drop_near_atoms(self, atoms_small):
         grid = np.concatenate([atoms_small.points[:3], [[5.0]]])
-        kept = _drop_near_atoms(grid, atoms_small, cutoff=1e-9)
+        kept = grid[keep_mask(grid, atoms_small, cutoff=1e-9)]
         np.testing.assert_array_equal(kept, [[5.0]])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -310,13 +392,13 @@ class TestHaloGrid:
             rng.uniform(-0.1, 1.1, size=(500, d)),
         ])
         want = brute_drop_near_atoms(grid, atoms, cutoff)
-        got = _drop_near_atoms(grid, atoms, cutoff)
+        got = grid[keep_mask(grid, atoms, cutoff)]
         np.testing.assert_array_equal(got, want)
         assert not any((at_cut == row).all(axis=1).any() for row in got)
 
 
 class TestPerAxisFilterMatchesLegacy:
-    """_drop_near_atoms keeps exactly the points the sorted-window filter kept."""
+    """The keep mask keeps exactly the points the sorted-window filter kept."""
 
     @staticmethod
     def cutoff(atoms):
@@ -331,7 +413,7 @@ class TestPerAxisFilterMatchesLegacy:
             params = CantorParams(d=config.d, s=config.s, lam=case.lam)
             atoms = atomize(params, config.refine_k)
             grid = halo_grid(params, HaloGridSpec())
-            got = _drop_near_atoms(grid, atoms, self.cutoff(atoms))
+            got = grid[lattice_keep_mask(params, HaloGridSpec(), atoms, self.cutoff(atoms))]
             want = legacy_drop_near_atoms(grid, atoms, self.cutoff(atoms))
             assert got.shape[0] < grid.shape[0]
             np.testing.assert_array_equal(got, want)
@@ -354,7 +436,7 @@ class TestPerAxisFilterMatchesLegacy:
             base + rng.normal(0.0, cutoff, base.shape),
             rng.uniform(-0.1, 1.1, size=(1000, d)),
         ])
-        got = _drop_near_atoms(grid, atoms, cutoff)
+        got = grid[keep_mask(grid, atoms, cutoff)]
         np.testing.assert_array_equal(got, legacy_drop_near_atoms(grid, atoms, cutoff))
         assert 0 < got.shape[0] < grid.shape[0]
 
@@ -400,6 +482,110 @@ class TestGammaPlusLowerBound:
             "value",
         ]
         assert blob["value"] == pytest.approx(1.0 / blob["sup_field"], rel=1e-15)
+
+
+@pytest.fixture
+def halo_evals(monkeypatch):
+    """Sizes of the halo batches that gamma_plus_lower_bound hands to
+    wolff.eval_brute (the atoms' own field is not counted)."""
+    sizes = []
+    real = wolff.eval_brute
+
+    def counting(atoms, targets, spec, self_exclude=False):
+        field = real(atoms, targets, spec, self_exclude=self_exclude)
+        if not self_exclude:
+            sizes.append(field.n)
+        return field
+
+    monkeypatch.setattr(wolff, "eval_brute", counting)
+    return sizes
+
+
+class TestHaloSearch:
+    """The bound-and-prune sup against the full-grid evaluation it replaced."""
+
+    @pytest.mark.parametrize("d, seed", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)])
+    def test_matches_full_grid_bitwise(self, d, seed):
+        rng = np.random.default_rng(700 + 10 * d + seed)
+        depth = int(rng.integers(*{1: (4, 7), 2: (2, 4), 3: (1, 2)}[d]))
+        params = CantorParams(d=d, s=float(rng.uniform(0.2, d - 0.2)),
+                              lam=tuple(rng.uniform(0.1, 0.45, depth)))
+        atoms = atomize(params, refine_k=int(rng.integers(2, 4)))
+        spacing = float(rng.uniform(0.3, 1.0)) * max(params.leaf_side, 0.02)
+        for spec in (HaloGridSpec(), HaloGridSpec(extent=1.0), HaloGridSpec(spacing=spacing)):
+            got = gamma_plus_lower_bound(atoms, spec)
+            want = full_grid_gamma_plus_lower_bound(atoms, spec)
+            assert want.halo_points > 0
+            assert (got.sup_halo, got.halo_points, got.value) == (
+                want.sup_halo, want.halo_points, want.value)
+            assert got.to_json() == want.to_json()
+
+    def test_prunes_most_of_the_grid(self, halo_evals):
+        params = CantorParams(d=1, s=0.5, lam=(0.25,) * 8)
+        est = gamma_plus_lower_bound(atomize(params, refine_k=4))
+        assert est.halo_points == 261_632
+        assert 0 < sum(halo_evals) < 0.05 * est.halo_points
+
+    def test_debug_log_counts(self, atoms_mixed, caplog, halo_evals):
+        with caplog.at_level(logging.DEBUG, logger="cantor_riesz.wolff"):
+            est = gamma_plus_lower_bound(atoms_mixed)
+        (msg,) = [r.getMessage() for r in caplog.records if r.name == "cantor_riesz.wolff"]
+        match = re.fullmatch(r"halo grid: (\d+) points kept, (\d+) evaluated, "
+                             r"(\d+) boxes visited", msg)
+        kept, evaluated, visited = map(int, match.groups())
+        assert kept == est.halo_points
+        assert 0 < evaluated == sum(halo_evals) < kept
+        assert visited > 0
+
+
+class TestHaloBound:
+    """U(B) bounds the computed field at every kept point of the box B."""
+
+    @given(d=st.integers(1, 3), data=st.data())
+    def test_bound_covers_kept_points(self, d, data):
+        depth = data.draw(st.integers(1, {1: 4, 2: 2, 3: 1}[d]), label="depth")
+        lam = data.draw(st.lists(st.floats(0.1, 0.45), min_size=depth, max_size=depth))
+        s = data.draw(st.floats(0.1, d - 0.1), label="s")
+        k = data.draw(st.integers(1, 4), label="refine_k")
+        params = CantorParams(d=d, s=s, lam=tuple(lam))
+        atoms = atomize(params, refine_k=k)
+        coords = np.unique(atoms.points)
+        cutoff = 0.5 * params.leaf_side / k
+        # a spacing near the cutoff, so boxes straddle it, within the grid budget
+        extent = data.draw(st.sampled_from([0.5, 1.0]), label="extent")
+        floor = 1.01 * (1.0 + 2.0 * extent) / DEFAULT_ATOM_BUDGET ** (1.0 / d)
+        spacing = max(data.draw(st.floats(0.25, 2.0)) * cutoff, floor)
+        axis = wolff._halo_axis(params, HaloGridSpec(extent=extent, spacing=spacing))
+        gap2 = wolff._gap2(axis, coords)
+
+        # boxes about an atom, about a point one cutoff from an atom along an
+        # axis, or at the lattice's first corner, where every atom lies on one
+        # side and at d = 1 the field at the box's last point equals U
+        place = data.draw(st.sampled_from(["atom", "cutoff", "corner"]), label="place")
+        y = atoms.points[data.draw(st.integers(0, atoms.n - 1), label="atom")]
+        if place == "cutoff":
+            y = y + cutoff * data.draw(st.sampled_from([-1.0, 1.0])) * np.eye(d)[
+                data.draw(st.integers(0, d - 1))]
+        centre = np.zeros(d, int) if place == "corner" else np.searchsorted(axis, y)
+        widths = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)),
+                                    min_size=d, max_size=d))
+        box = tuple((max(0, int(c) - lo), min(axis.size, int(c) + hi))
+                    for c, (lo, hi) in zip(centre, widths))
+        u = wolff._bound(box, axis, coords, float(atoms.masses[0]), s)
+
+        ranges = [slice(i0, i1) for i0, i1 in box]
+        grids = np.meshgrid(*[axis[r] for r in ranges], indexing="ij")
+        keep = wolff._lattice_sum([gap2[r] for r in ranges]) > cutoff * cutoff
+        pts = np.stack([g[keep] for g in grids], axis=-1)
+        if pts.shape[0]:
+            field = eval_brute(atoms, pts, KernelSpec(s=s))
+            assert field.magnitudes().max() <= u * (1.0 + 1e-12)
+        # the atoms are the product lattice coords^d, so the box holds one
+        # when each of its axis ranges holds an atom coordinate
+        holds_atom = all(
+            np.any((coords >= axis[i0]) & (coords <= axis[i1 - 1])) for i0, i1 in box
+        )
+        assert (u == math.inf) == holds_atom
 
 
 def legacy_values(params):
