@@ -25,15 +25,13 @@ from .geometry import (
     containing_cube,
     cube_from_rank,
     cube_position,
-    p_between,
 )
-from .martingale import CellFunction, DecompositionReport, decompose, difference, grouped, lift, project
+from .martingale import CellFunction, DecompositionReport, decompose, project
 from .quadrature import DEFAULT_ATOM_BUDGET, AtomSet, atomize, ball_mass
 from .riesz import (
     KernelSpec,
     VecField,
     eval_brute,
-    kernel,
     l2_norm_sq,
     pairwise_sum,
 )
@@ -63,7 +61,6 @@ from .wolff import (
     capacity_wolff,
     capacity_wolff_from0,
     gamma_plus_lower_bound,
-    halo_grid,
     wolff_discrete_s,
     wolff_potential,
     wolff_potential_s,
@@ -115,17 +112,11 @@ __all__ = [
     "cube_from_rank",
     "cube_position",
     "decompose",
-    "difference",
     "eval_brute",
     "eval_treecode",
     "gamma_plus_lower_bound",
-    "grouped",
-    "halo_grid",
-    "kernel",
     "l2_norm_sq",
     "pairwise_sum",
-    "lift",
-    "p_between",
     "project",
     "sigma",
     "verify_sequence_lemmas",

@@ -35,7 +35,6 @@ __all__ = [
     "build_profile",
     "containing_cube",
     "cube_position",
-    "p_between",
 ]
 
 
@@ -133,14 +132,6 @@ class CubeId:
         if any(c < 0 for c in path):
             raise ParameterError(f"negative corner code in path {path}")
 
-    def parent(self) -> "CubeId":
-        if self.gen == 0:
-            raise DepthError("the root cube has no parent")
-        return CubeId(self.gen - 1, self.path[:-1])
-
-    def child(self, code: int) -> "CubeId":
-        return CubeId(self.gen + 1, self.path + (int(code),))
-
     def flat_rank(self, d: int) -> int:
         """Path-lexicographic rank among generation-`gen` cubes."""
         r = 0
@@ -204,17 +195,6 @@ def build_profile(params: CantorParams) -> DensityProfile:
     gens = np.arange(params.depth + 1)
     theta = 2.0 ** (-gens * params.d) / ell**params.s
     return DensityProfile.from_densities(ell, theta)
-
-
-def p_between(profile: DensityProfile, q: int, r: int) -> float:
-    """Partial potential sum_{k=r..q} theta_k * ell_q / ell_k, for r <= q."""
-    n = profile.depth
-    if not (0 <= r <= q <= n):
-        raise ParameterError(
-            f"p_between needs 0 <= r <= q <= N, got q={q}, r={r}, N={n}"
-        )
-    ell, theta = profile.ell, profile.theta
-    return math.fsum(theta[k] * ell[q] / ell[k] for k in range(r, q + 1))
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ S_j f averages f over generation-j cubes; D_j f = S_(j+1) f - S_j f.  The
 differences telescope to S_N f - S_0 f pointwise and are orthogonal in
 L2(mu), so ||S_N f||^2 = ||S_0 f||^2 + sum_j ||D_j f||^2.
 
-All operators act on atom-resolution samples produced by atomize(): each
+project() and decompose() act on atom-resolution samples from atomize(): each
 generation-j cube is the contiguous run of AtomSet.block_size(j) atoms, so a
 level is one reshape to (2^(jd), block, ...) and a generation-j cell function
 holds one value per cube in path-lex order.  D_j lives on generation j+1,
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthError, ParameterError
-from .geometry import CubeId
+from .errors import ParameterError
 from .quadrature import AtomSet
 from .riesz import pairwise_sum
 
@@ -27,9 +26,6 @@ __all__ = [
     "CellFunction",
     "DecompositionReport",
     "decompose",
-    "difference",
-    "grouped",
-    "lift",
     "project",
 ]
 
@@ -45,13 +41,6 @@ class CellFunction:
         values = np.asarray(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    def value_of(self, cube: CubeId, d: int):
-        if cube.gen != self.gen:
-            raise ParameterError(
-                f"cube generation {cube.gen} does not match function generation {self.gen}"
-            )
-        return self.values[cube.flat_rank(d)]
 
 
 def _as_samples(f, atoms: AtomSet) -> np.ndarray:
@@ -71,23 +60,6 @@ def project(f, atoms: AtomSet, j: int) -> CellFunction:
     if np.asarray(f).ndim == 1:
         vals = vals[:, 0]
     return CellFunction(gen=j, values=vals)
-
-
-def lift(cell: CellFunction, atoms: AtomSet) -> np.ndarray:
-    """Expand a cell function to atom resolution."""
-    bs = atoms.block_size(cell.gen)
-    return np.repeat(cell.values, bs, axis=0)
-
-
-def difference(f, atoms: AtomSet, j: int) -> CellFunction:
-    """D_j f = S_(j+1) f - S_j f, as a generation-(j+1) cell function."""
-    n_gen = atoms.params.depth
-    if not (0 <= j <= n_gen - 1):
-        raise DepthError(f"difference needs 0 <= j <= N-1, got j={j}, N={n_gen}")
-    fine = project(f, atoms, j + 1)
-    coarse = project(f, atoms, j)
-    rep = np.repeat(coarse.values, atoms.params.branching, axis=0)
-    return CellFunction(gen=j + 1, values=fine.values - rep)
 
 
 def _cell_norm_sq(cell: CellFunction, atoms: AtomSet) -> float:
@@ -160,27 +132,4 @@ def decompose(f, atoms: AtomSet) -> DecompositionReport:
         telescope_err=telescope_err,
         parseval_rel_err=parseval_rel,
         d_sups=d_sups,
-    )
-
-
-def grouped(f, atoms: AtomSet, stops) -> np.ndarray:
-    """||T_k f||^2 per stopping interval, via orthogonality of the D_j.
-
-    `stops` is an increasing index sequence s_0 = 0 < ... < s_m; interval k
-    groups differences D_j for s_k <= j < s_(k+1).
-    """
-    seq = [int(v) for v in (stops.s if hasattr(stops, "s") else stops)]
-    n_gen = atoms.params.depth
-    if not seq or seq[0] != 0 or seq[-1] != n_gen or any(
-        b <= a for a, b in zip(seq, seq[1:])
-    ):
-        raise ParameterError(
-            f"stops must increase from 0 to N={n_gen}, got {seq}"
-        )
-    rep = decompose(f, atoms)
-    return np.array(
-        [
-            np.sum(rep.d_norms[a:b], initial=0.0)
-            for a, b in zip(seq, seq[1:])
-        ]
     )

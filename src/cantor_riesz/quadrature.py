@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DepthError, ParameterError, is_int
-from .geometry import CantorParams, CubeId, _child_corners, _point, cube_from_rank
+from .geometry import CantorParams, _child_corners, _point
 
 __all__ = ["AtomSet", "atomize", "ball_mass", "DEFAULT_ATOM_BUDGET"]
 
@@ -77,10 +77,6 @@ class AtomSet:
     def d(self) -> int:
         return self.params.d
 
-    @property
-    def atoms_per_leaf(self) -> int:
-        return self.refine_k**self.params.d
-
     def block_size(self, j: int) -> int:
         """Atoms per generation-j cube, each cube one contiguous run of them."""
         d, n_gen = self.params.d, self.params.depth
@@ -102,23 +98,6 @@ class AtomSet:
         axes = [a for a in range(d) if code >> a & 1]
         dims = [lv * d + d - 1 - a for lv in range(levels) for a in axes]
         return np.flip(index, dims + [levels * d + a for a in axes]).ravel()
-
-    def leaf_of(self, i: int) -> CubeId:
-        """Leaf cube containing atom i, for 0 <= i < n."""
-        if not (is_int(i) and 0 <= i < self.n):
-            raise ParameterError(f"atom index must be an integer in [0, {self.n}), got {i!r}")
-        return cube_from_rank(i // self.atoms_per_leaf, self.params.depth, self.params.d)
-
-    def to_csv(self, path) -> None:
-        header = ",".join([f"x{k}" for k in range(self.d)] + ["mass", "leaf_path"])
-        lines = [header]
-        for i in range(self.n):
-            cells = [format(v, ".17g") for v in self.points[i]]
-            cells.append(format(self.masses[i], ".17g"))
-            cells.append("-".join(str(c) for c in self.leaf_of(i).path))
-            lines.append(",".join(cells))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def atomize(

@@ -33,7 +33,6 @@ __all__ = [
     "KernelSpec",
     "VecField",
     "eval_brute",
-    "kernel",
     "l2_norm_sq",
     "pairwise_sum",
 ]
@@ -99,15 +98,6 @@ def pairwise_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
             nxt = a[evens] + a[odds]
         a, n = nxt, n - n // 2
     return a[lead + (0,)]
-
-
-def kernel(x, s: float) -> np.ndarray:
-    """K(x) = x / |x|^(s+1); raises SingularityError at x = 0."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    nrm = float(np.sqrt((x**2).sum()))
-    if nrm == 0.0:
-        raise SingularityError("kernel evaluated at zero separation")
-    return x / nrm ** (s + 1.0)
 
 
 def _as_targets(targets, atoms: AtomSet, self_exclude: bool) -> np.ndarray:

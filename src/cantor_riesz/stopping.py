@@ -110,10 +110,6 @@ class StopSet:
                     f"interval {i} has kind {kind!r}; exactly the last must be terminal"
                 )
 
-    @property
-    def num_intervals(self) -> int:
-        return len(self.s) - 1
-
     def intervals(self) -> tuple[tuple[int, int], ...]:
         """Half-open index ranges [s_k, s_{k+1})."""
         return tuple(zip(self.s, self.s[1:]))

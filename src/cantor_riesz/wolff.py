@@ -62,7 +62,6 @@ __all__ = [
     "capacity_wolff",
     "capacity_wolff_from0",
     "gamma_plus_lower_bound",
-    "halo_grid",
     "wolff_discrete_s",
     "wolff_potential",
     "wolff_potential_s",
@@ -106,7 +105,7 @@ class WolffParams:
         return cls(alpha=(2.0 / 3.0) * (d - s), p=1.5, d=d)
 
 
-def _cover_radius(d: int, x: np.ndarray) -> float:
+def _cover_radius(x: np.ndarray) -> float:
     """Distance from x to the farthest corner of the unit cube."""
     far = np.maximum(np.abs(x), np.abs(x - 1.0))
     return float(np.sqrt((far**2).sum()))
@@ -146,7 +145,7 @@ def _shell_sum(
     analytic tails.
     """
     d = params.d
-    r_hi = max(2.0 * math.sqrt(d), _cover_radius(d, x))
+    r_hi = max(2.0 * math.sqrt(d), _cover_radius(x))
     r_min = params.leaf_side * 2.0**-10
     mids, widths = _shell_grid(r_hi, r_min, shells_per_octave)
     masses = ball_mass(params, x, mids)
@@ -257,12 +256,6 @@ def _halo_axis(params: CantorParams, spec: HaloGridSpec) -> np.ndarray:
         )
     step = span / per_axis
     return -spec.extent + (np.arange(per_axis) + 0.5) * step
-
-
-def halo_grid(params: CantorParams, spec: HaloGridSpec) -> np.ndarray:
-    """Materialize the halo grid points, budget-checked."""
-    grids = np.meshgrid(*([_halo_axis(params, spec)] * params.d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)

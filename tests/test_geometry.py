@@ -16,7 +16,6 @@ from cantor_riesz import (
     containing_cube,
     cube_from_rank,
     cube_position,
-    p_between,
 )
 from cantor_riesz.geometry import _child_corners, _corner_bits
 
@@ -110,32 +109,8 @@ class TestProfile:
         with pytest.raises(ValueError):
             profile_small.theta[0] = 2.0
 
-    def test_p_between_full_range_is_p(self, profile_mixed):
-        for q in range(profile_mixed.depth + 1):
-            assert p_between(profile_mixed, q, 0) == pytest.approx(
-                profile_mixed.p[q], rel=1e-14
-            )
-
-    def test_p_between_single_term(self, profile_mixed):
-        assert p_between(profile_mixed, 3, 3) == pytest.approx(
-            profile_mixed.theta[3], rel=1e-15
-        )
-
-    def test_p_between_bad_range(self, profile_mixed):
-        with pytest.raises(ParameterError):
-            p_between(profile_mixed, 1, 2)
-        with pytest.raises(ParameterError):
-            p_between(profile_mixed, 9, 0)
-
 
 class TestCubeAddressing:
-    def test_parent_child(self):
-        c = CubeId(2, (1, 0))
-        assert c.child(3).path == (1, 0, 3)
-        assert c.parent().path == (1,)
-        with pytest.raises(DepthError):
-            CubeId(0, ()).parent()
-
     def test_bad_ids(self):
         with pytest.raises(ParameterError):
             CubeId(2, (0,))

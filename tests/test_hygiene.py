@@ -6,6 +6,7 @@ definition moved away -- fails here instead of lingering.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -118,3 +119,23 @@ def test_script_has_a_test(script):
     here = Path(__file__)
     texts = (p.read_text(encoding="utf-8") for p in here.parent.glob("*.py") if p != here)
     assert any(script.name in text for text in texts), f"no test names {script.name}"
+
+
+def test_every_export_is_used():
+    """Each public name is read by code outside the package __init__: a module,
+    a script, a bench file or the README's python blocks.
+
+    Only Name and Attribute nodes count, so __all__ strings, import lines,
+    docstrings and comments do not keep a name alive.
+    """
+    root = Path(__file__).parents[1]
+    paths = [p for p in MODULES if p.name != "__init__.py"] + SCRIPTS
+    trees = [_tree(p) for p in paths + sorted((root / "bench").glob("*.py"))]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    trees += [ast.parse(block) for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)]
+    used = set()
+    for tree in trees:
+        used |= _read_names(tree)
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unused = sorted(set(cantor_riesz.__all__) - used)
+    assert not unused, f"public names nothing outside __init__ reads: {unused}"

@@ -8,17 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantor_riesz import (
+    AtomSet,
     CantorParams,
     CellFunction,
-    CubeId,
     DecompositionReport,
     DepthError,
     ParameterError,
     atomize,
     decompose,
-    difference,
-    grouped,
-    lift,
     project,
 )
 from cantor_riesz.martingale import _as_samples
@@ -60,27 +57,18 @@ class TestProjectLift:
     def test_idempotent(self, atoms, rng):
         f = random_samples(atoms, rng)
         once = project(f, atoms, 1)
-        twice = project(lift(once, atoms), atoms, 1)
+        twice = project(np.repeat(once.values, atoms.block_size(1)), atoms, 1)
         np.testing.assert_allclose(twice.values, once.values, rtol=1e-13)
 
-    def test_lift_shape_vector_valued(self, atoms, rng):
+    def test_project_shape_vector_valued(self, atoms, rng):
         f = random_samples(atoms, rng, cols=2)
         cell = project(f, atoms, 1)
         assert cell.values.shape == (2, 2)
-        assert lift(cell, atoms).shape == (atoms.n, 2)
 
     def test_averaging_is_contraction(self, atoms, rng):
         f = random_samples(atoms, rng)
         cell = project(f, atoms, 1)
         assert np.abs(cell.values).max() <= np.abs(f).max() + 1e-12
-
-    def test_value_of(self, atoms, rng):
-        f = random_samples(atoms, rng)
-        cell = project(f, atoms, 2)
-        cube = CubeId(2, (1, 0))
-        assert cell.value_of(cube, d=1) == cell.values[2]
-        with pytest.raises(ParameterError):
-            cell.value_of(CubeId(1, (0,)), d=1)
 
     def test_depth_guard(self, atoms, rng):
         f = random_samples(atoms, rng)
@@ -94,19 +82,17 @@ class TestProjectLift:
             project(np.ones(5), atoms, 1)
 
 
-class TestDifference:
-    def test_mean_zero_on_parent(self, atoms, rng):
-        # each D_j f integrates to zero over every generation-j cube
-        f = random_samples(atoms, rng)
-        for j in range(atoms.params.depth):
-            d_j = lift(difference(f, atoms, j), atoms)
-            per_parent = (atoms.masses * d_j).reshape(2**j, -1).sum(axis=1)
-            assert np.abs(per_parent).max() < 1e-15
-
-    def test_depth_guard(self, atoms, rng):
-        f = random_samples(atoms, rng)
-        with pytest.raises(DepthError):
-            difference(f, atoms, atoms.params.depth)
+# martingale.difference as it was before it was retired (decompose forms the
+# same layers inline), kept verbatim as the bitwise reference for d_sups.
+def difference(f, atoms: AtomSet, j: int) -> CellFunction:
+    """D_j f = S_(j+1) f - S_j f, as a generation-(j+1) cell function."""
+    n_gen = atoms.params.depth
+    if not (0 <= j <= n_gen - 1):
+        raise DepthError(f"difference needs 0 <= j <= N-1, got j={j}, N={n_gen}")
+    fine = project(f, atoms, j + 1)
+    coarse = project(f, atoms, j)
+    rep = np.repeat(coarse.values, atoms.params.branching, axis=0)
+    return CellFunction(gen=j + 1, values=fine.values - rep)
 
 
 class TestDecompose:
@@ -167,32 +153,6 @@ class TestDecompose:
         assert rep.s0_norm >= 0.0 and rep.sN_norm >= 0.0
 
 
-class TestGrouped:
-    def test_blocks_sum_to_total(self, atoms, rng):
-        f = random_samples(atoms, rng)
-        rep = decompose(f, atoms)
-        blocks = grouped(f, atoms, (0, 2, 3))
-        assert blocks.shape == (2,)
-        assert blocks.sum() == pytest.approx(sum(rep.d_norms), rel=1e-12)
-        np.testing.assert_allclose(
-            blocks, [rep.d_norms[0] + rep.d_norms[1], rep.d_norms[2]], rtol=1e-12
-        )
-
-    def test_accepts_stop_like_objects(self, atoms, rng):
-        class FakeStops:
-            s = (0, 1, 3)
-
-        f = random_samples(atoms, rng)
-        a = grouped(f, atoms, FakeStops())
-        b = grouped(f, atoms, (0, 1, 3))
-        np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("bad", [(), (0,), (1, 3), (0, 2), (0, 2, 2, 3), (0, 3, 2)])
-    def test_rejects_bad_partitions(self, atoms, rng, bad):
-        with pytest.raises(ParameterError):
-            grouped(random_samples(atoms, rng), atoms, bad)
-
-
 # --- decompose() as it was before it moved its Gram matrix and telescope
 # residual to leaf-cube resolution, kept verbatim (with the helpers it
 # called) as the reference for the tests below.
@@ -203,7 +163,7 @@ def _blocks(atoms, j: int) -> int:
     d, n_gen = atoms.params.d, atoms.params.depth
     if not (0 <= j <= n_gen):
         raise DepthError(f"generation {j} outside [0, {n_gen}]")
-    expected = (1 << (d * n_gen)) * atoms.atoms_per_leaf
+    expected = (1 << (d * n_gen)) * atoms.refine_k**d
     if atoms.n != expected:
         raise ParameterError(
             "atom set is not a full canonical atomization of the leaf grid"

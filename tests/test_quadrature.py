@@ -178,7 +178,7 @@ class TestAtomize:
     def test_counts_and_masses(self, params_small):
         atoms = atomize(params_small, refine_k=3)
         assert atoms.n == 2**4 * 3
-        assert atoms.atoms_per_leaf == 3
+        assert atoms.block_size(atoms.params.depth) == 3
         np.testing.assert_allclose(atoms.masses, 2.0**-4 / 3)
         assert atoms.masses.sum() == pytest.approx(1.0, rel=1e-14)
 
@@ -194,7 +194,7 @@ class TestAtomize:
         for i in range(0, atoms.n, 7):
             cube = containing_cube(params_mixed, atoms.points[i], depth)
             assert cube is not None
-            assert atoms.leaf_of(i) == cube
+            assert cube_from_rank(i // 2**params_mixed.d, depth, params_mixed.d) == cube
 
     def test_two_atom_positions(self):
         # one generation at ratio 1/4, one atom per leaf: centers of [0, .25]
@@ -205,7 +205,8 @@ class TestAtomize:
 
     def test_leaf_order_is_path_lexicographic(self, params_small):
         atoms = atomize(params_small, refine_k=2)
-        ranks = np.array([atoms.leaf_of(i).flat_rank(1) for i in range(atoms.n)])
+        ranks = np.array([cube_from_rank(i // 2, params_small.depth, 1).flat_rank(1)
+                          for i in range(atoms.n)])
         assert np.all(np.diff(ranks) >= 0)
         # within a leaf the sub-grid is row-major, hence increasing in x
         first = atoms.points[ranks == 0]
@@ -252,17 +253,6 @@ class TestAtomize:
     def test_arrays_frozen(self, atoms_small):
         with pytest.raises(ValueError):
             atoms_small.points[0, 0] = 9.0
-
-    def test_csv_round_trip(self, atoms_small, tmp_path):
-        path = tmp_path / "atoms.csv"
-        atoms_small.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x0,mass,leaf_path"
-        assert len(lines) == atoms_small.n + 1
-        x0, mass, leaf = lines[1].split(",")
-        assert float(x0) == atoms_small.points[0, 0]
-        assert float(mass) == atoms_small.masses[0]
-        assert leaf == "0-0-0-0"
 
 
 class TestBallMass:
@@ -485,12 +475,6 @@ class TestAtomSetValue:
         assert len({a, b, atomize(params_small, 3)}) == 2
         assert a != atomize(CantorParams(d=1, s=0.5, lam=(0.25,) * 3), 2)
 
-    def test_leaf_of_range(self, atoms_small):
-        assert atoms_small.leaf_of(atoms_small.n - 1).path == (1, 1, 1, 1)
-        for bad in (-1, atoms_small.n, 1.0):
-            with pytest.raises(ParameterError, match="atom index"):
-                atoms_small.leaf_of(bad)
-
 
 class TestReflection:
     """The mirror-image permutation of a cube's atoms."""
@@ -521,7 +505,8 @@ class TestBlockSize:
     @pytest.mark.parametrize("d, refine_k", [(1, 3), (2, 2), (3, 1)])
     def test_contiguous_cube_runs(self, d, refine_k):
         atoms = atomize(CantorParams(d=d, s=0.5, lam=(0.25, 0.3)), refine_k=refine_k)
-        ranks = np.array([atoms.leaf_of(i).flat_rank(d) for i in range(atoms.n)])
+        ranks = np.array([cube_from_rank(i // refine_k**d, 2, d).flat_rank(d)
+                          for i in range(atoms.n)])
         for j in range(3):
             bs = atoms.block_size(j)
             assert bs * 2 ** (j * d) == atoms.n

@@ -113,7 +113,6 @@ class TestStopSet:
     def test_intervals(self):
         ss = StopSet(s=(0, 2, 5), kinds=(KIND_ID, KIND_TERMINAL), n=5)
         assert ss.intervals() == ((0, 2), (2, 5))
-        assert ss.num_intervals == 2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -638,7 +637,7 @@ class TestLemnabKernel:
                             or kernel(px, ms, tx, *a))
         verify_transform_lemmas(atoms, rep, cls)
         assert len(pairs) == depth
-        leaf = atoms.atoms_per_leaf
+        leaf = atoms.refine_k**d
         assert sum(pairs) * (2**d + 1) == atoms.n**2 - leaf**2
 
     def test_memory_is_one_chunk(self):

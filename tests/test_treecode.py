@@ -226,7 +226,7 @@ class _Tree:
 
 def _build_tree(atoms: AtomSet, leaf_cap: int) -> _Tree:
     pts, ms = atoms.points, atoms.masses
-    per_leaf = atoms.atoms_per_leaf
+    per_leaf = atoms.refine_k**atoms.d
     branch = atoms.params.branching
     d = atoms.d
 

@@ -34,7 +34,6 @@ from cantor_riesz import (
     capacity_wolff_from0,
     eval_brute,
     gamma_plus_lower_bound,
-    halo_grid,
     wolff_discrete_s,
     wolff_potential,
     wolff_potential_s,
@@ -55,9 +54,15 @@ def keep_mask(grid, atoms, cutoff):
     return total > cutoff * cutoff
 
 
+def halo_lattice(params, spec):
+    """Every point of the halo lattice, one row each in ij order."""
+    grids = np.meshgrid(*([wolff._halo_axis(params, spec)] * params.d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def lattice_keep_mask(params, spec, atoms, cutoff):
     """The same rule as gamma_plus_lower_bound applies it, over the whole halo
-    lattice, in the row order of halo_grid."""
+    lattice, in the row order of halo_lattice."""
     gap2 = wolff._gap2(wolff._halo_axis(params, spec), np.unique(atoms.points))
     return (wolff._lattice_sum([gap2] * params.d) > cutoff * cutoff).ravel()
 
@@ -118,7 +123,8 @@ def _drop_near_atoms(grid: np.ndarray, atoms: AtomSet, cutoff: float) -> np.ndar
 
 
 # The full-grid gamma_plus_lower_bound that the bound-and-prune search
-# replaced, kept verbatim (renamed, with _drop_near_atoms above) as its reference.
+# replaced, kept verbatim (renamed, with _drop_near_atoms above, and with the
+# retired halo_grid read as halo_lattice) as its reference.
 def full_grid_gamma_plus_lower_bound(
     atoms: AtomSet, halo_spec: HaloGridSpec | None = None
 ) -> GammaPlusEstimate:
@@ -131,7 +137,7 @@ def full_grid_gamma_plus_lower_bound(
     params = atoms.params
     spec_h = halo_spec if halo_spec is not None else HaloGridSpec()
     kspec = KernelSpec(s=params.s, eps=0.0)
-    grid = halo_grid(params, spec_h)  # refuse an over-budget grid before any field work
+    grid = halo_lattice(params, spec_h)  # refuse an over-budget grid before any field work
     at_atoms = eval_brute(atoms, atoms.points, kspec, self_exclude=True)
     sup_atoms = float(at_atoms.magnitudes().max())
     grid = _drop_near_atoms(grid, atoms, 0.5 * params.leaf_side / max(1, atoms.refine_k))
@@ -334,28 +340,28 @@ class TestCapacity:
 
 class TestHaloGrid:
     def test_default_spacing_is_half_leaf(self, params_small):
-        grid = halo_grid(params_small, HaloGridSpec())
+        axis = wolff._halo_axis(params_small, HaloGridSpec())
         # span 2.0, leaf side 0.25^4, spacing = side/2 -> 1024 cells
-        assert grid.shape == (1024, 1)
-        assert grid[0, 0] == pytest.approx(-0.5 + 0.5 * (2.0 / 1024))
-        assert grid[-1, 0] == pytest.approx(1.5 - 0.5 * (2.0 / 1024))
+        assert axis.shape == (1024,)
+        assert axis[0] == pytest.approx(-0.5 + 0.5 * (2.0 / 1024))
+        assert axis[-1] == pytest.approx(1.5 - 0.5 * (2.0 / 1024))
 
     def test_explicit_spacing(self):
         params = CantorParams(d=1, s=0.5, lam=(0.25,))
-        grid = halo_grid(params, HaloGridSpec(extent=0.5, spacing=0.5))
-        np.testing.assert_allclose(grid[:, 0], [-0.25, 0.25, 0.75, 1.25])
+        axis = wolff._halo_axis(params, HaloGridSpec(extent=0.5, spacing=0.5))
+        np.testing.assert_allclose(axis, [-0.25, 0.25, 0.75, 1.25])
 
     def test_plane_grid_is_square(self):
         params = CantorParams(d=2, s=1.0, lam=(0.25,))
-        grid = halo_grid(params, HaloGridSpec(spacing=0.1))
+        grid = halo_lattice(params, HaloGridSpec(spacing=0.1))
         assert grid.shape == (400, 2)
         assert grid.min() > -0.5 and grid.max() < 1.5
 
     def test_budget_guard(self):
         params = CantorParams(d=1, s=0.5)
         spec = HaloGridSpec(spacing=1.0 / DEFAULT_ATOM_BUDGET)
-        with pytest.raises(BudgetError):
-            halo_grid(params, spec)
+        with pytest.raises(BudgetError, match="halo grid would need"):
+            wolff._halo_axis(params, spec)
 
     @pytest.mark.parametrize("kwargs", [
         dict(extent=0.0), dict(extent=-1.0), dict(spacing=0.0), dict(spacing=-0.5),
@@ -370,7 +376,7 @@ class TestHaloGrid:
     def test_infinite_cell_count_is_over_budget(self, kwargs):
         # both overflow span / spacing to inf (OverflowError in math.ceil before)
         with pytest.raises(BudgetError, match="inf"):
-            halo_grid(CantorParams(d=2, s=1.0, lam=(0.25,)), HaloGridSpec(**kwargs))
+            wolff._halo_axis(CantorParams(d=2, s=1.0, lam=(0.25,)), HaloGridSpec(**kwargs))
 
     def test_drop_near_atoms(self, atoms_small):
         grid = np.concatenate([atoms_small.points[:3], [[5.0]]])
@@ -386,7 +392,7 @@ class TestHaloGrid:
         base = atoms.points[::3]
         at_cut = base + cutoff * np.eye(d)[rng.integers(0, d, len(base))]
         grid = np.concatenate([
-            halo_grid(params, HaloGridSpec(extent=0.1, spacing=2.0**-4)),
+            halo_lattice(params, HaloGridSpec(extent=0.1, spacing=2.0**-4)),
             at_cut,
             at_cut - 2.0**-30,  # just inside the cutoff
             rng.uniform(-0.1, 1.1, size=(500, d)),
@@ -412,7 +418,7 @@ class TestPerAxisFilterMatchesLegacy:
         for case in cases:
             params = CantorParams(d=config.d, s=config.s, lam=case.lam)
             atoms = atomize(params, config.refine_k)
-            grid = halo_grid(params, HaloGridSpec())
+            grid = halo_lattice(params, HaloGridSpec())
             got = grid[lattice_keep_mask(params, HaloGridSpec(), atoms, self.cutoff(atoms))]
             want = legacy_drop_near_atoms(grid, atoms, self.cutoff(atoms))
             assert got.shape[0] < grid.shape[0]
@@ -430,7 +436,7 @@ class TestPerAxisFilterMatchesLegacy:
         step = np.eye(d)[rng.integers(0, d, len(base))] * rng.choice([-1.0, 1.0], (len(base), 1))
         at_cut = base + cutoff * step
         grid = np.concatenate([
-            halo_grid(params, HaloGridSpec(extent=0.1, spacing=max(0.5 * params.leaf_side, 0.02))),
+            halo_lattice(params, HaloGridSpec(extent=0.1, spacing=max(0.5 * params.leaf_side, 0.02))),
             at_cut,
             at_cut - 2.0**-40 * step,  # just inside the cutoff
             base + rng.normal(0.0, cutoff, base.shape),
