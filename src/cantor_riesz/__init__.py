@@ -19,11 +19,9 @@ from .errors import (
 )
 from .geometry import (
     CantorParams,
-    CubeId,
     DensityProfile,
     build_profile,
     containing_cube,
-    cube_from_rank,
     cube_position,
 )
 from .martingale import CellFunction, DecompositionReport, decompose, project
@@ -74,7 +72,6 @@ __all__ = [
     "CellFunction",
     "Classification",
     "ConfigError",
-    "CubeId",
     "DecompositionReport",
     "DEFAULT_ATOM_BUDGET",
     "DensityProfile",
@@ -109,7 +106,6 @@ __all__ = [
     "classify",
     "compute_stops",
     "containing_cube",
-    "cube_from_rank",
     "cube_position",
     "decompose",
     "eval_brute",

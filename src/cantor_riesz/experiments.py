@@ -20,9 +20,7 @@ import numpy as np
 from ._version import __version__
 from .config import ExperimentConfig
 from .errors import BudgetError, ConfigError
-from .geometry import (
-    CantorParams, DensityProfile, build_profile, cube_from_rank, cube_position,
-)
+from .geometry import CantorParams, DensityProfile, build_profile, cube_position
 from .martingale import decompose
 from .quadrature import atomize
 from .riesz import KernelSpec, eval_brute, l2_norm_sq
@@ -305,8 +303,7 @@ def _sample_points(params: CantorParams, count: int) -> list[np.ndarray]:
     count = min(count, n_leaves)
     points = []
     for i in range(count):
-        rank = (i * n_leaves) // count
-        corner, side = cube_position(params, cube_from_rank(rank, params.depth, params.d))
+        corner, side = cube_position(params, params.depth, (i * n_leaves) // count)
         points.append(corner + 0.5 * side)
     return points
 

@@ -4,6 +4,9 @@ The generation-n set consists of 2^(n*d) closed cubes of side
 ell_n = lam_1 * ... * lam_n.  Each cube of generation n-1 spawns one child
 in each of its 2^d corners, so a child is addressed by a corner code in
 [0, 2^d) whose bit k selects the low or high corner along coordinate k.
+A cube's address is its generation n and its path-lex rank in
+[0, 2^(n*d)): the rank's base-2^d digits, most significant first, are the
+corner codes from the root down.
 The natural measure puts mass 2^(-n*d) on every generation-n cube; its
 s-density at that scale is theta_n = 2^(-n*d) / ell_n^s, and the
 ancestor-weighted potential of scale j is
@@ -30,7 +33,6 @@ from .errors import DepthError, ParameterError, is_int
 
 __all__ = [
     "CantorParams",
-    "CubeId",
     "DensityProfile",
     "build_profile",
     "containing_cube",
@@ -116,45 +118,6 @@ class CantorParams:
 
 
 @dataclass(frozen=True)
-class CubeId:
-    """Address of a generation-`gen` cube: corner codes from the root down."""
-
-    gen: int
-    path: tuple[int, ...]
-
-    def __post_init__(self):
-        path = tuple(int(c) for c in self.path)
-        object.__setattr__(self, "path", path)
-        if self.gen != len(path):
-            raise ParameterError(
-                f"cube generation {self.gen} does not match path length {len(path)}"
-            )
-        if any(c < 0 for c in path):
-            raise ParameterError(f"negative corner code in path {path}")
-
-    def flat_rank(self, d: int) -> int:
-        """Path-lexicographic rank among generation-`gen` cubes."""
-        r = 0
-        for c in self.path:
-            if c >> d:
-                raise ParameterError(f"corner code {c} out of range for d={d}")
-            r = (r << d) | c
-        return r
-
-
-def cube_from_rank(rank: int, gen: int, d: int) -> CubeId:
-    """Inverse of CubeId.flat_rank."""
-    if rank < 0 or rank >= 1 << (d * gen):
-        raise ParameterError(f"rank {rank} out of range for generation {gen}")
-    mask = (1 << d) - 1
-    digits = []
-    for _ in range(gen):
-        digits.append(rank & mask)
-        rank >>= d
-    return CubeId(gen, tuple(reversed(digits)))
-
-
-@dataclass(frozen=True)
 class DensityProfile:
     """Side lengths, densities, and potentials for generations 0..N."""
 
@@ -220,41 +183,46 @@ def _child_corners(corners: np.ndarray, ell, g: int) -> np.ndarray:
     return (corners[:, None] + _corner_bits(d) * (ell[g] - ell[g + 1])).reshape(-1, d)
 
 
-def cube_position(params: CantorParams, cube: CubeId) -> tuple[np.ndarray, float]:
-    """Lower-left corner and side length of a cube, or raise DepthError."""
-    if cube.gen > params.depth:
-        raise DepthError(
-            f"cube generation {cube.gen} exceeds construction depth {params.depth}"
-        )
-    d, corner = params.d, np.zeros((1, params.d))
-    for g, code in enumerate(cube.path):
-        if code >> d:
-            raise ParameterError(f"corner code {code} out of range for d={d}")
-        corner = _child_corners(corner, params.ell, g)[code, None]
-    return corner[0], params.ell[cube.gen]
+def _check_gen(params: CantorParams, gen: int) -> None:
+    if not (is_int(gen) and 0 <= gen <= params.depth):
+        raise DepthError(f"generation {gen!r} outside [0, {params.depth}]")
 
 
-def containing_cube(params: CantorParams, x, n: int) -> CubeId | None:
-    """Generation-n cube whose closed region contains x, or None.
+def cube_position(params: CantorParams, gen: int, rank: int) -> tuple[np.ndarray, float]:
+    """Lower-left corner and side length of the generation-gen cube of path-lex rank `rank`.
 
-    Points on a shared face resolve to the lexicographically smallest path.
+    A generation outside [0, N] raises DepthError, a rank outside
+    [0, 2^(gen*d)) ParameterError.
     """
-    if n > params.depth:
-        raise DepthError(
-            f"generation {n} exceeds construction depth {params.depth}"
-        )
+    _check_gen(params, gen)
+    if not (is_int(rank) and 0 <= rank < params.num_cubes(gen)):
+        raise ParameterError(f"rank {rank!r} is not an int in [0, 2^({gen}*{params.d}))")
+    d, corner = params.d, np.zeros((1, params.d))
+    for g in range(gen):
+        code = (rank >> (d * (gen - 1 - g))) & (params.branching - 1)
+        corner = _child_corners(corner, params.ell, g)[code, None]
+    return corner[0], params.ell[gen]
+
+
+def containing_cube(params: CantorParams, x, n: int) -> int | None:
+    """Path-lex rank of the generation-n cube whose closed region contains x, or None.
+
+    Points on a shared face resolve to the smallest rank.  A generation
+    outside [0, N] raises DepthError.
+    """
+    _check_gen(params, n)
     x = _point(x, params.d)
     if not np.all((0.0 <= x) & (x <= 1.0)):
         return None
     ell, weights = params.ell, 1 << np.arange(params.d)
     corner = np.zeros(params.d)
-    path = []
+    rank = 0
     for i in range(n):
         step = ell[i] - ell[i + 1]
         low = (corner <= x) & (x <= corner + ell[i + 1])
         high = ~low & (corner + step <= x) & (x <= corner + ell[i])
         if not np.all(low | high):
             return None
-        path.append(int(weights @ high))
+        rank = (rank << params.d) | int(weights @ high)
         corner = np.where(high, corner + step, corner)
-    return CubeId(n, tuple(path))
+    return rank

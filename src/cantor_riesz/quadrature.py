@@ -11,6 +11,7 @@ a whole array of radii.  Both build cube corners with geometry's child-corner st
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,19 @@ def atomize(
             f"atomize would create {n_atoms} atoms, exceeding budget {budget}"
         )
     return AtomSet(params, refine_k)
+
+
+def _far_corner_sq(x: np.ndarray) -> float:
+    """Squared distance from x to the farthest corner of the unit cube, or raise
+    ParameterError when it is not finite.  Every box of the set lies in the unit
+    cube, so this bounds every squared distance that a descent from x forms."""
+    far = np.maximum(np.abs(x), np.abs(x - 1.0))
+    with np.errstate(over="ignore"):
+        far2 = float((far**2).sum())
+    if not math.isfinite(far2):
+        raise ParameterError(f"point must be finite, and so must its squared distance "
+                             f"to the unit cube's far corner, got {x}")
+    return far2
 
 
 def _box_near_far_sq(corners: np.ndarray, side: float, x: np.ndarray):
@@ -220,7 +234,8 @@ def ball_mass(
     """mu(closed ball B(x, r)) for the depth-N measure.
 
     r may be one radius (a float is returned) or an array of radii (an
-    array of masses is returned); a non-finite x raises ParameterError.  All
+    array of masses is returned); an x that is not finite, or whose squared
+    distance to the unit cube overflows, raises ParameterError.  All
     radii share one descent: a cube is kept while the sphere of at least one
     radius straddles it, with a per-radius live mask, and each radius reads
     exactly the cubes it alone would have visited, so the masses equal
@@ -237,8 +252,7 @@ def ball_mass(
         raise ParameterError(f"ball radius must be positive, got {r}")
     d, n_gen, ell = params.d, params.depth, params.ell
     x = _point(x, d)
-    if not np.all(np.isfinite(x)):
-        raise ParameterError(f"point must be finite, got {x}")
+    _far_corner_sq(x)
     if d > 3:
         raise BudgetError(f"ball volume has no exact rule in d = {d}; it has one for d <= 3")
     r2 = radii * radii

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError, is_int, is_real
 from .geometry import CantorParams, _point, build_profile, containing_cube
-from .quadrature import DEFAULT_ATOM_BUDGET, AtomSet, ball_mass
+from .quadrature import DEFAULT_ATOM_BUDGET, AtomSet, _far_corner_sq, ball_mass
 from .riesz import KernelSpec, eval_brute
 
 __all__ = [
@@ -105,12 +105,6 @@ class WolffParams:
         return cls(alpha=(2.0 / 3.0) * (d - s), p=1.5, d=d)
 
 
-def _cover_radius(x: np.ndarray) -> float:
-    """Distance from x to the farthest corner of the unit cube."""
-    far = np.maximum(np.abs(x), np.abs(x - 1.0))
-    return float(np.sqrt((far**2).sum()))
-
-
 def _shell_grid(
     r_hi: float, r_min: float, shells_per_octave: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +118,12 @@ def _shell_grid(
         raise ParameterError(
             f"shells_per_octave must be an integer >= 1, got {shells_per_octave!r}"
         )
-    octaves = math.log2(r_hi / r_min)
-    count = max(1, math.ceil(octaves * shells_per_octave))
+    octaves = math.log2(r_hi / r_min)  # >= 11: r_hi >= 2 and r_min <= 2^-10
+    # the cap keeps a huge int out of the float product; a capped count is over budget anyway
+    count = max(1, math.ceil(octaves * min(shells_per_octave, DEFAULT_ATOM_BUDGET + 1)))
+    if count > DEFAULT_ATOM_BUDGET:
+        raise BudgetError(f"shell grid would need over {DEFAULT_ATOM_BUDGET} shells "
+                          f"for {octaves:.3g} octaves; pass fewer shells per octave")
     edges = np.log2(r_hi) - np.arange(count + 1) / shells_per_octave
     edges[-1] = math.log2(r_min)
     if edges[-1] > edges[-2]:  # trimmed shell must keep positive width
@@ -145,7 +143,7 @@ def _shell_sum(
     analytic tails.
     """
     d = params.d
-    r_hi = max(2.0 * math.sqrt(d), _cover_radius(x))
+    r_hi = max(2.0 * math.sqrt(d), math.sqrt(_far_corner_sq(x)))
     r_min = params.leaf_side * 2.0**-10
     mids, widths = _shell_grid(r_hi, r_min, shells_per_octave)
     masses = ball_mass(params, x, mids)
@@ -162,8 +160,7 @@ def _potential(
 ) -> float:
     """int (mu(B(x,r))/r^exponent)^power dr/r: shell sum plus analytic tails."""
     pt = _point(x, params.d)
-    if not np.all(np.isfinite(pt)):
-        raise ParameterError(f"point must be finite, got {pt}")
+    _far_corner_sq(pt)  # refuses the point before any shell is set up
     total, r_hi, r_min = _shell_sum(params, pt, exponent, power, shells_per_octave)
     total += r_hi ** (-exponent * power) / (exponent * power)
     if containing_cube(params, pt, params.depth) is not None:

@@ -14,9 +14,12 @@ import math
 import numpy as np
 import pytest
 
-from cantor_riesz import CantorParams, KernelSpec, atomize, build_profile, eval_brute, l2_norm_sq
+from cantor_riesz import (
+    CantorParams, KernelSpec, atomize, build_profile, containing_cube, eval_brute, l2_norm_sq,
+)
 from cantor_riesz.config import ExperimentConfig, LambdaSpec, TreeSettings
 from cantor_riesz import experiments as ex
+from cantor_riesz import wolff
 
 
 def make_config(**kw):
@@ -232,6 +235,24 @@ class TestWolffReport:
         params = CantorParams(d=1, s=0.5, lam=(0.25,))
         pts = ex._sample_points(params, 50)
         assert len(pts) == 2
+
+    @pytest.mark.parametrize("d, depth, count", [(1, 5, 12), (2, 3, 7), (3, 2, 20)])
+    def test_samples_are_strided_leaf_centres(self, d, depth, count):
+        rng = np.random.default_rng(d)
+        params = CantorParams(d=d, s=0.5 * d, lam=tuple(rng.uniform(0.1, 0.45, depth)))
+        centres = atomize(params, refine_k=1).points  # one atom per leaf, at its centre
+        pts = ex._sample_points(params, count)
+        assert len(pts) == count
+        for i, x in enumerate(pts):
+            rank = (i * len(centres)) // count
+            assert np.array_equal(x, centres[rank])
+            found = containing_cube(params, x, depth)
+            assert type(found) is int and found == rank
+
+    def test_shell_budget_skips_the_case(self, monkeypatch):
+        monkeypatch.setattr(wolff, "DEFAULT_ATOM_BUDGET", 100)
+        (rec,) = ex.run_wolff_report(make_config(depths=(3,), wolff_shells_per_octave=50))["cases"]
+        assert rec["skipped"] and "shell grid would need" in rec["skip_reason"]
 
 
 class TestCapacityReport:

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from cantor_riesz import (
     CantorParams,
-    CubeId,
     DepthError,
     ParameterError,
     build_profile,
     containing_cube,
-    cube_from_rank,
     cube_position,
 )
 from cantor_riesz.geometry import _child_corners, _corner_bits
@@ -111,58 +109,63 @@ class TestProfile:
 
 
 class TestCubeAddressing:
-    def test_bad_ids(self):
+    def test_rank_out_of_range(self, params_small, params_plane):
         with pytest.raises(ParameterError):
-            CubeId(2, (0,))
+            cube_position(params_plane, 2, 16)
         with pytest.raises(ParameterError):
-            CubeId(1, (-1,))
-        with pytest.raises(ParameterError):
-            CubeId(1, (4,)).flat_rank(d=2)
+            cube_position(params_small, 1, -1)
 
-    @given(rank=st.integers(min_value=0, max_value=4**5 - 1))
-    def test_rank_round_trip(self, rank):
-        cube = cube_from_rank(rank, gen=5, d=2)
-        assert cube.flat_rank(d=2) == rank
+    def test_rank_must_be_a_python_int(self, params_small):
+        # a numpy rank would wrap once gen * d passes 63 bits
+        for rank in (np.int64(1), 1.0, True):
+            with pytest.raises(ParameterError, match="is not an int"):
+                cube_position(params_small, 1, rank)
 
-    def test_rank_out_of_range(self):
-        with pytest.raises(ParameterError):
-            cube_from_rank(16, gen=2, d=2)
-        with pytest.raises(ParameterError):
-            cube_from_rank(-1, gen=1, d=1)
+    @pytest.mark.parametrize("rank", [(1 << 66) - 1, 0b10 << 64 | 0b01], ids=["last", "mixed"])
+    def test_ranks_past_64_bits(self, rank):
+        params = CantorParams(d=2, s=1.0, lam=(0.45,) * 33)
+        corner, side = cube_position(params, 33, rank)
+        assert np.array_equal(corner, legacy_cube_position(params, 33, rank)[0])
+        assert containing_cube(params, corner + 0.5 * side, 33) == rank
 
     def test_positions_interval(self, params_small):
-        corner, side = cube_position(params_small, CubeId(1, (1,)))
+        corner, side = cube_position(params_small, 1, 1)
         assert corner[0] == pytest.approx(0.75)
         assert side == pytest.approx(0.25)
-        corner, side = cube_position(params_small, CubeId(2, (1, 1)))
+        corner, side = cube_position(params_small, 2, 3)
         assert corner[0] == pytest.approx(0.9375)
         assert side == pytest.approx(0.0625)
 
     def test_positions_plane(self, params_plane):
         # corner code bit k moves coordinate k to the high side
-        corner, side = cube_position(params_plane, CubeId(1, (2,)))
+        corner, side = cube_position(params_plane, 1, 2)
         np.testing.assert_allclose(corner, [0.0, 0.75])
         assert side == pytest.approx(0.25)
 
     def test_position_depth_guard(self, params_small):
         with pytest.raises(DepthError):
-            cube_position(params_small, CubeId(7, (0,) * 7))
+            cube_position(params_small, 7, 0)
+
+    def test_negative_generation(self, params_small):
+        # was a bare ValueError (negative shift count), or a path-length mismatch
+        with pytest.raises(DepthError):
+            cube_position(params_small, -1, 0)
+        with pytest.raises(DepthError):
+            containing_cube(params_small, [0.0], -1)
 
 
 class TestContainingCube:
     @given(rank=st.integers(min_value=0, max_value=2**3 - 1))
     def test_round_trip_through_center(self, rank):
         params = CantorParams(d=1, s=0.5, lam=(0.25, 0.3, 0.2))
-        cube = cube_from_rank(rank, gen=3, d=1)
-        corner, side = cube_position(params, cube)
+        corner, side = cube_position(params, 3, rank)
         found = containing_cube(params, corner + 0.5 * side, 3)
-        assert found == cube
+        assert found == rank
 
     def test_round_trip_plane(self, params_plane):
         for rank in range(16):
-            cube = cube_from_rank(rank, gen=2, d=2)
-            corner, side = cube_position(params_plane, cube)
-            assert containing_cube(params_plane, corner + 0.5 * side, 2) == cube
+            corner, side = cube_position(params_plane, 2, rank)
+            assert containing_cube(params_plane, corner + 0.5 * side, 2) == rank
 
     def test_gap_point(self, params_small):
         assert containing_cube(params_small, [0.5], 1) is None
@@ -172,7 +175,7 @@ class TestContainingCube:
         assert containing_cube(params_small, [1.1], 1) is None
 
     def test_generation_zero(self, params_small):
-        assert containing_cube(params_small, [0.4], 0) == CubeId(0, ())
+        assert containing_cube(params_small, [0.4], 0) == 0
 
     def test_depth_guard(self, params_small):
         with pytest.raises(DepthError):
@@ -189,15 +192,33 @@ def legacy_side_lengths(params):
     return np.cumprod((1.0,) + params.lam)
 
 
-def legacy_cube_position(params, cube):
-    if cube.gen > params.depth:
+def rank_to_path(rank, gen, d):
+    """Corner codes from the root down: the rank's base-2^d digits, most significant first."""
+    mask = (1 << d) - 1
+    digits = []
+    for _ in range(gen):
+        digits.append(rank & mask)
+        rank >>= d
+    return tuple(reversed(digits))
+
+
+def path_to_rank(path, d):
+    """The rank whose base-2^d digits are the corner codes in path."""
+    r = 0
+    for c in path:
+        r = (r << d) | c
+    return r
+
+
+def legacy_cube_position(params, gen, rank):
+    if gen > params.depth:
         raise DepthError(
-            f"cube generation {cube.gen} exceeds construction depth {params.depth}"
+            f"cube generation {gen} exceeds construction depth {params.depth}"
         )
     d = params.d
     ell_prev = 1.0
     corner = np.zeros(d)
-    for i, code in enumerate(cube.path, start=1):
+    for i, code in enumerate(rank_to_path(rank, gen, d), start=1):
         if code >> d:
             raise ParameterError(f"corner code {code} out of range for d={d}")
         side = ell_prev * params.lam[i - 1]
@@ -238,7 +259,7 @@ def legacy_containing_cube(params, x, n):
                 return None
         path.append(code)
         ell_prev = side
-    return CubeId(n, tuple(path))
+    return path_to_rank(path, d)
 
 
 def legacy_leaf_corners(params):
@@ -285,7 +306,7 @@ def probe_points(params, rng):
     for gen in range(params.depth + 1):
         for rank in rng.choice(params.num_cubes(gen), size=min(6, params.num_cubes(gen)),
                                replace=False):
-            corner, side = legacy_cube_position(params, cube_from_rank(int(rank), gen, d))
+            corner, side = legacy_cube_position(params, gen, int(rank))
             far = corner + side
             pts += [corner, far, corner + 0.5 * side, np.where(np.arange(d) % 2, corner, far)]
             if gen < params.depth:  # between the children, in the parent's gap
@@ -313,9 +334,8 @@ class TestHierarchyMatchesLegacy:
         for gen in range(params.depth + 1):
             for rank in rng.choice(params.num_cubes(gen), size=min(20, params.num_cubes(gen)),
                                    replace=False):
-                cube = cube_from_rank(int(rank), gen, d)
-                corner, side = cube_position(params, cube)
-                old_corner, old_side = legacy_cube_position(params, cube)
+                corner, side = cube_position(params, gen, int(rank))
+                old_corner, old_side = legacy_cube_position(params, gen, int(rank))
                 assert np.array_equal(corner, old_corner) and side == old_side
 
     def test_containing_cube(self, d, depth):
@@ -333,7 +353,7 @@ class TestHierarchyMatchesLegacy:
         for gen in range(params.depth + 1):
             corners = corners_by_step(params, gen)
             for rank, want in enumerate(corners):
-                corner, side = cube_position(params, cube_from_rank(rank, gen, d))
+                corner, side = cube_position(params, gen, rank)
                 assert np.array_equal(corner, want) and side == params.ell[gen]
 
 
@@ -344,8 +364,8 @@ def test_dyadic_faces_match_legacy():
     for x in pts:
         for n in range(5):
             assert containing_cube(params, x, n) == expected_containing_cube(params, x, n)
-    assert containing_cube(params, [0.25, 0.0], 1) == CubeId(1, (0,))
-    assert containing_cube(params, [0.75, 1.0], 1) == CubeId(1, (3,))
+    assert containing_cube(params, [0.25, 0.0], 1) == 0
+    assert containing_cube(params, [0.75, 1.0], 1) == 3
     assert containing_cube(params, [np.nan, 0.0], 1) is None
     assert containing_cube(params, [np.nan, 0.0], 0) is None
     assert np.array_equal(corners_by_step(params, 4), legacy_leaf_corners(params))

@@ -1,12 +1,16 @@
-"""Static hygiene of the package source: no unused imports, no stale __all__.
+"""Static hygiene of the package source: no unused imports, no stale __all__,
+no public name or method that nothing reads.
 
 Each module of cantor_riesz is parsed with ast (standard library only), so
 what a refactor leaves behind -- an import nothing reads, an export whose
-definition moved away -- fails here instead of lingering.
+definition moved away, a method whose last caller went -- fails here instead
+of lingering.
 """
 
 import ast
+import functools
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -121,21 +125,42 @@ def test_script_has_a_test(script):
     assert any(script.name in text for text in texts), f"no test names {script.name}"
 
 
-def test_every_export_is_used():
-    """Each public name is read by code outside the package __init__: a module,
-    a script, a bench file or the README's python blocks.
-
-    Only Name and Attribute nodes count, so __all__ strings, import lines,
-    docstrings and comments do not keep a name alive.
-    """
+def _corpus_reads() -> tuple[set[str], set[str]]:
+    """Names and attribute names read by code outside the package __init__: a
+    module, a script, a bench file or the README's python blocks."""
     root = Path(__file__).parents[1]
     paths = [p for p in MODULES if p.name != "__init__.py"] + SCRIPTS
     trees = [_tree(p) for p in paths + sorted((root / "bench").glob("*.py"))]
     readme = (root / "README.md").read_text(encoding="utf-8")
     trees += [ast.parse(block) for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)]
-    used = set()
+    names, attrs = set(), set()
     for tree in trees:
-        used |= _read_names(tree)
-        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    unused = sorted(set(cantor_riesz.__all__) - used)
+        names |= _read_names(tree)
+        attrs |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return names, attrs
+
+
+def test_every_export_is_used():
+    """Each public name is read by code outside the package __init__.
+
+    Only Name and Attribute nodes count, so __all__ strings, import lines,
+    docstrings and comments do not keep a name alive.
+    """
+    names, attrs = _corpus_reads()
+    unused = sorted(set(cantor_riesz.__all__) - names - attrs)
     assert not unused, f"public names nothing outside __init__ reads: {unused}"
+
+
+def test_every_public_method_is_used():
+    """Each public method, property, classmethod or cached property of an
+    exported class is read as an attribute by code outside the package __init__."""
+    kinds = (types.FunctionType, property, classmethod, functools.cached_property)
+    _, attrs = _corpus_reads()
+    unused = [
+        f"{export}.{name}"
+        for export in cantor_riesz.__all__
+        if isinstance(cls := getattr(cantor_riesz, export), type)
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and isinstance(member, kinds) and name not in attrs
+    ]
+    assert not unused, f"public methods nothing outside __init__ reads: {unused}"

@@ -17,7 +17,6 @@ from cantor_riesz import (
     atomize,
     ball_mass,
     containing_cube,
-    cube_from_rank,
     cube_position,
 )
 import cantor_riesz.quadrature as quadrature_mod
@@ -192,9 +191,7 @@ class TestAtomize:
         atoms = atomize(params_mixed, refine_k=2)
         depth = params_mixed.depth
         for i in range(0, atoms.n, 7):
-            cube = containing_cube(params_mixed, atoms.points[i], depth)
-            assert cube is not None
-            assert cube_from_rank(i // 2**params_mixed.d, depth, params_mixed.d) == cube
+            assert containing_cube(params_mixed, atoms.points[i], depth) == i // 2**params_mixed.d
 
     def test_two_atom_positions(self):
         # one generation at ratio 1/4, one atom per leaf: centers of [0, .25]
@@ -205,8 +202,7 @@ class TestAtomize:
 
     def test_leaf_order_is_path_lexicographic(self, params_small):
         atoms = atomize(params_small, refine_k=2)
-        ranks = np.array([cube_from_rank(i // 2, params_small.depth, 1).flat_rank(1)
-                          for i in range(atoms.n)])
+        ranks = np.arange(atoms.n) // 2
         assert np.all(np.diff(ranks) >= 0)
         # within a leaf the sub-grid is row-major, hence increasing in x
         first = atoms.points[ranks == 0]
@@ -401,6 +397,13 @@ class TestRadiiDescent:
             ball_mass(params, point, [0.1, 0.5, 2.0])
         assert calls == []
 
+    def test_far_point_refused(self, params_small):
+        # the squared distances overflowed, and inf <= inf kept every box as inside: mass 1
+        with pytest.raises(ParameterError, match="squared distance"):
+            ball_mass(params_small, [1e200], 1e199)
+        assert ball_mass(params_small, [1e154], 1e150) == 0.0
+        assert ball_mass(params_small, [0.3], np.inf) == 1.0  # an infinite r^2 is fine
+
 
 class TestBallVolume:
     """The d = 3 tanh-sinh rule against closed forms and the subdivision."""
@@ -490,7 +493,7 @@ class TestReflection:
         for j in range(depth + 1):
             bs = atoms.block_size(j)
             centres = np.array([
-                cube_position(params, cube_from_rank(q, j, d))[0] + params.ell[j] / 2
+                cube_position(params, j, q)[0] + params.ell[j] / 2
                 for q in range(atoms.n // bs)
             ])
             cubes = atoms.points.reshape(-1, bs, d)
@@ -505,8 +508,7 @@ class TestBlockSize:
     @pytest.mark.parametrize("d, refine_k", [(1, 3), (2, 2), (3, 1)])
     def test_contiguous_cube_runs(self, d, refine_k):
         atoms = atomize(CantorParams(d=d, s=0.5, lam=(0.25, 0.3)), refine_k=refine_k)
-        ranks = np.array([cube_from_rank(i // refine_k**d, 2, d).flat_rank(d)
-                          for i in range(atoms.n)])
+        ranks = np.arange(atoms.n) // refine_k**d
         for j in range(3):
             bs = atoms.block_size(j)
             assert bs * 2 ** (j * d) == atoms.n

@@ -40,7 +40,7 @@ from cantor_riesz import (
 )
 from cantor_riesz import wolff
 from cantor_riesz.experiments import _sample_points, enumerate_cases
-from cantor_riesz.geometry import cube_from_rank, cube_position
+from cantor_riesz.geometry import cube_position
 from cantor_riesz.wolff import _GAMMA_CAVEAT, GammaPlusEstimate
 
 
@@ -164,8 +164,7 @@ def leaf_centers(params, stride=1):
     n_leaves = params.num_cubes(params.depth)
     out = []
     for rank in range(0, n_leaves, stride):
-        cube = cube_from_rank(rank, params.depth, params.d)
-        corner, side = cube_position(params, cube)
+        corner, side = cube_position(params, params.depth, rank)
         out.append(corner + 0.5 * side)
     return out
 
@@ -309,6 +308,26 @@ class TestShellPotential:
         for bad in (0, True):
             with pytest.raises(ParameterError):
                 wolff_potential_s(params_small, [0.1], shells_per_octave=bad)
+
+    def test_far_point_refused(self, params_small):
+        # the cover radius overflowed, and the shell grid raised a bare OverflowError
+        w = WolffParams.specialized(1, 0.5)
+        for potential in (wolff_potential_s, lambda p, x: wolff_potential(p, x, w)):
+            with pytest.raises(ParameterError, match="squared distance"):
+                potential(params_small, [1e200])
+        assert wolff_potential_s(params_small, [1e154]) == pytest.approx(1e-154, rel=1e-12)
+
+    def test_shell_count_over_budget(self, params_small, monkeypatch):
+        # 19 octaves from r_hi = 2 down to ell_4 / 2^10 = 2^-18
+        monkeypatch.setattr(wolff, "DEFAULT_ATOM_BUDGET", 100)
+        with pytest.raises(BudgetError, match="shell grid would need over 100 shells for 19 oct"):
+            wolff_potential_s(params_small, [0.1], shells_per_octave=10)  # 190 shells
+        assert wolff_potential_s(params_small, [0.1], shells_per_octave=5) > 0  # 95 shells
+
+    def test_shell_count_past_the_float_range(self, params_small):
+        # octaves * shells_per_octave raised a bare OverflowError
+        with pytest.raises(BudgetError, match="shell grid would need over"):
+            wolff_potential_s(params_small, [0.1], shells_per_octave=10**400)
 
 
 class TestCapacity:
@@ -626,7 +645,7 @@ def legacy_values(params):
 
 
 def profile_values(params):
-    corner, side = cube_position(params, cube_from_rank(0, params.depth, params.d))
+    corner, side = cube_position(params, params.depth, 0)
     x = corner + 0.5 * side
     cap = capacity_wolff(params) if params.depth else None
     return wolff_discrete_s(params, x), cap, capacity_wolff_from0(params)
