@@ -139,7 +139,14 @@ def _delegate(build):
 
 @dataclass(frozen=True)
 class TreeSettings:
-    """Whether sweeps use the tree code, and with what accuracy knobs."""
+    """Whether ratio runs take the self field from the tree code, and how.
+
+    theta_open is the opening angle of the far-class test; leaf_cap stops
+    the class recursion at the first generation whose cubes hold at most
+    leaf_cap atoms (generation N at the latest), where near classes are
+    direct sums: a larger leaf_cap sums more pairs directly and expands
+    fewer classes.  Leaf cubes are never split.
+    """
 
     enabled: bool = False
     theta_open: float = 0.3

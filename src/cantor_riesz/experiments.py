@@ -155,11 +155,7 @@ def _head(case: Case) -> dict:
 def _transform_field(config: ExperimentConfig, atoms):
     spec = KernelSpec(s=config.s, eps=config.eps)
     if config.tree.enabled:
-        return (
-            eval_treecode(atoms, atoms.points, spec, config.tree.to_config(),
-                          self_exclude=True),
-            "tree",
-        )
+        return eval_treecode(atoms, spec, config.tree.to_config()), "tree"
     return eval_brute(atoms, atoms.points, spec, self_exclude=True), "brute"
 
 

@@ -255,7 +255,8 @@ def ball_mass(
     _far_corner_sq(x)
     if d > 3:
         raise BudgetError(f"ball volume has no exact rule in d = {d}; it has one for d <= 3")
-    r2 = radii * radii
+    with np.errstate(over="ignore"):  # an infinite r^2 counts every box as inside
+        r2 = radii * radii
     mass = np.zeros(radii.shape[0])
     boxes = np.zeros((1, d))
     live = np.ones((1, radii.shape[0]), dtype=bool)  # (box, radius): straddled

@@ -1,52 +1,38 @@
-"""Hierarchical tree-code for the truncated s-Riesz transform.
+"""Hierarchical tree code for the self field of an atom set.
 
-The tree is the Cantor cube hierarchy read off atomize()'s layout, stored as
-one set of node arrays per level; nothing is built by recursion.  Levels
-0..N are the cube generations: node (g, q) is the q-th generation-g cube in
-path-lex order and covers atoms [q*b, (q+1)*b) with b = atoms.block_size(g),
-so its children are nodes (g+1, 2^d*q + c).  Below generation N a leaf
-cube's row-major sub-grid keeps halving, children (g+1, 2q + c), while its
-blocks hold more than leaf_cap atoms and their halves hold r * refine_k^m
-atoms with r dividing refine_k.  Any other half would run from one grid
-row into the next, and the halves would not be translates (at refine_k 6,
-d = 2, the halves of an 18-atom block are point reflections of each other,
-so such blocks stay leaves).  All nodes of a level have the same size, so
-a level is a leaf level or none of its nodes is a leaf.  Every node of a
-level is node 0 moved to the node's first atom, with the same masses
-(AtomSet's layout), and that atom is its least in every coordinate.  So a
-level reads node 0's atoms alone, whose small coordinates carry the least
-rounding: box extent, mass-center offset from the first atom and expansion;
-each node adds only its first atom, read through a strided view.
+The self field at an atom is the eps-truncated transform of every other
+atom.  It is computed from the set's self-similarity, not target by target
+(block translation invariance, Hackbusch 1999).  Every generation-g cube
+is cube 0 moved by its corner, with the same atoms (AtomSet's layout).  Let
+I(g, u) be the field at cube 0's atoms from a copy of cube 0 shifted by u,
+one row per atom; the self field is I(0, 0).  Child c of cube 0 sits at
+bits(c) * step_g, step_g = ell_g - ell_(g+1), so block c of I(g, u) is
 
-Everything the traversal touches is coordinate-major: atoms, targets,
-bounding boxes and mass centers are (d, n) arrays with one contiguous row
-per coordinate, so in the opening test, the far field and the leaves' pair
-kernel each numpy call's inner loop runs over targets or pairs, never over
-the d coordinates.
+    sum over c' of I(g+1, u + (bits(c') - bits(c)) * step_g),
 
-A cell is summarized when
+summed in c' order.  A class (g, u) is keyed by its differences
+delta_h in {-1, 0, 1}^d, h < g, and u = sum delta_h * step_h is summed
+smallest first.  Every ratio is below 1/2, so u = 0 only for the all-zero
+key, the one class that skips the self pair.  A class has one parent, so
+generation g's classes are the 3^d children of generation g-1's near ones.
 
-    cell_diameter <= theta_open * dist(target, cell bounding box)
+A class is far when sqrt(d) * ell_g <= theta_open * gap and gap > eps, gap
+being the distance from cube 0 to its copy; it is then node 0's expansion
+evaluated at cube 0's atoms.  A near class recurses down to the leaf
+generation, the first whose cubes hold at most leaf_cap atoms, or N, where
+it is the direct pair sum with truncation.  Near classes per generation
+stay bounded as N grows, so the work is O(n).  Generations are built from
+the leaf up, each dropped once its parent generation is formed, and far
+classes are evaluated in runs of at most _BATCH targets.
 
-and the whole cell lies strictly beyond the truncation radius; otherwise it
-is opened, and tree leaves are evaluated atom by atom exactly like the
-direct method.  Targets enter the traversal in runs of _TARGET_CHUNK, so
-its index arrays, target coordinates and far-field temporaries stay the
-size of one run however many targets there are; a target meets the same
-cells in the same order whichever run it is in.
-
-A summarized cell contributes a Taylor expansion of the kernel about the
-cell's mass center through fourth order.  Placing the expansion at the mass
-center kills the first-order term, so the first neglected term is fifth
-order and the error of one cell scales like (diameter/distance)^5 relative
-to that cell's own contribution.  Each level precomputes what of the
-expansion does not depend on the target: the moment traces, and the
-quadrupole, octupole and hexadecapole (with their traces) as linear maps on
-y, y (x) y and y (x) y (x) y, each scaled by its Taylor factor, so a
-far-field call forms the tensor powers of y once and contracts each with
-one matrix product.  As theta_open -> 0 every cell is opened and the output
-matches eval_brute to floating-point rounding (the same pair terms, summed
-in a different order).
+The expansion is the kernel's Taylor expansion about node 0's mass centre
+through fourth order.  The first-order term vanishes there, so a class's
+error scales like (diameter/distance)^5 relative to its own contribution.
+_level precomputes what does not depend on the target: the moment traces,
+and the quadrupole, octupole and hexadecapole (with their traces) as linear
+maps on y, y (x) y and y (x) y (x) y, each scaled by its Taylor factor.  As
+theta_open -> 0 every class is near and the output matches eval_brute to
+floating-point rounding (the same pair terms, summed in another order).
 """
 
 from __future__ import annotations
@@ -57,12 +43,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, is_int, is_real
+from .geometry import CantorParams, _corner_bits
 from .quadrature import AtomSet
-from .riesz import KernelSpec, VecField, _as_targets, _check_order, _direct_field
+from .riesz import KernelSpec, VecField, _check_order, _direct_field
 
 __all__ = ["TreeCodeConfig", "eval_treecode"]
 
-_TARGET_CHUNK = 16_384
+_BATCH = 8192  # targets per far-field call
 
 
 @dataclass(frozen=True)
@@ -80,19 +67,10 @@ class TreeCodeConfig:
 
 
 class _Level(NamedTuple):
-    """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs).
+    """Node 0's expansion about its mass centre com (d,), as _far_field uses it."""
 
-    lo, hi and com are coordinate-major (d, nodes), node 0's moved to each
-    node's first atom; diam2, mass, trace, const, lin, octu and hexa are
-    node 0's, shared by every node of the level as _far_field uses them.
-    """
-
-    bs: int
-    lo: np.ndarray
-    hi: np.ndarray
     com: np.ndarray
     mass: float
-    diam2: np.ndarray
     trace: np.ndarray  # (2,): scalar terms t2, t4
     const: np.ndarray  # (2d,): constant terms of v2 w4
     lin: np.ndarray  # (4d, d): linear terms of v2 w4 v4 w6, on y
@@ -100,38 +78,14 @@ class _Level(NamedTuple):
     hexa: np.ndarray  # (2d, d^3): cubic terms of v6 w8, on y (x) y (x) y
 
 
-def _block_sizes(atoms: AtomSet, leaf_cap: int) -> list[int]:
-    """Atoms per node on each level, root first; the last level is the leaves."""
-    sizes = [atoms.block_size(0)]
-    while sizes[-1] > leaf_cap:
-        g = len(sizes)
-        if g <= atoms.params.depth:
-            sizes.append(atoms.block_size(g))
-        elif sizes[-1] % 2 == 0 and _tiles_by_translates(sizes[-1] // 2, atoms.refine_k):
-            sizes.append(sizes[-1] // 2)
-        else:
-            break
-    return sizes
-
-
-def _tiles_by_translates(b: int, k: int) -> bool:
-    """Whether runs of b atoms tile a row-major k^d sub-grid (b dividing k^d,
-    k >= 2) by translates: b = r k^m with r dividing k."""
-    while b % k == 0:
-        b //= k
-    return k % b == 0
-
-
 def _level(px: np.ndarray, masses: np.ndarray, bs: int, u: float) -> _Level:
-    """One level's nodes, node 0 moved to each node's first atom, kernel power u."""
+    """The expansion of the node of the first bs atoms, kernel power u."""
     d = px.shape[0]
-    block, w, first = px[:, :bs], masses[:bs], px[:, ::bs]
-    # each node's first atom is its box's low corner
-    extent = block.max(axis=1) - block[:, 0]
+    block, w = px[:, :bs], masses[:bs]
     mass = w.sum()
-    com0 = (w * block).sum(axis=1) / mass
-    # node 0's central moments as full symmetric tensors
-    delta = block - com0[:, None]
+    com = (w * block).sum(axis=1) / mass
+    # central moments as full symmetric tensors
+    delta = block - com[:, None]
     pairs = (delta[:, None] * delta[None]).reshape(d * d, bs)
     wpairs = pairs * w
     quad = wpairs.sum(axis=1).reshape(d, d)
@@ -147,8 +101,7 @@ def _level(px: np.ndarray, masses: np.ndarray, bs: int, u: float) -> _Level:
     octu = octu.reshape(d, d * d)
     hexa = hexa.reshape(d, d**3)
     return _Level(
-        bs, first, first + extent[:, None], first + (com0 - block[:, 0])[:, None], mass,
-        np.broadcast_to((extent**2).sum(), first.shape[1:]),
+        com, mass,
         trace=np.array([-(u / 2.0) * np.trace(quad), (c2 / 8.0) * np.trace(hi_mat)]),
         const=np.concatenate([-(u / 2.0) * oi, (c2 / 2.0) * oi]),
         lin=np.concatenate([
@@ -159,10 +112,8 @@ def _level(px: np.ndarray, masses: np.ndarray, bs: int, u: float) -> _Level:
     )
 
 
-# q is unused: every cell of a level shares lv's expansion.  It stays so that
-# the reference tests can patch in the per-node expansions this replaced.
-def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
-    """Multipole contribution of cell q at separations y = com - target, (d, n).
+def _far_field(lv: _Level, y: np.ndarray, u: float) -> np.ndarray:
+    """Multipole contribution of a node at separations y = com - target, (d, n).
 
     Taylor of sum_i m_i K(y + delta_i) about the mass center (sum m delta
     vanishes there) through fourth order, grouped by powers of r^-2:
@@ -183,12 +134,10 @@ def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
     p2 = mw * inv / lv.mass  # r^(-u-2), reusing the computed power
     yy = (y[:, None] * y).reshape(d * d, n)
     powers = (y, yy, (yy[:, None] * y).reshape(d**3, n))
-    if n == 1:
-        # einsum sums a lone column's products in another order; doubling it
-        # keeps every target's value the same however targets are grouped
-        powers = [np.repeat(p, 2, axis=1) for p in powers]
+    # term by term, so that each target's sums run in one order and its value
+    # does not depend on the targets it is evaluated with
     lin, quadratic, cubic = (
-        np.einsum("rj,jn->rn", m, p)[:, :n]
+        sum(m[:, j, None] * p[j] for j in range(p.shape[0]))
         for m, p in zip((lv.lin, lv.octu, lv.hexa), powers)
     )
     vw = lv.const[:, None] + lin[:2 * d] + inv * (lin[2 * d:] + quadratic + inv * cubic)
@@ -197,60 +146,66 @@ def _far_field(lv: _Level, q: int, y: np.ndarray, u: float) -> np.ndarray:
     return y * scale + p2 * vw[:d]
 
 
+def _classes(params: CantorParams, theta: float, eps: float, leaf: int):
+    """The classes of generations 0..leaf: per generation, their shifts u
+    (classes, d) with the near ones first, how many are near, and the row of
+    each child (3^d p + j for the j-th delta of near parent p) in that order."""
+    d, ell = params.d, params.ell
+    deltas = np.arange(3**d)[:, None] // 3 ** np.arange(d) % 3 - 1  # j = sum (delta_a + 1) 3^a
+    keys, out = np.zeros((1, 0, d), dtype=np.int8), [(np.zeros((1, d)), 1, np.zeros(1, int))]
+    for g in range(1, leaf + 1):
+        keys = np.concatenate([np.repeat(keys[:out[-1][1]], 3**d, axis=0),
+                               np.tile(deltas, (out[-1][1], 1))[:, None]], axis=1)
+        shift = np.zeros((keys.shape[0], d))
+        for h in reversed(range(g)):  # smallest step first
+            shift += keys[:, h] * (ell[h] - ell[h + 1])
+        gap = np.sqrt((np.maximum(np.abs(shift) - ell[g], 0.0) ** 2).sum(axis=1))
+        far = (gap > eps) & (np.sqrt(d) * ell[g] <= theta * gap)
+        order = np.argsort(far, kind="stable")
+        keys = keys[order]
+        out.append((shift[order], int(far.size - far.sum()), np.argsort(order)))
+    return out
+
+
 def eval_treecode(
     atoms: AtomSet,
-    targets,
     spec: KernelSpec,
     config: TreeCodeConfig = TreeCodeConfig(),
-    self_exclude: bool = False,
 ) -> VecField:
-    """Tree-code evaluation with the same contract as eval_brute."""
-    d = atoms.d
+    """The self field at every atom by the class recursion: eval_brute's
+    value with the atoms as targets and self_exclude set, to the tree's
+    accuracy."""
+    d, n_gen = atoms.d, atoms.params.depth
     _check_order(spec, d)
-    tx = np.ascontiguousarray(_as_targets(targets, atoms, self_exclude).T)
-    n_t = tx.shape[1]
     px = np.ascontiguousarray(atoms.points.T)
     u = spec.s + 1.0
-    levels = [_level(px, atoms.masses, bs, u) for bs in _block_sizes(atoms, config.leaf_cap)]
-    theta2 = config.theta_open * config.theta_open
-    eps2 = spec.eps * spec.eps
-    out = np.zeros((d, n_t))
-
-    # frontier of (level, node, pending target indices, their coordinates),
-    # one root entry per run of targets; children pushed in reverse so the
-    # traversal visits them in index order, keeping output deterministic
-    stack = [
-        (0, 0, np.arange(t0, min(t0 + _TARGET_CHUNK, n_t)), tx[:, t0:t0 + _TARGET_CHUNK])
-        for t0 in reversed(range(0, n_t, _TARGET_CHUNK))
-    ]
-    while stack:
-        g, q, idx, sub = stack.pop()
-        lv = levels[g]
-        # at most one side is positive, so this is the sum of both clamped gaps
-        gap = np.maximum(np.maximum(lv.lo[:, q, None] - sub, sub - lv.hi[:, q, None]), 0.0)
-        dist2 = (gap * gap).sum(axis=0)
-        # dist2 > eps2 >= 0 also keeps a target on the box out of the far field
-        ok = (dist2 > eps2) & (lv.diam2[q] <= theta2 * dist2)
-        # np.compress and row-wise scatters run several times faster here
-        # than boolean and two-dimensional fancy indexing
-        if ok.any():
-            far = np.compress(ok, idx)
-            field = _far_field(lv, q, lv.com[:, q, None] - np.compress(ok, sub, axis=1), u)
-            for row, f in zip(out, field):
-                row[far] += f
-            ok = ~ok
-            idx, sub = np.compress(ok, idx), np.compress(ok, sub, axis=1)
-            if not idx.size:
-                continue
-        if g + 1 < len(levels):
-            fan = lv.bs // levels[g + 1].bs
-            stack.extend((g + 1, q * fan + c, idx, sub) for c in reversed(range(fan)))
+    leaf = next((g for g in range(n_gen) if atoms.block_size(g) <= config.leaf_cap), n_gen)
+    classes = _classes(atoms.params, config.theta_open, spec.eps, leaf)
+    bits = _corner_bits(d)
+    # child row offset of source block c' for target block c: delta = bits(c') - bits(c)
+    pick = ((bits[None] - bits[:, None] + 1.0) @ 3.0 ** np.arange(d)).astype(int)
+    for g in range(leaf, -1, -1):
+        shift, n_near, child_rows = classes[g]
+        bs = atoms.block_size(g)
+        cube = px[:, :bs]
+        fields = np.empty((shift.shape[0], bs, d))
+        if g == leaf:
+            for k in range(n_near):
+                fields[k] = _direct_field(cube + shift[k][:, None], atoms.masses[:bs], cube,
+                                          spec, np.arange(bs), 0, not shift[k].any()).T
         else:
-            a0 = q * lv.bs
-            field = _direct_field(
-                px[:, a0:a0 + lv.bs], atoms.masses[a0:a0 + lv.bs], sub,
-                spec, idx, a0, self_exclude,
-            )
-            for row, f in zip(out, field):
-                row[idx] += f
-    return VecField(np.ascontiguousarray(out.T))
+            blocks = fields[:n_near].reshape(n_near, 1 << d, -1, d)
+            first = np.arange(n_near) * 3**d
+            for c, cols in enumerate(pick):
+                blocks[:, c] = field[rows[first + cols[0]]]
+                for col in cols[1:]:
+                    blocks[:, c] += field[rows[first + col]]
+            del field  # generation g+1 is summed up
+        lv = _level(px, atoms.masses, bs, u) if n_near < shift.shape[0] else None
+        flat = fields[n_near:].reshape(-1, d)
+        for a in range(0, flat.shape[0], _BATCH):
+            k, i = np.divmod(np.arange(a, min(a + _BATCH, flat.shape[0])), bs)
+            y = (lv.com[:, None] + shift[n_near + k].T) - cube[:, i]
+            flat[a:a + k.size] = _far_field(lv, y, u).T
+        field, rows = fields, child_rows
+    return VecField(field[0])

@@ -218,8 +218,7 @@ def test_06_treecode_accuracy_and_speed():
     atoms = atomize(params, 4)
     spec = KernelSpec(s=0.5)
     brute = eval_brute(atoms, atoms.points, spec, self_exclude=True)
-    tree = eval_treecode(atoms, atoms.points, spec,
-                         TreeCodeConfig(theta_open=0.3), self_exclude=True)
+    tree = eval_treecode(atoms, spec, TreeCodeConfig(theta_open=0.3))
     denom = np.maximum(np.abs(brute.values), 1e-300)
     rel = float(np.max(np.abs(tree.values - brute.values) / denom))
 
@@ -229,8 +228,7 @@ def test_06_treecode_accuracy_and_speed():
     eval_brute(big, big.points, spec, self_exclude=True)
     t_brute = time.perf_counter() - t0
     t0 = time.perf_counter()
-    eval_treecode(big, big.points, spec, TreeCodeConfig(theta_open=0.3),
-                  self_exclude=True)
+    eval_treecode(big, spec, TreeCodeConfig(theta_open=0.3))
     t_tree = time.perf_counter() - t0
     speedup = t_brute / t_tree
     ok = rel <= 1e-4 and speedup >= 10.0

@@ -2,9 +2,10 @@
 
 bench/spans.py times calls by replacing public functions at their module
 bindings, and bench/workloads.py calls the runners with workers=1 and
-replaces ``experiments.eval_treecode`` to sample the tree field.  A rename
-or a change of binding would break the benchmark without failing any other
-test, so these checks pin the names and bindings it uses.
+replaces ``experiments.eval_treecode`` to sample the tree field.  A rename,
+a change of binding or a change of call signature would break the benchmark
+without failing any other test, so these checks pin the names and bindings
+it uses and run its own tree path.
 """
 
 import importlib
@@ -16,11 +17,12 @@ from pathlib import Path
 from cantor_riesz import experiments as ex
 from cantor_riesz.config import ExperimentConfig, LambdaSpec, TreeSettings
 
-SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).parents[1] / "bench"
 
 
-def load_spans(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(monkeypatch, name: str):
+    """bench/<name>.py as a module, the way its runner imports it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, mod)
@@ -36,7 +38,7 @@ def tiny_config(**kw):
 
 
 def test_traced_names_resolve_to_functions(monkeypatch):
-    for name in load_spans(monkeypatch).TRACED:
+    for name in load_bench(monkeypatch, "spans").TRACED:
         mod_name, fn_name = name.split(".")
         fn = getattr(importlib.import_module(f"cantor_riesz.{mod_name}"), fn_name)
         assert inspect.isfunction(fn), name
@@ -44,7 +46,7 @@ def test_traced_names_resolve_to_functions(monkeypatch):
 
 def test_every_traced_span_is_reached(monkeypatch, tmp_path):
     # a span no run reaches reads 0 on every workload and times nothing
-    spans = load_spans(monkeypatch)
+    spans = load_bench(monkeypatch, "spans")
     tracer = spans.Tracer()
     with tracer.installed():
         ex.run_sweep(tiny_config(), out_dir=tmp_path, workers=1)
@@ -74,3 +76,16 @@ def test_ratio_runner_calls_the_module_tree_binding(monkeypatch):
     )
     assert calls == [8]
     assert table["cases"][0]["engine"] == "tree"
+
+
+def test_bench_tree_path_runs(monkeypatch, tmp_path):
+    # the toy tree_ratio cases through the bench's own probe, which wraps
+    # the binding as probe(atoms, targets, *args, **kwargs)
+    workloads = load_bench(monkeypatch, "workloads")
+    cases = workloads.build("tree_ratio", workloads.DEFAULT_SEED, scale="toy")
+    assert cases
+    for case in cases:
+        summary = workloads.summarize(case, workloads.run_case(case, tmp_path))
+        problems, figures = workloads.check(case, summary, None)
+        assert problems == [], problems
+        assert figures["tree_max_rel_err"] <= workloads.TREE_TOL

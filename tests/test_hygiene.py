@@ -164,3 +164,38 @@ def test_every_public_method_is_used():
         if not name.startswith("_") and isinstance(member, kinds) and name not in attrs
     ]
     assert not unused, f"public methods nothing outside __init__ reads: {unused}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) of each module-level name with one leading underscore."""
+    for node in _top_level(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_helper_is_used():
+    """Each module-level _name of the package is read, as a name or an
+    attribute, somewhere in the package outside its own definition, so a
+    helper whose last caller went fails here instead of lingering."""
+    trees = [_tree(p) for p in MODULES]
+    reads: dict[str, list[int]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append(id(node))
+    unused = []
+    for path, tree in zip(MODULES, trees):
+        for name, stmt in _private_definitions(tree):
+            own = {id(n) for n in ast.walk(stmt)}
+            if all(r in own for r in reads.get(name, [])):
+                unused.append(f"{path.name}: {name}")
+    assert not unused, f"private helpers nothing else in the package reads: {unused}"

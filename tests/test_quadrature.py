@@ -404,6 +404,13 @@ class TestRadiiDescent:
         assert ball_mass(params_small, [1e154], 1e150) == 0.0
         assert ball_mass(params_small, [0.3], np.inf) == 1.0  # an infinite r^2 is fine
 
+    def test_radius_whose_square_overflows(self, params_small):
+        # r^2 overflowed with a RuntimeWarning, which warnings-as-errors raised;
+        # the infinite square counts every box as inside, as an infinite r does
+        assert ball_mass(params_small, [1e154], 1e199) == 1.0
+        assert np.array_equal(ball_mass(params_small, [0.3], [1e155, 0.01]),
+                              [1.0, ball_mass(params_small, [0.3], 0.01)])
+
 
 class TestBallVolume:
     """The d = 3 tanh-sinh rule against closed forms and the subdivision."""

@@ -13,7 +13,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cantor_riesz.riesz as riesz_mod
-import cantor_riesz.treecode as treecode_mod
 from cantor_riesz import (
     CantorParams,
     KernelSpec,
@@ -22,7 +21,6 @@ from cantor_riesz import (
     VecField,
     atomize,
     eval_brute,
-    eval_treecode,
     l2_norm_sq,
     pairwise_sum,
 )
@@ -348,7 +346,7 @@ class TestEvalBrute:
         with pytest.raises(ParameterError):
             eval_brute(atoms_small, [[0.5]], KernelSpec(s=1.5))
 
-    @pytest.mark.parametrize("engine", [eval_brute, eval_treecode])
+    @pytest.mark.parametrize("engine", [eval_brute])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_targets_refused_before_pair_work(self, atoms_plane, engine, bad,
                                                           monkeypatch):
@@ -358,7 +356,6 @@ class TestEvalBrute:
             raise AssertionError("pair sum reached")
 
         monkeypatch.setattr(riesz_mod, "_direct_field", no_pairs)
-        monkeypatch.setattr(treecode_mod, "_direct_field", no_pairs)
         targets = np.array([[0.3, 0.2], [bad, 0.1]])
         with pytest.raises(ParameterError, match="targets must be finite"):
             engine(atoms_plane, targets, KernelSpec(s=1.0))

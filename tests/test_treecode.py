@@ -1,10 +1,11 @@
-"""Hierarchical far-field evaluation against the brute-force reference.
+"""The tree code's self field against the direct sum and extended precision.
 
-Two regimes are pinned separately.  Cells that hold a single atom have zero
-extent, so the multipole path reproduces the direct arithmetic exactly;
-with leaf_cap=1 the whole evaluation must therefore match eval_brute to
-the last bit.  Extended cells pick up truncation error controlled by the
-opening angle, checked against a measured budget.
+Two regimes are pinned separately.  Classes whose cubes hold a single atom
+have zero extent, so the multipole path reproduces the direct arithmetic
+exactly; with every class near, the tree code is its leaves' direct sums
+added child by child.  Extended far classes pick up truncation error
+controlled by the opening angle, checked against measured budgets and the
+np.longdouble oracle of conftest.
 """
 
 import functools
@@ -23,9 +24,9 @@ from cantor_riesz import (
     CantorParams,
     KernelSpec,
     ParameterError,
-    SingularityError,
     TreeCodeConfig,
     atomize,
+    cube_position,
     eval_brute,
     eval_treecode,
 )
@@ -34,6 +35,12 @@ from cantor_riesz import (
 def rel_err(got, want):
     scale = np.abs(want).max()
     return np.abs(got - want).max() / scale
+
+
+def leaf_generation(atoms, leaf_cap):
+    """The first generation whose cubes hold at most leaf_cap atoms, or N."""
+    n_gen = atoms.params.depth
+    return next((g for g in range(n_gen) if atoms.block_size(g) <= leaf_cap), n_gen)
 
 
 @pytest.fixture(scope="module")
@@ -70,150 +77,176 @@ class TestConfig:
 
 class TestPointCellsExact:
     def test_single_atom_bitwise(self):
-        # a zero-extent cell is summed through the same arithmetic as brute
+        # a far class of one-atom cubes is summed through the same arithmetic
+        # as brute: 0.25 <= 0.9 * 0.5 makes the two atoms' classes far
         atoms = atomize(CantorParams(d=1, s=0.5, lam=(0.25,)), refine_k=1)
-        targets = np.array([[2.0], [-1.0], [0.4]])
         spec = KernelSpec(s=0.5)
-        want = eval_brute(atoms, targets, spec)
-        got = eval_treecode(atoms, targets, spec, TreeCodeConfig(leaf_cap=1))
+        want = eval_brute(atoms, atoms.points, spec, self_exclude=True)
+        got = eval_treecode(atoms, spec, TreeCodeConfig(theta_open=0.9, leaf_cap=1))
         assert np.array_equal(got.values, want.values)
 
     def test_closed_angle_only_summation_noise(self, deep_atoms, deep_field):
         # theta ~ 0 rejects every extended cell; all surviving interactions
         # are exact point terms, so only the accumulation order differs
         cfg = TreeCodeConfig(theta_open=1e-8, leaf_cap=1)
-        got = eval_treecode(
-            deep_atoms, deep_atoms.points, KernelSpec(s=0.5), cfg, self_exclude=True
-        )
+        got = eval_treecode(deep_atoms, KernelSpec(s=0.5), cfg)
         np.testing.assert_allclose(got.values, deep_field.values, rtol=1e-12)
 
 
 class TestAccuracy:
     def test_default_opening_angle(self, deep_atoms, deep_field):
-        got = eval_treecode(
-            deep_atoms, deep_atoms.points, KernelSpec(s=0.5), self_exclude=True
-        )
+        got = eval_treecode(deep_atoms, KernelSpec(s=0.5))
         assert rel_err(got.values, deep_field.values) < 1e-5
 
     def test_wider_angle_still_reasonable(self, deep_atoms, deep_field):
         cfg = TreeCodeConfig(theta_open=0.7)
-        got = eval_treecode(
-            deep_atoms, deep_atoms.points, KernelSpec(s=0.5), cfg, self_exclude=True
-        )
+        got = eval_treecode(deep_atoms, KernelSpec(s=0.5), cfg)
         assert rel_err(got.values, deep_field.values) < 1e-2
 
     def test_error_decreases_with_angle(self, deep_atoms, deep_field):
+        # at constant ratio 1/4 a class's gap is 2, 8, 11, 14, ... cube sides,
+        # so the far test steps at theta 1/2, 1/8, 1/11, ...; these angles
+        # straddle the first two steps, and leaf_cap 2 lets the recursion
+        # reach the leaves, where those classes live
         errs = []
-        for theta in (0.8, 0.4, 0.2):
-            got = eval_treecode(
-                deep_atoms,
-                deep_atoms.points,
-                KernelSpec(s=0.5),
-                TreeCodeConfig(theta_open=theta),
-                self_exclude=True,
-            )
+        for theta in (0.8, 0.3, 0.1):
+            got = eval_treecode(deep_atoms, KernelSpec(s=0.5),
+                                TreeCodeConfig(theta_open=theta, leaf_cap=2))
             errs.append(rel_err(got.values, deep_field.values))
         assert errs[0] > errs[1] > errs[2]
 
     def test_plane(self, atoms_plane):
         spec = KernelSpec(s=1.0)
         want = eval_brute(atoms_plane, atoms_plane.points, spec, True)
-        got = eval_treecode(
-            atoms_plane,
-            atoms_plane.points,
-            spec,
-            TreeCodeConfig(theta_open=0.3, leaf_cap=4),
-            self_exclude=True,
-        )
+        got = eval_treecode(atoms_plane, spec, TreeCodeConfig(theta_open=0.3, leaf_cap=4))
         assert rel_err(got.values, want.values) < 1e-5
+
+
+class TestOracle:
+    """The self field against extended precision, in units of its RMS size."""
+
+    # about 2 000-9 000 atoms per set
+    DEPTH = {(1, 1): 12, (1, 2): 11, (1, 3): 10, (1, 4): 10, (2, 1): 6, (2, 2): 5,
+             (2, 3): 4, (2, 4): 4, (3, 1): 4, (3, 2): 3, (3, 3): 2, (3, 4): 2}
+
+    @pytest.mark.parametrize("ratios", ["constant", "random"])
+    @pytest.mark.parametrize("refine_k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d, s", [(1, 0.5), (2, 1.0), (3, 1.5)])
+    def test_accuracy(self, d, s, refine_k, ratios, oracle):
+        depth = self.DEPTH[d, refine_k]
+        rng = np.random.default_rng(10 * d + refine_k)
+        lam = (0.25,) * depth if ratios == "constant" else tuple(rng.uniform(0.2, 0.3, depth))
+        atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=refine_k)
+        for eps in (0.0, 0.02):
+            spec = KernelSpec(s=s, eps=eps)
+            idx, want = oracle.self_field(atoms, spec)
+            rms = np.sqrt((want**2).sum(axis=1).mean())
+            for theta, tol in ((0.3, 1e-7), (0.05, 1e-11)):
+                for leaf_cap in (1, 128):
+                    cfg = TreeCodeConfig(theta_open=theta, leaf_cap=leaf_cap)
+                    got = eval_treecode(atoms, spec, cfg).values[idx]
+                    err = np.sqrt(((got - want) ** 2).sum(axis=1)).max() / rms
+                    assert err <= tol, (eps, theta, leaf_cap, err)
+
+
+class TestClasses:
+    # the most near classes of any generation at theta 0.3 and leaf_cap 1, for
+    # ratios in [0.1, 0.3]: they stop growing after generation 3
+    NEAR = {1: 3, 2: 21, 3: 81}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_near_classes_do_not_grow_with_depth(self, d):
+        # the classes need the ratios alone, so the set can be 30 deep
+        rng = np.random.default_rng(d)
+        for lam in [(0.1,) * 30, (0.2,) * 30, (0.3,) * 30] + [
+            tuple(rng.uniform(0.1, 0.3, 30)) for _ in range(4)
+        ]:
+            classes = treecode_mod._classes(CantorParams(d=d, s=0.5, lam=lam), 0.3, 0.0, 30)
+            near = [n_near for _, n_near, _ in classes]
+            assert max(near) <= self.NEAR[d], near
+            if len(set(lam)) == 1:  # constant ratios: the same count every generation
+                assert len(set(near[3:])) == 1, near
+
+    def test_only_the_zero_key_has_zero_shift(self):
+        lam = tuple(np.random.default_rng(7).uniform(0.1, 0.49, 8))
+        classes = treecode_mod._classes(CantorParams(d=2, s=0.5, lam=lam), 0.05, 0.0, 8)
+        for shift, n_near, _ in classes:
+            (zero,) = np.flatnonzero(~shift.any(axis=1))
+            assert zero < n_near
 
 
 class TestContract:
     def test_deterministic(self, deep_atoms):
         spec = KernelSpec(s=0.5)
-        a = eval_treecode(deep_atoms, deep_atoms.points, spec, self_exclude=True)
-        b = eval_treecode(deep_atoms, deep_atoms.points, spec, self_exclude=True)
+        a = eval_treecode(deep_atoms, spec)
+        b = eval_treecode(deep_atoms, spec)
         assert np.array_equal(a.values, b.values)
 
     def test_truncation_matches_brute(self, deep_atoms):
         spec = KernelSpec(s=0.5, eps=0.01)
         want = eval_brute(deep_atoms, deep_atoms.points, spec)
-        got = eval_treecode(deep_atoms, deep_atoms.points, spec)
+        got = eval_treecode(deep_atoms, spec)
         assert rel_err(got.values, want.values) < 1e-5
-
-    def test_exact_hit_raises(self, deep_atoms):
-        with pytest.raises(SingularityError, match="atom 7 coincides with target 0"):
-            eval_treecode(deep_atoms, deep_atoms.points[7:8], KernelSpec(s=0.5))
 
     def test_leaf_chunking_bitwise(self, deep_atoms, monkeypatch):
         spec = KernelSpec(s=0.5)
-        want = eval_treecode(deep_atoms, deep_atoms.points, spec, self_exclude=True)
+        want = eval_treecode(deep_atoms, spec)
         monkeypatch.setattr(riesz_mod, "_CHUNK_ELEMS", 3)
-        got = eval_treecode(deep_atoms, deep_atoms.points, spec, self_exclude=True)
+        got = eval_treecode(deep_atoms, spec)
         assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 7), (2, 1.0, 3), (3, 1.5, 2)])
     def test_target_runs_bitwise(self, d, s, depth, monkeypatch):
+        # far classes are evaluated in runs of _BATCH targets; runs of 5 that
+        # split classes anywhere give the same field
         atoms = atomize(CantorParams(d=d, s=s, lam=(0.25,) * depth), refine_k=2)
         spec = KernelSpec(s=s)
-        want = eval_treecode(atoms, atoms.points, spec, self_exclude=True)
-        monkeypatch.setattr(treecode_mod, "_TARGET_CHUNK", 5)
-        got = eval_treecode(atoms, atoms.points, spec, self_exclude=True)
+        cfg = TreeCodeConfig(leaf_cap=1)
+        want = eval_treecode(atoms, spec, cfg)
+        monkeypatch.setattr(treecode_mod, "_BATCH", 5)
+        got = eval_treecode(atoms, spec, cfg)
         assert np.array_equal(got.values, want.values)
 
     def test_lone_column_matches_its_run(self, monkeypatch):
         # a one-target far-field call must give the value that target gets in
         # any longer call; with random ratios the products do not sum exactly,
-        # and without _far_field's lone-column doubling 19 of these 90 585
-        # components differ
+        # and an einsum contraction put 3 of these 17 712 columns off by an ulp
         rng = np.random.default_rng(3)
         atoms = atomize(CantorParams(d=3, s=1.5, lam=tuple(rng.uniform(0.1, 0.4, 3))), refine_k=2)
         real = treecode_mod._far_field
         checked = []
 
-        def spy(lv, q, y, u):
-            out = real(lv, q, y, u)
-            if y.shape[1] > 1:
-                for j in np.flatnonzero(rng.random(y.shape[1]) < 0.2):
-                    checked.append(np.array_equal(real(lv, q, y[:, [j]], u)[:, 0], out[:, j]))
+        def spy(lv, y, u):
+            out = real(lv, y, u)
+            checked.extend(np.array_equal(real(lv, y[:, [j]], u)[:, 0], out[:, j])
+                           for j in range(y.shape[1]))
             return out
 
         monkeypatch.setattr(treecode_mod, "_far_field", spy)
-        eval_treecode(atoms, atoms.points, KernelSpec(s=1.5), TreeCodeConfig(leaf_cap=4),
-                      self_exclude=True)
-        assert len(checked) > 30_000 and all(checked)
+        eval_treecode(atoms, KernelSpec(s=1.5), TreeCodeConfig(leaf_cap=4))
+        assert len(checked) > 15_000 and all(checked)
 
-    def test_traversal_memory_bounded(self):
-        # 65 536 targets in runs of 16 384: one pass over all of them at
-        # once peaked at 9.4 MB here, in runs at 4.9 MB
-        atoms = atomize(CantorParams(d=1, s=0.5, lam=(0.25,) * 14), refine_k=4)
+    @pytest.mark.parametrize("d, depth, refine_k", [(1, 14, 4), (2, 7, 2), (3, 4, 2)])
+    def test_memory_linear_in_atoms(self, d, depth, refine_k):
+        # the classes of a generation are bounded, so every generation's
+        # fields are a bounded multiple of the atoms; here the peak was
+        # 5.5, 9.1 and 19.8 times n * d doubles
+        atoms = atomize(CantorParams(d=d, s=0.5, lam=(0.25,) * depth), refine_k=refine_k)
         tracemalloc.start()
         try:
-            eval_treecode(atoms, atoms.points, KernelSpec(s=0.5), self_exclude=True)
+            eval_treecode(atoms, KernelSpec(s=0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
-
-    def test_self_exclude_needs_matching_targets(self, deep_atoms):
-        # too few targets, and as many targets as atoms but shifted off them
-        atoms = atomize(CantorParams(d=1, s=0.5, lam=(0.25,) * 3), refine_k=2)
-        for aset, targets in [(deep_atoms, deep_atoms.points[:4]), (atoms, atoms.points + 0.01)]:
-            with pytest.raises(ParameterError, match="atom positions"):
-                eval_treecode(aset, targets, KernelSpec(s=0.5), self_exclude=True)
-
-    def test_empty_targets(self, deep_atoms):
-        got = eval_treecode(deep_atoms, np.zeros((0, 1)), KernelSpec(s=0.5))
-        assert got.values.shape == (0, 1)
+        assert peak < 24 * atoms.n * d * 8
 
     def test_order_guard(self, deep_atoms):
         with pytest.raises(ParameterError):
-            eval_treecode(deep_atoms, [[5.0]], KernelSpec(s=1.5))
+            eval_treecode(deep_atoms, KernelSpec(s=1.5))
 
 
-# --- The recursive builder and traversal that the level tree replaced, kept
-# verbatim as the reference for the differential test below.  Uneven
-# splits of odd blocks are the one place where the two trees differ.  Its
+# --- The recursive builder and per-target traversal of an earlier tree
+# code, kept verbatim as the accuracy reference for the test below.  Its
 # _far_field is also, names aside, the (n, d) far field that the
 # coordinate-major one replaced.
 
@@ -387,7 +420,50 @@ def _recursive_treecode(atoms, tgts, spec, config, self_exclude):
     return out
 
 
+def _leaf_sums(atoms, spec, leaf: int) -> np.ndarray:
+    """The self field as the class recursion sums it with every class near:
+    each atom's direct sum over each generation-`leaf` cube, added child by
+    child in corner-code order, the deepest generation first."""
+    bs, d = atoms.block_size(leaf), atoms.d
+    parts = np.stack([
+        _direct_field(atoms.points[a:a + bs], atoms.masses[a:a + bs], atoms.points, spec,
+                      np.arange(atoms.n), a, True)
+        for a in range(0, atoms.n, bs)
+    ], axis=1)
+    for _ in range(leaf):
+        parts = parts.reshape(atoms.n, -1, 1 << d, d)
+        acc = parts[:, :, 0]
+        for c in range(1, 1 << d):
+            acc = acc + parts[:, :, c]
+        parts = acc
+    return parts[:, 0]
+
+
+def far_targets(atoms, leaf_cap: int, eps: float, theta: float):
+    """(g, q, targets) for each cube q of each generation the recursion reads,
+    with the atoms (targets, d) where a class of that cube can be far at
+    angle theta: beyond eps and sqrt(d) ell_g / theta from the cube."""
+    d = atoms.d
+    for g in range(leaf_generation(atoms, leaf_cap) + 1):
+        side = atoms.params.ell[g]
+        for q in range(1 << (g * d)):
+            corner, _ = cube_position(atoms.params, g, q)
+            gap = np.maximum(np.maximum(corner - atoms.points, atoms.points - corner - side), 0.0)
+            dist = np.sqrt((gap * gap).sum(axis=1))
+            far = (dist > eps) & (math.sqrt(d) * side <= theta * dist)
+            if far.any():
+                yield g, q, atoms.points[far]
+
+
+def node0_at(lv, px: np.ndarray, q: int, bs: int) -> np.ndarray:
+    """Node 0's mass centre moved to node q, as the class recursion moves it."""
+    return lv.com + (px[:, q * bs] - px[:, 0])
+
+
 class TestLevelTreeMatchesRecursive:
+    """The class recursion against the per-target recursive tree: every class
+    it takes as far passes that tree's opening test at each of its targets."""
+
     # about 256-512 atoms per set; N is chosen so that refine_k^d * 2^(Nd) fits
     DEPTH = {(1, 1): 8, (1, 2): 7, (1, 4): 6, (2, 1): 4, (2, 2): 3, (2, 4): 2,
              (3, 1): 3, (3, 2): 2, (3, 4): 1}
@@ -396,33 +472,34 @@ class TestLevelTreeMatchesRecursive:
     @pytest.mark.parametrize("refine_k", [1, 2, 4])
     @pytest.mark.parametrize("d, s", [(1, 0.5), (2, 1.0), (3, 1.5)])
     def test_against_recursive_builder(self, d, s, refine_k, leaf_cap):
+        # never less accurate than the recursive tree, against the direct sum
+        # (1e-12 covers the direct sum's own rounding at random ratios)
         rng = np.random.default_rng(1000 * d + 10 * refine_k + leaf_cap)
         lam = tuple(rng.uniform(0.2, 0.3, self.DEPTH[d, refine_k]))
         atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=refine_k)
         spec = KernelSpec(s=s)
         cfg = TreeCodeConfig(leaf_cap=leaf_cap)
-        outside = rng.uniform(-0.2, 1.2, size=(64, d))
-        for tgts, excl in ((atoms.points, True), (outside, False)):
-            want = _recursive_treecode(atoms, tgts, spec, cfg, excl)
-            got = eval_treecode(atoms, tgts, spec, cfg, self_exclude=excl)
-            assert rel_err(got.values, want) <= 1e-12
+        want = eval_brute(atoms, atoms.points, spec, True).values
+        ref = _recursive_treecode(atoms, atoms.points, spec, cfg, True)
+        got = eval_treecode(atoms, spec, cfg)
+        assert rel_err(got.values, want) <= max(rel_err(ref, want), 1e-12)
 
     @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 5), (2, 1.0, 2), (3, 1.5, 1)])
     def test_odd_leaf_blocks_sum_directly(self, d, s, depth):
-        # refine_k = 3 gives odd leaf blocks, which stay leaves instead of
-        # being split unevenly; with every extended cell opened the tree
-        # must reproduce the direct sum
+        # refine_k = 3 gives odd leaf blocks, which the recursion never splits;
+        # with every extended class near it must reproduce the direct sum
         lam = tuple(np.random.default_rng(d).uniform(0.2, 0.3, depth))
         atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=3)
         spec = KernelSpec(s=s)
         cfg = TreeCodeConfig(theta_open=1e-8, leaf_cap=1)
         want = eval_brute(atoms, atoms.points, spec, True)
-        got = eval_treecode(atoms, atoms.points, spec, cfg, self_exclude=True)
+        got = eval_treecode(atoms, spec, cfg)
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
 
 
 class TestLevelsAreTranslates:
-    """Every node of a level is node 0 moved to its first atom, which _level relies on."""
+    """Every cube of a generation is cube 0 moved to its first atom, which the
+    class recursion relies on."""
 
     @pytest.mark.parametrize("leaf_cap", [1, 4, 17, 128])
     @pytest.mark.parametrize("d, ks", [(1, range(1, 19)), (2, range(1, 13)), (3, range(1, 9))])
@@ -431,44 +508,45 @@ class TestLevelsAreTranslates:
             lam = tuple(np.random.default_rng(10 * d + k).uniform(0.1, 0.4, 2))
             atoms = atomize(CantorParams(d=d, s=0.5, lam=lam), refine_k=k)
             px = np.ascontiguousarray(atoms.points.T)
-            for bs in treecode_mod._block_sizes(atoms, leaf_cap):
+            for g in range(leaf_generation(atoms, leaf_cap) + 1):
+                bs = atoms.block_size(g)
                 blocks = atoms.points.reshape(-1, bs, d)
                 shape = blocks - blocks[:, :1]
                 assert np.abs(shape - shape[0]).max() <= 1e-14, (k, bs)
-                # _level moves node 0 to each node's first atom, its least in
-                # every coordinate; the reference is the per-node reductions
-                # that _level replaced, verbatim
+                # node 0's mass centre moved to each cube against the per-cube
+                # reduction that the level tree once made
                 block = px.reshape(d, -1, bs)
                 w = atoms.masses[:bs]
-                lo, hi = block.min(axis=2), block.max(axis=2)
-                mass = w.sum()
-                com = (w * block).sum(axis=2) / mass
-                assert np.array_equal(block[:, :, 0], lo), (k, bs)
+                com = (w * block).sum(axis=2) / w.sum()
                 lv = treecode_mod._level(px, atoms.masses, bs, 1.5)
-                assert np.array_equal(lv.lo, lo), (k, bs)
-                assert np.abs(lv.hi - hi).max() <= 1e-15, (k, bs)
-                assert np.abs(lv.com - com).max() <= 1e-15, (k, bs)
+                moved = np.stack([node0_at(lv, px, q, bs) for q in range(atoms.n // bs)], axis=1)
+                assert np.abs(moved - com).max() <= 1e-15, (k, bs)
 
-    def test_rows_are_not_split(self):
-        # a 36-atom leaf of refine_k 6 halves to 18 = 3 rows of 6; its halves
+    def test_rows_are_not_split(self, monkeypatch):
+        # a 36-atom leaf of refine_k 6 halves to 18 = 3 rows of 6, whose halves
         # of 9 would be point reflections of each other, with octupoles of
-        # opposite sign, so it stays a leaf
+        # opposite sign; the recursion stops at generation N, so every direct
+        # sum takes whole leaves
         lam = tuple(np.random.default_rng(5).uniform(0.2, 0.3, 2))
         atoms = atomize(CantorParams(d=2, s=1.0, lam=lam), refine_k=6)
-        cfg = TreeCodeConfig(leaf_cap=4)
-        assert treecode_mod._block_sizes(atoms, cfg.leaf_cap) == [576, 144, 36, 18]
+        real, sizes = treecode_mod._direct_field, []
+
+        def spy(px, *args):
+            sizes.append(px.shape[1])
+            return real(px, *args)
+
+        monkeypatch.setattr(treecode_mod, "_direct_field", spy)
         spec = KernelSpec(s=1.0)
-        outside = np.random.default_rng(6).uniform(-0.2, 1.2, size=(64, 2))
-        for tgts, excl in ((atoms.points, True), (outside, False)):
-            want = eval_brute(atoms, tgts, spec, excl)
-            got = eval_treecode(atoms, tgts, spec, cfg, self_exclude=excl)
-            # splitting the rows left a third-order error of 2.8e-5 and 4.4e-5
-            # here; the fifth-order expansion of whole rows gives 9e-8
-            assert rel_err(got.values, want.values) < 1e-6
+        want = eval_brute(atoms, atoms.points, spec, True)
+        got = eval_treecode(atoms, spec, TreeCodeConfig(leaf_cap=4))
+        assert set(sizes) == {36}
+        # splitting the rows left a third-order error of 2.8e-5 and 4.4e-5
+        # here; the fifth-order expansion of whole rows gives 9e-8
+        assert rel_err(got.values, want.values) < 1e-6
 
 
 # --- The (n, d) level tree that the coordinate-major one replaced, kept
-# verbatim but for names: _level as it was, and eval_treecode's traversal.
+# verbatim but for names: _level as it was, one expansion per node.
 
 class _LegacyLevel(NamedTuple):
     """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs)."""
@@ -500,44 +578,6 @@ def _legacy_level(atoms, bs: int) -> _LegacyLevel:
     )
 
 
-def _legacy_treecode(atoms, tgts, spec, config, self_exclude):
-    n_t, d = tgts.shape
-    levels = [
-        _legacy_level(atoms, bs)
-        for bs in treecode_mod._block_sizes(atoms, config.leaf_cap)
-    ]
-    theta2 = config.theta_open * config.theta_open
-    eps2 = spec.eps * spec.eps
-    out = np.zeros((n_t, d))
-    stack = [
-        (0, 0, np.arange(t0, min(t0 + treecode_mod._TARGET_CHUNK, n_t)))
-        for t0 in reversed(range(0, n_t, treecode_mod._TARGET_CHUNK))
-    ]
-    while stack:
-        g, q, idx = stack.pop()
-        lv = levels[g]
-        sub = tgts[idx]
-        gap = np.maximum(lv.lo[q] - sub, 0.0) + np.maximum(sub - lv.hi[q], 0.0)
-        dist2 = (gap * gap).sum(axis=1)
-        ok = (dist2 > eps2) & (dist2 > 0.0) & (lv.diam2[q] <= theta2 * dist2)
-        far = idx[ok]
-        if far.size:
-            out[far] += _far_field(lv, q, tgts[far], spec.s)
-        near = idx[~ok]
-        if not near.size:
-            continue
-        if g + 1 < len(levels):
-            fan = lv.bs // levels[g + 1].bs
-            stack.extend((g + 1, q * fan + c, near) for c in reversed(range(fan)))
-        else:
-            a0 = q * lv.bs
-            out[near] += _direct_field(
-                atoms.points[a0:a0 + lv.bs], atoms.masses[a0:a0 + lv.bs], tgts[near],
-                spec, near, a0, self_exclude,
-            )
-    return out
-
-
 class TestCoordinateMajorMatchesLegacy:
     @pytest.mark.parametrize("d, s", [(1, 0.5), (2, 1.0), (3, 1.5)])
     def test_far_field_random_cells(self, d, s):
@@ -550,9 +590,8 @@ class TestCoordinateMajorMatchesLegacy:
         masses = np.tile(rng.uniform(0.2, 1.0, bs), nodes)
         cloud = SimpleNamespace(points=pts, masses=masses, d=d)
         old = _legacy_level(cloud, bs)
-        new = treecode_mod._level(
-            np.ascontiguousarray(pts.T), cloud.masses, bs, s + 1.0
-        )
+        px = np.ascontiguousarray(pts.T)
+        new = treecode_mod._level(px, cloud.masses, bs, s + 1.0)
         for q in range(nodes):
             # targets 2 to 40 cell diameters from the mass centre
             dirs = rng.normal(size=(300, d))
@@ -560,7 +599,7 @@ class TestCoordinateMajorMatchesLegacy:
             dist = np.exp(rng.uniform(np.log(2.0), np.log(40.0), 300)) * np.sqrt(old.diam2[q])
             tgts = old.com[q] + dirs * dist[:, None]
             want = _far_field(old, q, tgts, s)
-            got = treecode_mod._far_field(new, q, new.com[:, q, None] - tgts.T, s + 1.0)
+            got = treecode_mod._far_field(new, node0_at(new, px, q, bs)[:, None] - tgts.T, s + 1.0)
             assert rel_err(got.T, want) <= 1e-13
             # and value by value, against each target's own magnitude
             scale = np.abs(want).max(axis=1, keepdims=True)
@@ -570,33 +609,39 @@ class TestCoordinateMajorMatchesLegacy:
     @pytest.mark.parametrize("eps", [0.0, 0.02])
     @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 7), (2, 1.0, 3), (3, 1.5, 2)])
     def test_whole_tree(self, d, s, depth, eps, leaf_cap):
+        # cube by cube over every generation the recursion reads, at the atoms
+        # where a class of the cube can be far at the widest angle
         rng = np.random.default_rng(100 * d + leaf_cap)
         lam = tuple(rng.uniform(0.2, 0.3, depth))
         atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=2)
-        spec = KernelSpec(s=s, eps=eps)
-        cfg = TreeCodeConfig(leaf_cap=leaf_cap)
-        outside = rng.uniform(-0.2, 1.2, size=(64, d))
-        for tgts, excl in ((atoms.points, True), (outside, False)):
-            want = _legacy_treecode(atoms, tgts, spec, cfg, excl)
-            got = eval_treecode(atoms, tgts, spec, cfg, self_exclude=excl)
-            assert rel_err(got.values, want) <= 1e-12
+        px = np.ascontiguousarray(atoms.points.T)
+        old = functools.cache(lambda bs: _legacy_level(atoms, bs))
+        new = functools.cache(lambda bs: treecode_mod._level(px, atoms.masses, bs, s + 1.0))
+        seen = 0
+        for g, q, tgts in far_targets(atoms, leaf_cap, eps, 0.9):
+            bs = atoms.block_size(g)
+            want = _far_field(old(bs), q, tgts, s)
+            lv = new(bs)
+            got = treecode_mod._far_field(lv, node0_at(lv, px, q, bs)[:, None] - tgts.T, s + 1.0)
+            assert rel_err(got.T, want) <= 1e-12, (g, q)
+            seen += 1
+        assert seen
 
     @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 7), (2, 1.0, 3), (3, 1.5, 2)])
     def test_leaves_bitwise(self, d, s, depth):
-        # with every extended cell opened the tree is its leaves, which sum
-        # the same pairs in the same order as before
+        # with every extended class near the tree is its leaves, which sum
+        # the same pairs in the same order as the nested child sums
         atoms = atomize(CantorParams(d=d, s=s, lam=(0.25,) * depth), refine_k=2)
         spec = KernelSpec(s=s)
         cfg = TreeCodeConfig(theta_open=1e-8, leaf_cap=4)
-        want = _legacy_treecode(atoms, atoms.points, spec, cfg, True)
-        got = eval_treecode(atoms, atoms.points, spec, cfg, self_exclude=True)
+        want = _leaf_sums(atoms, spec, leaf_generation(atoms, cfg.leaf_cap))
+        got = eval_treecode(atoms, spec, cfg)
         assert np.array_equal(got.values, want)
 
 
 # --- The symmetric-monomial expansion that the moment-tensor one replaced,
 # kept verbatim but for names: its level record, basis, _level and
-# _far_field.  Patched into treecode it is the whole previous tree code,
-# since the traversal did not change.
+# _far_field, one expansion per node.
 
 class _MonomialLevel(NamedTuple):
     """Node arrays of one tree level; node q covers atoms [q*bs, (q+1)*bs).
@@ -741,47 +786,45 @@ class TestTensorMatchesMonomial:
         [(1, 0.5, 9, "random"), (1, 0.5, 9, "constant"), (2, 1.0, 4, "constant"),
          (3, 1.5, 3, "constant"), (2, 1.0, 4, "random"), (3, 1.5, 3, "random")],
     )
-    def test_whole_tree(self, d, s, depth, ratios, eps, monkeypatch):
+    def test_whole_tree(self, d, s, depth, ratios, eps):
+        # cube by cube, as TestCoordinateMajorMatchesLegacy.test_whole_tree
+        # but at the default angle: wider, a few generation-1 values of the
+        # two expansions differ in the last bit at constant ratios
         rng = np.random.default_rng(200 * d + depth)
         lam = (0.25,) * depth if ratios == "constant" else tuple(rng.uniform(0.1, 0.4, depth))
         atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=2)
-        spec = KernelSpec(s=s, eps=eps)
-        cfg = TreeCodeConfig(leaf_cap=4)
-        runs = ((atoms.points, True), (rng.uniform(-0.2, 1.2, size=(64, d)), False))
-        got = [eval_treecode(atoms, t, spec, cfg, self_exclude=excl).values for t, excl in runs]
-        monkeypatch.setattr(treecode_mod, "_level", _monomial_level)
-        monkeypatch.setattr(treecode_mod, "_far_field", _monomial_far_field)
-        for (tgts, excl), new in zip(runs, got):
-            want = eval_treecode(atoms, tgts, spec, cfg, self_exclude=excl).values
+        px, u = np.ascontiguousarray(atoms.points.T), s + 1.0
+        field = eval_brute(atoms, atoms.points, KernelSpec(s=s, eps=eps), True).values
+        rms = np.sqrt((field**2).sum(axis=1).mean())
+        old = functools.cache(lambda bs: _monomial_level(px, atoms.masses, bs, u))
+        new = functools.cache(lambda bs: treecode_mod._level(px, atoms.masses, bs, u))
+        seen = 0
+        for g, q, tgts in far_targets(atoms, 4, eps, TreeCodeConfig().theta_open):
+            bs = atoms.block_size(g)
+            mono, lv = old(bs), new(bs)
+            want = _monomial_far_field(mono, q, mono.com[:, q, None] - tgts.T, u)
+            got = treecode_mod._far_field(lv, node0_at(lv, px, q, bs)[:, None] - tgts.T, u)
             if ratios == "constant":
-                assert np.array_equal(new, want)
+                assert np.array_equal(got, want), (g, q)
             else:
                 # the reference takes every node's moments from its own
                 # rounded coordinates, the tree node 0's, and is the less
                 # accurate side: on TestLevelMomentsOracle's d = 1 set its
                 # quadrupole traces are off by up to 1.3e-9 relative, node 0's
-                # by 4.4e-16
-                rms = np.sqrt((want**2).sum(axis=1).mean())
-                assert np.abs(new - want).max() <= 1e-11 * rms
+                # by 4.4e-16; the bound is in units of the RMS self field
+                assert np.abs(got - want).max() <= 1e-11 * rms, (g, q)
+            seen += 1
+        assert seen
 
 
 class TestLevelMomentsOracle:
-    """Each level's expansion, taken from node 0, against extended precision."""
+    """Each generation's expansion, taken from node 0, against extended precision."""
 
     @pytest.mark.parametrize("d, s, depth", [(1, 0.5, 14), (2, 1.0, 6), (3, 1.5, 4)])
-    def test_quadrupole_trace(self, d, s, depth):
-        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
-            pytest.skip("np.longdouble is no wider than double here, so it is no oracle")
+    def test_quadrupole_trace(self, d, s, depth, oracle):
         lam = tuple(np.random.default_rng(60 + d).uniform(0.1, 0.4, depth))
         atoms = atomize(CantorParams(d=d, s=s, lam=lam), refine_k=2)
-        # atomize()'s layout rebuilt from the same ratios in extended precision
-        ell = np.cumprod(np.array((1.0,) + lam, dtype=np.longdouble))
-        corners = np.zeros((1, d), dtype=np.longdouble)
-        bits = np.array([[c >> a & 1 for a in range(d)] for c in range(1 << d)])
-        for i in range(depth):
-            corners = (corners[:, None] + bits * (ell[i] - ell[i + 1])).reshape(-1, d)
-        sub = (bits[:, ::-1] + np.longdouble(0.5)) * (ell[-1] / 2)  # row-major sub-grid
-        exact = (corners[:, None] + sub).reshape(-1, d)
+        exact = oracle.points(atoms)
         assert np.allclose(exact.astype(float), atoms.points, rtol=0.0, atol=1e-15)
         px, u = np.ascontiguousarray(atoms.points.T), s + 1.0
         for g in range(depth + 1):
